@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -179,6 +180,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep values must be numeric: {args.values!r}") from None
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
 
     jobs = []
     base = Path(args.output)
@@ -187,8 +190,9 @@ def cmd_sweep(args) -> int:
         load_config(v_doc)  # validate before fanning out
         jobs.append((v_doc, str(base / f"{args.axis}={v:g}")))
 
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:
         results = [_sweep_worker(j) for j in jobs]
@@ -274,7 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("-o", "--output", required=True)
     p_sw.add_argument("--axis", required=True, help="dotted config key to vary")
     p_sw.add_argument("--values", required=True, help="comma-separated values")
-    p_sw.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sw.add_argument(
+        "--jobs", type=int, default=1,
+        help="parallel workers (at most one per value and per CPU)",
+    )
     p_sw.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p_sw.set_defaults(func=cmd_sweep)
 

@@ -4,17 +4,41 @@ All operations are batched over agents (leading axis N). The extension
 estimator augments the consensus outputs with first-order filtered copies,
 forms the square Gram of the stacked regressor, and multiplies by its
 adjugate to obtain one decoupled scalar regression per parameter.
+
+The adjugate has a closed form for n <= 3 and takes one batched determinant
+over all n^2 minors above that. The mixing factor phi = det(Gram) is read
+off the adjugate (row 0 of adj(Gram) dotted with column 0 of Gram), so for
+n <= 3 the scalarization makes no determinant call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .consensus import ConsensusOutput
 
-ADJUGATE_SINGULAR_TOL = 1e-10
+
+def _cross_gather() -> np.ndarray:
+    """Flat indices into a 3x3 G of the four factors of each adj(G) entry.
+
+    adj[i, j] = G[j+1, i+1] G[j+2, i+2] - G[j+2, i+1] G[j+1, i+2] (mod 3):
+    row i of adj(G) is the cross product of columns i+1 and i+2 of G.
+    """
+    i, j = np.ogrid[:3, :3]
+    factors = [
+        ((j + 1) % 3, (i + 1) % 3),
+        ((j + 2) % 3, (i + 2) % 3),
+        ((j + 2) % 3, (i + 1) % 3),
+        ((j + 1) % 3, (i + 2) % 3),
+    ]
+    return np.stack([3 * row + col for row, col in factors])
+
+
+_ADJ2_FLAT = np.array([[3, 1], [2, 0]])  # adj [[a, b], [c, d]] = [[d, -b], [-c, a]]
+_ADJ2_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_ADJ3_FLAT = _cross_gather()
 
 
 def ge_derivative(
@@ -23,9 +47,9 @@ def ge_derivative(
     gain: np.ndarray,
 ) -> np.ndarray:
     """Gradient-flow update: gain @ Chat^T (yhat - Chat theta_hat), per agent."""
-    err = out.yhat - np.einsum("aij,aj->ai", out.Chat, theta_hat)
-    grad = np.einsum("aji,aj->ai", out.Chat, err)
-    return np.einsum("ij,aj->ai", gain, grad)
+    err = out.yhat - (out.Chat @ theta_hat[..., None])[..., 0]
+    grad = (err[..., None, :] @ out.Chat)[..., 0, :]
+    return grad @ gain.T
 
 
 def centralized_ge_derivative(
@@ -108,29 +132,32 @@ def drem_extend(
 def adjugate(G: np.ndarray) -> np.ndarray:
     """Classical adjugate, adj(G) G = det(G) I, defined for singular G too.
 
-    Cofactor expansion for small or near-singular matrices; det(G) G^{-1}
-    otherwise. Supports batched input (..., n, n).
+    Closed form for n <= 3: the swapped-and-negated 2x2, and for n = 3 the
+    cross products of column pairs. For n > 3, one batched determinant of
+    all n^2 minors. No branch depends on the values, so rank-deficient and
+    badly scaled input takes the same path as any other. Supports batched
+    input (..., n, n).
     """
     g = np.asarray(G, dtype=float)
     n = g.shape[-1]
-    if g.shape[-2] != n:
+    if g.ndim < 2 or g.shape[-2] != n:
         raise ValueError("adjugate needs square matrices")
+    batch = g.shape[:-2]
     if n == 1:
         return np.ones_like(g)
-
-    dets = np.linalg.det(g)
-    if n > 4 and np.all(np.abs(dets) > ADJUGATE_SINGULAR_TOL):
-        return dets[..., None, None] * np.linalg.inv(g)
+    if n == 2:
+        return g.reshape(*batch, 4)[..., _ADJ2_FLAT] * _ADJ2_SIGN
+    if n == 3:
+        t = g.reshape(*batch, 9)[..., _ADJ3_FLAT]
+        return t[..., 0, :, :] * t[..., 1, :, :] - t[..., 2, :, :] * t[..., 3, :, :]
 
     idx = np.arange(n)
-    adj = np.empty_like(g)
-    for i in range(n):
-        rows = idx[idx != i]
-        for j in range(n):
-            cols = idx[idx != j]
-            minor = g[..., rows[:, None], cols[None, :]]
-            adj[..., j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
-    return adj
+    # others[i] lists the indices 0..n-1 without i.
+    others = idx[None, :-1] + (idx[None, :-1] >= idx[:, None])
+    # minors[..., i, j] is G without row j and column i: the (j, i) minor.
+    minors = g[..., others[None, :, :, None], others[:, None, None, :]]
+    sign = 1.0 - 2.0 * ((idx[:, None] + idx[None, :]) % 2)
+    return sign * np.linalg.det(minors)
 
 
 @dataclass
@@ -139,7 +166,13 @@ class DremScalar:
 
     phi: np.ndarray  # (N,)
     Y: np.ndarray  # (N, n)
-    phi_sq_integral: np.ndarray = field(default=None)  # optional running integral
+
+
+def _mix(G: np.ndarray, rhs: np.ndarray) -> DremScalar:
+    """phi = det(G) from row 0 of adj(G) and column 0 of G; Y = adj(G) rhs."""
+    adj = adjugate(G)
+    phi = np.einsum("ai,ai->a", adj[:, 0], G[:, :, 0])
+    return DremScalar(phi=phi, Y=(adj @ rhs[..., None])[..., 0])
 
 
 def drem_scalarize(Cf: np.ndarray, yf: np.ndarray) -> DremScalar:
@@ -148,18 +181,15 @@ def drem_scalarize(Cf: np.ndarray, yf: np.ndarray) -> DremScalar:
     phi = det(Cf^T Cf), Y = adj(Cf^T Cf) (Cf^T yf); well-defined (phi = 0)
     when the Gram is singular.
     """
-    gram = np.einsum("ami,amj->aij", Cf, Cf)
-    rhs = np.einsum("ami,am->ai", Cf, yf)
-    phi = np.linalg.det(gram)
-    Y = np.einsum("aij,aj->ai", adjugate(gram), rhs)
-    return DremScalar(phi=phi, Y=Y)
+    cft = np.swapaxes(Cf, -1, -2)
+    gram = cft @ Cf
+    rhs = (cft @ yf[..., None])[..., 0]
+    return _mix(gram, rhs)
 
 
 def drem_simple_scalarize(out: ConsensusOutput) -> DremScalar:
     """Filterless scalarization using the square consensus output directly."""
-    phi = np.linalg.det(out.Chat)
-    Y = np.einsum("aij,aj->ai", adjugate(out.Chat), out.yhat)
-    return DremScalar(phi=phi, Y=Y)
+    return _mix(out.Chat, out.yhat)
 
 
 def drem_derivative(

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hiera_est import cli
 from hiera_est.cli import (
     EXIT_DIVERGENCE,
     EXIT_OK,
@@ -158,3 +159,51 @@ class TestSweep:
             ]
         )
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, scenario_file, tmp_path, jobs):
+        code = main(
+            [
+                "sweep", "-c", str(scenario_file), "-o", str(tmp_path / "s"),
+                "--axis", "epsilon", "--values", "0,0.018", "--jobs", jobs,
+            ]
+        )
+        assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, expected",
+        [("500", 8, 3), ("500", 2, 2), ("2", 8, 2), ("1", 8, None), ("4", 1, None)],
+    )
+    def test_workers_capped(self, scenario_file, tmp_path, monkeypatch, jobs, cpus, expected):
+        started = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, runs in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        def fake_run(doc, outdir):
+            metrics = {"per_estimator": {}, "tail_sup_cons_err": 0.0, "tail_sup_resid": 0.0}
+            return {"outdir": outdir, "k": doc["k"], "metrics": metrics}
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_run_one", fake_run)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code = main(
+            [
+                "sweep", "-c", str(scenario_file), "-o", str(tmp_path / "s"),
+                "--axis", "epsilon", "--values", "0,0.018,0.036", "--jobs", jobs,
+            ]
+        )
+        assert code == EXIT_OK
+        assert started == ([] if expected is None else [expected])

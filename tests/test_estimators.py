@@ -19,6 +19,44 @@ from hiera_est.estimators import (
 )
 
 
+# Entries of adj(G) are sums of (n-1)-fold products of entries of G and det(G)
+# one of n-fold products, so errors are judged against ||G||_F^(n-1) and
+# ||G||_F^n: a tolerance relative to the data scale, not an absolute one.
+SCALED_TOL = 1e-13
+
+
+@st.composite
+def square_batches(draw, min_axes=0, max_axes=2):
+    """(..., n, n) matrices: n = 1..6, batch axes of length 1..3, data scale
+    1e-3..1e5, either general or rank-deficient Grams A A^T with A of shape
+    n x (n-1)."""
+    n = draw(st.integers(1, 6))
+    batch = tuple(draw(st.lists(st.integers(1, 3), min_size=min_axes, max_size=max_axes)))
+    scale = 10.0 ** draw(st.floats(-3.0, 5.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = scale * rng.normal(size=(*batch, n, n - 1))
+        return a @ np.swapaxes(a, -1, -2)
+    return scale * rng.normal(size=(*batch, n, n))
+
+
+def cofactor_adjugate(g):
+    """Reference: transpose of the cofactor matrix, one det per minor."""
+    n = g.shape[-1]
+    adj = np.ones_like(g)
+    if n == 1:
+        return adj
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(g, i, axis=-2), j, axis=-1)
+            adj[..., j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
+    return adj
+
+
+def frobenius(g):
+    return np.linalg.norm(g, axis=(-2, -1))
+
+
 def make_output(rng, n_agents=3, n=2):
     chat = rng.normal(size=(n_agents, n, n))
     chat = chat + np.transpose(chat, (0, 2, 1))
@@ -152,6 +190,23 @@ class TestAdjugate:
             (adj @ g - det * np.eye(n)) / scale, 0.0, atol=1e-11
         )
 
+    @settings(max_examples=300, deadline=None)
+    @given(square_batches())
+    def test_identity_scaled_property(self, g):
+        n = g.shape[-1]
+        adj = adjugate(g)
+        assert adj.shape == g.shape
+        det = np.linalg.det(g)[..., None, None]
+        tol = SCALED_TOL * frobenius(g)[..., None, None] ** n
+        assert np.all(np.abs(adj @ g - det * np.eye(n)) <= tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_batches())
+    def test_matches_cofactor_reference(self, g):
+        n = g.shape[-1]
+        tol = SCALED_TOL * frobenius(g)[..., None, None] ** (n - 1)
+        assert np.all(np.abs(adjugate(g) - cofactor_adjugate(g)) <= tol)
+
 
 class TestScalarize:
     def test_exact_regression(self):
@@ -175,6 +230,27 @@ class TestScalarize:
         d = drem_simple_scalarize(out)
         np.testing.assert_allclose(d.phi, np.linalg.det(chat))
         np.testing.assert_allclose(d.Y, d.phi[:, None] * theta, rtol=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6), st.integers(1, 4), st.integers(1, 12),
+        st.floats(-3.0, 5.0), st.integers(0, 2**32 - 1),
+    )
+    def test_phi_is_gram_determinant(self, n, n_agents, rows, log_scale, seed):
+        # rows < n makes the Gram rank-deficient: phi must then be ~0
+        rng = np.random.default_rng(seed)
+        cf = 10.0**log_scale * rng.normal(size=(n_agents, rows, n))
+        yf = rng.normal(size=(n_agents, rows))
+        gram = np.einsum("ami,amj->aij", cf, cf)
+        tol = SCALED_TOL * frobenius(gram) ** n
+        assert np.all(np.abs(drem_scalarize(cf, yf).phi - np.linalg.det(gram)) <= tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_batches(min_axes=1, max_axes=1))
+    def test_simple_phi_is_determinant(self, chat):
+        out = ConsensusOutput(Chat=chat, yhat=np.ones(chat.shape[:2]))
+        tol = SCALED_TOL * frobenius(chat) ** chat.shape[-1]
+        assert np.all(np.abs(drem_simple_scalarize(out).phi - np.linalg.det(chat)) <= tol)
 
     def test_derivative_decoupled(self):
         # each component evolves independently through its own scalar gain

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hiera_est.config import ConfigError, load_config
+from hiera_est.signals import RegressorGenerator
 from hiera_est.sim import (
     SimulationDiverged,
     compute_metrics,
@@ -113,6 +114,28 @@ class TestRunScenario:
         d1 = t1.estimators["ge"].theta_hat - t0.estimators["ge"].theta_hat
         d2 = t2.estimators["ge"].theta_hat - t0.estimators["ge"].theta_hat
         np.testing.assert_allclose(d1, 2 * d2, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("noise_sd, per_step", [(0.0, 2), (0.2, 3)])
+    def test_measurements_once_per_stage_time_and_noise_draw(
+        self, monkeypatch, noise_sd, per_step
+    ):
+        # RK4 visits t, t+h/2 (twice) and t+h; t+h is the next step's t unless
+        # a new noise draw is held from there on.
+        times = []
+        evaluate_all = RegressorGenerator.evaluate_all
+
+        def counted(gen, t):
+            times.append(t)
+            return evaluate_all(gen, t)
+
+        monkeypatch.setattr(RegressorGenerator, "evaluate_all", counted)
+        cfg = load_config(small_doc(noise_sd=noise_sd, t_end=0.1))
+        run_scenario(cfg)
+        n_steps = 100
+        assert len(times) == per_step * n_steps + 1
+        # every stage time is on the half-step grid, spelled one way
+        half = 0.5 * cfg.h
+        assert sorted(set(times)) == [m * half for m in range(2 * n_steps + 1)]
 
     def test_divergence_detected_and_named(self):
         with pytest.raises(SimulationDiverged, match="ge.theta"):

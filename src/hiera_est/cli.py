@@ -167,6 +167,13 @@ def cmd_feasibility(args) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep_worker(payload):
     doc, outdir = payload
     return _run_one(doc, outdir)
@@ -190,7 +197,7 @@ def cmd_sweep(args) -> int:
         load_config(v_doc)  # validate before fanning out
         jobs.append((v_doc, str(base / f"{args.axis}={v:g}")))
 
-    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    workers = min(args.jobs, len(jobs), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))

@@ -5,10 +5,11 @@ estimator augments the consensus outputs with first-order filtered copies,
 forms the square Gram of the stacked regressor, and multiplies by its
 adjugate to obtain one decoupled scalar regression per parameter.
 
-The adjugate has a closed form for n <= 3 and takes one batched determinant
-over all n^2 minors above that. The mixing factor phi = det(Gram) is read
-off the adjugate (row 0 of adj(Gram) dotted with column 0 of Gram), so for
-n <= 3 the scalarization makes no determinant call.
+The adjugate has a closed form for n = 1 and n = 3 and takes one batched
+determinant over all n^2 minors for every other n. The mixing factor
+phi = det(Gram) is read off the adjugate (row 0 of adj(Gram) dotted with
+column 0 of Gram), so for n = 1 and n = 3 the scalarization makes no
+determinant call.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ def _cross_gather() -> np.ndarray:
     return np.stack([3 * row + col for row, col in factors])
 
 
-_ADJ2_FLAT = np.array([[3, 1], [2, 0]])  # adj [[a, b], [c, d]] = [[d, -b], [-c, a]]
-_ADJ2_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _ADJ3_FLAT = _cross_gather()
 
 
@@ -132,11 +131,11 @@ def drem_extend(
 def adjugate(G: np.ndarray) -> np.ndarray:
     """Classical adjugate, adj(G) G = det(G) I, defined for singular G too.
 
-    Closed form for n <= 3: the swapped-and-negated 2x2, and for n = 3 the
-    cross products of column pairs. For n > 3, one batched determinant of
-    all n^2 minors. No branch depends on the values, so rank-deficient and
-    badly scaled input takes the same path as any other. Supports batched
-    input (..., n, n).
+    Closed form for n = 1 (the 1x1 adjugate is 1) and for n = 3 (row i is
+    the cross product of columns i+1 and i+2). For every other n, one
+    batched determinant of all n^2 minors. No branch depends on the values,
+    so rank-deficient and badly scaled input takes the same path as any
+    other. Supports batched input (..., n, n).
     """
     g = np.asarray(G, dtype=float)
     n = g.shape[-1]
@@ -145,8 +144,6 @@ def adjugate(G: np.ndarray) -> np.ndarray:
     batch = g.shape[:-2]
     if n == 1:
         return np.ones_like(g)
-    if n == 2:
-        return g.reshape(*batch, 4)[..., _ADJ2_FLAT] * _ADJ2_SIGN
     if n == 3:
         t = g.reshape(*batch, 9)[..., _ADJ3_FLAT]
         return t[..., 0, :, :] * t[..., 1, :, :] - t[..., 2, :, :] * t[..., 3, :, :]

@@ -170,11 +170,14 @@ class TestSweep:
         )
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
     @pytest.mark.parametrize(
         "jobs, cpus, expected",
         [("500", 8, 3), ("500", 2, 2), ("2", 8, 2), ("1", 8, None), ("4", 1, None)],
     )
-    def test_workers_capped(self, scenario_file, tmp_path, monkeypatch, jobs, cpus, expected):
+    def test_workers_capped(
+        self, scenario_file, tmp_path, monkeypatch, jobs, cpus, expected, affinity
+    ):
         started = []
 
         class RecordingPool:
@@ -198,7 +201,15 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_run_one", fake_run)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        if affinity:
+            # The affinity mask, not the host's CPU count, bounds the pool.
+            monkeypatch.setattr(
+                cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+            )
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code = main(
             [
                 "sweep", "-c", str(scenario_file), "-o", str(tmp_path / "s"),

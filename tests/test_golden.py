@@ -1,54 +1,42 @@
 """Golden trace: the shortened nominal run against the stored benchmark reference.
 
 ``perfbench/reference.json`` holds theta_hat, the consensus error and the
-residual norm at 21 evenly spaced samples of ``nominal_switched`` run to
+residual norm at evenly spaced samples of ``nominal_switched`` run to
 t_end = 1.0. Any change that reorders floating-point arithmetic in the
-simulator must still reproduce them within the benchmark's own tolerances:
-|a - r| <= RTOL |r| + atol with atol = RTOL max|r| over the compared array,
-and at least RESID_ATOL for the residual, which is rounding noise in an
-exact run.
+simulator must still reproduce them. The samples and the tolerances are the
+benchmark's own: ``perfbench.workloads.checkpoints`` picks the samples and
+``perfbench.workloads.compare`` checks them, so this test and the benchmark
+cannot drift apart.
 """
 
 import json
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import hiera_est as he
 
 ROOT = Path(__file__).resolve().parent.parent
-REFERENCE = ROOT / "perfbench" / "reference.json"
-RTOL = 1e-9
-RESID_ATOL = 1e-6
-N_CHECKPOINTS = 21
+sys.path.insert(0, str(ROOT))
+
+from perfbench import workloads  # noqa: E402
 
 
 @pytest.fixture(scope="module")
 def golden():
-    reference = json.loads(REFERENCE.read_text())["nominal_drem"]
-    doc = json.loads((ROOT / "scenarios" / "nominal_switched.json").read_text())
-    trace = he.run_scenario(he.load_config(he.apply_overrides(doc, ["t_end=1.0"])))
-    idx = np.unique(
-        np.linspace(0, trace.t.shape[0] - 1, N_CHECKPOINTS).round().astype(int)
-    )
-    got = {"t": trace.t[idx], "cons_err": trace.cons_err[idx], "resid": trace.resid_norm[idx]}
-    for name, tr in trace.estimators.items():
-        got[f"theta_hat.{name}"] = tr.theta_hat[idx]
-    return got, reference
+    reference = json.loads(workloads.REFERENCE.read_text())["nominal_drem"]
+    cfg = he.load_config(workloads.nominal_doc(ROOT, workloads.NOMINAL_T_END))
+    return workloads.checkpoints(he.run_scenario(cfg)), reference
 
 
 def test_same_checkpoints(golden):
     got, reference = golden
     assert sorted(got) == sorted(reference)
-    np.testing.assert_array_equal(got["t"], reference["t"])
+    assert got["t"] == reference["t"]
 
 
 @pytest.mark.parametrize("key", ["theta_hat.ge", "theta_hat.drem", "cons_err", "resid"])
 def test_matches_reference(golden, key):
     got, reference = golden
-    ref = np.asarray(reference[key], dtype=float)
-    atol = RTOL * float(np.max(np.abs(ref)))
-    if key == "resid":
-        atol = max(atol, RESID_ATOL)
-    np.testing.assert_allclose(got[key], ref, rtol=RTOL, atol=atol)
+    assert workloads.compare(got, {key: reference[key]}) == []

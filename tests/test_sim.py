@@ -137,6 +137,24 @@ class TestRunScenario:
         half = 0.5 * cfg.h
         assert sorted(set(times)) == [m * half for m in range(2 * n_steps + 1)]
 
+    def test_estimators_independent_of_each_other(self):
+        # Each kind reads the consensus outputs and nothing of the others, so
+        # running all four together must give bit-identical traces to running
+        # each alone, with uneven rows, noise, loss and quantization.
+        kinds = ["ge", "drem", "drem_simple", "centralized"]
+        doc = small_doc(
+            rows_per_agent=[1, 2, 3], estimators=kinds, gamma_ge=0.5,
+            gamma_centralized=0.5, noise_sd=0.1, p_loss=0.3, epsilon=0.01,
+            t_end=0.5,
+        )
+        together = run_scenario(load_config(doc))
+        for kind in kinds:
+            alone = run_scenario(load_config({**doc, "estimators": [kind]}))
+            np.testing.assert_array_equal(
+                alone.estimators[kind].theta_hat, together.estimators[kind].theta_hat
+            )
+            np.testing.assert_array_equal(alone.cons_err, together.cons_err)
+
     def test_divergence_detected_and_named(self):
         with pytest.raises(SimulationDiverged, match="ge.theta"):
             run_scenario(load_config(small_doc(gamma_ge=1e6, estimators=["ge"])))

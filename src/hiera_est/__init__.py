@@ -7,118 +7,18 @@ scalarization) on the agreed signals, including quantized, switched-topology,
 noisy, and lossy-link variants.
 """
 
-from .config import AnalysisConfig, ConfigError, ScenarioConfig, apply_overrides, load_config
-from .consensus import (
-    ConsensusOutput,
-    ConsensusState,
-    consensus_error,
-    consensus_outputs,
-    dac_derivative,
-    effective_laplacian,
-    residual,
-)
-from .estimators import (
-    DremFilterBank,
-    DremScalar,
-    adjugate,
-    default_filter_bank,
-    drem_derivative,
-    drem_scalarize,
-    drem_simple_scalarize,
-    ge_derivative,
-    l2_divergence_monitor,
-)
-from .excitation import (
-    ExcitationConstants,
-    analyze_scenario,
-    avg_gram_pe_level,
-    consensus_error_bound,
-    gain_bound,
-    pe_level,
-    quantized_bounds,
-    switched_feasibility,
-)
-from .graph import (
-    SwitchingSchedule,
-    Topology,
-    active_topology,
-    build_topology,
-    constant_schedule,
-    line_graph_connectivity_floor,
-    topology_from_edges,
-)
-from .signals import (
-    RegressorGenerator,
-    quantize,
-    sample_coefficients,
-    surrogate,
-    surrogate_all,
-)
-from .sim import (
-    InvariantViolation,
-    Metrics,
-    SimulationDiverged,
-    TraceSet,
-    compute_metrics,
-    fit_decay_rate,
-    resolve_gain,
-    rk4_step,
-    run_scenario,
-    write_run_dir,
-)
+from .config import apply_overrides, load_config
+from .excitation import consensus_error_bound, gain_bound, pe_level
+from .sim import compute_metrics, run_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig",
-    "ConfigError",
-    "ScenarioConfig",
     "apply_overrides",
-    "load_config",
-    "ConsensusOutput",
-    "ConsensusState",
-    "consensus_error",
-    "consensus_outputs",
-    "dac_derivative",
-    "effective_laplacian",
-    "residual",
-    "DremFilterBank",
-    "DremScalar",
-    "adjugate",
-    "default_filter_bank",
-    "drem_derivative",
-    "drem_scalarize",
-    "drem_simple_scalarize",
-    "ge_derivative",
-    "l2_divergence_monitor",
-    "ExcitationConstants",
-    "analyze_scenario",
-    "avg_gram_pe_level",
+    "compute_metrics",
     "consensus_error_bound",
     "gain_bound",
+    "load_config",
     "pe_level",
-    "quantized_bounds",
-    "switched_feasibility",
-    "SwitchingSchedule",
-    "Topology",
-    "active_topology",
-    "build_topology",
-    "constant_schedule",
-    "line_graph_connectivity_floor",
-    "topology_from_edges",
-    "RegressorGenerator",
-    "quantize",
-    "sample_coefficients",
-    "surrogate",
-    "surrogate_all",
-    "InvariantViolation",
-    "Metrics",
-    "SimulationDiverged",
-    "TraceSet",
-    "compute_metrics",
-    "fit_decay_rate",
-    "resolve_gain",
-    "rk4_step",
     "run_scenario",
-    "write_run_dir",
 ]

@@ -7,6 +7,7 @@ divergence during integration, 4 unwritable output location.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import excitation as exc
-from .config import AnalysisConfig, ConfigError, apply_overrides, load_config
+from .config import ConfigError, apply_overrides, load_config
 from .graph import GraphError
 from .sim import (
     InvariantViolation,
     SimulationDiverged,
+    analysis_report,
     compute_metrics,
     resolve_gain,
     run_scenario,
@@ -45,20 +47,10 @@ def _load_doc(path: str, overrides) -> dict:
     return doc
 
 
-def _analysis_report(cfg, k=None) -> dict:
-    a: AnalysisConfig = cfg.analysis
-    return exc.analyze_scenario(
-        cfg.generator,
-        cfg.schedule,
-        a.T_grid,
-        a.horizon,
-        a.grid_step,
-        alpha_threshold=a.alpha_threshold,
-        inflation=a.inflation,
-        k=k,
-        epsilon=cfg.epsilon,
-        theta_norm=float(np.linalg.norm(cfg.theta)),
-    )
+def _add_gain_margins(report: dict, cfg, k: float):
+    if report["pe"]:
+        theta_norm = float(np.linalg.norm(cfg.theta))
+        report.update(exc.gain_margins(report, k, cfg.epsilon, theta_norm))
 
 
 def _jsonable(obj):
@@ -67,14 +59,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, exc.ExcitationConstants):
-        return {
-            "beta": obj.beta,
-            "gamma": obj.gamma,
-            "alpha": obj.alpha,
-            "T": obj.T,
-            "n": obj.n,
-            "n_agents": obj.n_agents,
-        }
+        return dataclasses.asdict(obj)
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -85,9 +70,10 @@ def _jsonable(obj):
 def _run_one(doc: dict, outdir: str) -> dict:
     """Run a scenario document and write the standard artifact directory."""
     cfg = load_config(doc)
-    k = resolve_gain(cfg)
-    report = _analysis_report(cfg, k=k)
-    trace = run_scenario(cfg)
+    report = analysis_report(cfg)  # the only excitation analysis of the run
+    k = resolve_gain(cfg, report)
+    _add_gain_margins(report, cfg, k)
+    trace = run_scenario(dataclasses.replace(cfg, k=k))
     ceiling = None
     if report.get("pe"):
         ceiling = exc.consensus_error_bound(
@@ -122,8 +108,9 @@ def cmd_run(args) -> int:
 def cmd_analyze(args) -> int:
     doc = _load_doc(args.config, args.set)
     cfg = load_config(doc)
-    k = None if cfg.k == "auto" else float(cfg.k)
-    report = _analysis_report(cfg, k=k)
+    report = analysis_report(cfg)
+    if cfg.k != "auto":
+        _add_gain_margins(report, cfg, float(cfg.k))
     report.pop("constants", None)
     print(json.dumps(_jsonable(report), indent=2))
     return EXIT_OK

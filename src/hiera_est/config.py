@@ -27,8 +27,6 @@ class ConfigError(ValueError):
     """Scenario configuration failed validation."""
 
 
-ESTIMATOR_KINDS = ("ge", "drem", "drem_simple", "centralized")
-
 _TOP_KEYS = {
     "n", "n_agents", "rows_per_agent", "theta",
     "coeff_range", "freq_range", "coeff_tables", "seed",
@@ -203,10 +201,12 @@ def load_config(d: dict) -> ScenarioConfig:
         k = float(k)
         _require(k > 0, "consensus gain k must be positive")
 
+    from .sim import ESTIMATORS  # the kinds are declared with the runner
+
     estimators = tuple(d.get("estimators", ["ge", "drem"]))
     _require(len(estimators) > 0, "at least one estimator must be enabled")
     for e in estimators:
-        _require(e in ESTIMATOR_KINDS, f"unknown estimator kind {e!r}")
+        _require(e in ESTIMATORS, f"unknown estimator kind {e!r}")
     _require(len(set(estimators)) == len(estimators), "duplicate estimator kinds")
 
     gamma_ge = _parse_gain_matrix(d.get("gamma_ge", 1.0), n, "gamma_ge")

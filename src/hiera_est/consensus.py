@@ -2,8 +2,9 @@
 
 All quantities are batched over agents: integrator states X (N,n,n) and
 x (N,n), surrogate inputs Cp (N,n,n) and yp (N,n). The quantized and
-packet-loss variants share the nominal derivative field; eps = 0 means exact
-communication and a missing loss mask means all links up.
+packet-loss variants share the nominal derivative field, dac_derivative, the
+only implementation of it: eps = 0 means exact communication, and lost links
+are removed from the Laplacian it is given.
 """
 
 from __future__ import annotations
@@ -17,19 +18,6 @@ from .signals import quantize
 
 
 @dataclass
-class ConsensusState:
-    """Per-agent integrator states for the matrix and vector channels."""
-
-    X: np.ndarray  # (N, n, n)
-    x: np.ndarray  # (N, n)
-
-    @classmethod
-    def zeros(cls, n_agents: int, n: int) -> "ConsensusState":
-        # Standard initialization: per-agent sums start (and stay) at zero.
-        return cls(X=np.zeros((n_agents, n, n)), x=np.zeros((n_agents, n)))
-
-
-@dataclass
 class ConsensusOutput:
     """Consensus outputs per agent: Chat = Cp - X, yhat = yp - x."""
 
@@ -37,8 +25,11 @@ class ConsensusOutput:
     yhat: np.ndarray  # (N, n)
 
 
-def consensus_outputs(state: ConsensusState, Cp: np.ndarray, yp: np.ndarray) -> ConsensusOutput:
-    return ConsensusOutput(Chat=Cp - state.X, yhat=yp - state.x)
+def consensus_outputs(
+    Cp: np.ndarray, yp: np.ndarray, X: np.ndarray, x: np.ndarray
+) -> ConsensusOutput:
+    """Outputs of the consensus block from its surrogate inputs and states."""
+    return ConsensusOutput(Chat=Cp - X, yhat=yp - x)
 
 
 def effective_laplacian(topo: Topology, loss_mask: np.ndarray | None = None) -> np.ndarray:
@@ -55,29 +46,23 @@ def effective_laplacian(topo: Topology, loss_mask: np.ndarray | None = None) -> 
 
 
 def dac_derivative(
-    state: ConsensusState,
-    Cp: np.ndarray,
-    yp: np.ndarray,
-    topo: Topology,
-    k: float,
-    eps: float = 0.0,
-    loss_mask: np.ndarray | None = None,
+    out: ConsensusOutput, lap: np.ndarray, k: float, eps: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrator-state derivatives (dX, dx) of the consensus block.
 
     Each agent integrates k times the sum over its active neighbors of the
-    difference of transmitted outputs; transmission applies the floor
-    quantizer at step eps (identity when eps = 0).
+    difference of transmitted outputs, written through the step's Laplacian
+    lap (see effective_laplacian); transmission applies the floor quantizer
+    at step eps (identity when eps = 0).
     """
     if k <= 0:
         raise ValueError("consensus gain k must be positive")
-    out = consensus_outputs(state, Cp, yp)
-    if out.Chat.shape[0] != topo.n_agents:
-        raise ValueError("state/topology agent count mismatch")
+    n_agents = out.Chat.shape[0]
+    if lap.shape != (n_agents, n_agents):
+        raise ValueError("output/Laplacian agent count mismatch")
     qc = quantize(out.Chat, eps)
     qy = quantize(out.yhat, eps)
-    lap = effective_laplacian(topo, loss_mask)
-    dX = k * np.einsum("ij,jab->iab", lap, qc)
+    dX = k * (lap @ qc.reshape(n_agents, -1)).reshape(qc.shape)
     dx = k * (lap @ qy)
     return dX, dx
 

@@ -88,12 +88,6 @@ class DremFilterBank:
     def r(self) -> int:
         return self.alphas.shape[0]
 
-    def zero_states(self, n_agents: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.zeros((n_agents, self.r, n, n)),
-            np.zeros((n_agents, self.r, n)),
-        )
-
 
 def default_filter_bank(n: int) -> DremFilterBank:
     """r = n - 1 filters with unit numerators and distinct poles 1..n-1."""

@@ -120,7 +120,7 @@ def stacked_regressor(gen: RegressorGenerator) -> Callable[[float], np.ndarray]:
     """The network-wide row-stacked regressor C(t) as a callable, shape (p, n)."""
 
     def signal(t: float) -> np.ndarray:
-        return np.vstack([gen.evaluate(i, t) for i in range(gen.n_agents)])
+        return gen.evaluate_all(t).reshape(-1, gen.n_params)[gen.real_rows]
 
     return signal
 
@@ -147,13 +147,11 @@ def estimate_assumption_bounds(
     gamma = 0.0
     for k in range(n_pts):
         t = k * grid_step
-        cps = np.empty((n_agents, n, n))
-        cpd = np.empty((n_agents, n, n))
-        for i in range(n_agents):
-            c = gen.evaluate(i, t)
-            cd = gen.evaluate_dot(i, t)
-            cps[i] = c.T @ c
-            cpd[i] = cd.T @ c + c.T @ cd
+        c = gen.evaluate_all(t)
+        cd = gen.evaluate_all_dot(t)
+        ct = np.swapaxes(c, -1, -2)
+        cps = ct @ c
+        cpd = np.swapaxes(cd, -1, -2) @ c + ct @ cd
         cbar = cps.mean(axis=0)
         beta = max(beta, float(np.linalg.eigvalsh(cbar)[-1]))
         centered = (cpd - cpd.mean(axis=0)).reshape(n_agents * n, n)
@@ -270,16 +268,12 @@ def analyze_scenario(
     grid_step: float,
     alpha_threshold: float = 1e-3,
     inflation: float = DEFAULT_SUP_INFLATION,
-    k: float | None = None,
-    epsilon: float = 0.0,
-    theta_norm: float = 0.0,
 ) -> dict:
-    """Full constants report for a scenario: alpha(T) curve, bounds, margins.
+    """Constants report for a scenario: alpha(T) curve, bounds, gain bound.
 
     Picks the smallest window T on the grid whose excitation level exceeds
-    alpha_threshold; reports the gain bound at the family's worst-case
-    connectivity and, when a gain k is supplied, the quantized/switched
-    feasibility margins at that gain.
+    alpha_threshold and reports the gain bound at the family's worst-case
+    connectivity. gain_margins adds the margins at a chosen gain.
     """
     signal = stacked_regressor(gen)
     curve = alpha_curve(signal, T_grid, horizon, grid_step)
@@ -312,16 +306,23 @@ def analyze_scenario(
         consts.n, consts.n_agents, beta, gamma, T, alpha, lam_m
     )
     report["constants"] = consts
-    if k is not None:
-        qb = quantized_bounds(consts, k, lam_m, lam_max, epsilon, theta_norm)
-        feasible, margin = switched_feasibility(consts, k, lam_m, lam_max, epsilon)
-        report["quantized"] = {
+    return report
+
+
+def gain_margins(report: dict, k: float, epsilon: float, theta_norm: float) -> dict:
+    """The quantized and switched feasibility entries of a PE report at gain k."""
+    consts = report["constants"]
+    lam_m, lam_max = report["lambda_g_min"], report["lambda_max_family"]
+    qb = quantized_bounds(consts, k, lam_m, lam_max, epsilon, theta_norm)
+    feasible, margin = switched_feasibility(consts, k, lam_m, lam_max, epsilon)
+    return {
+        "quantized": {
             "k": k,
             "epsilon": epsilon,
             "feasible": qb.feasible,
             "margin": qb.margin,
             "b_eps": qb.b_eps,
             "r_eps": qb.r_eps,
-        }
-        report["switched"] = {"feasible": feasible, "margin": margin}
-    return report
+        },
+        "switched": {"feasible": feasible, "margin": margin},
+    }

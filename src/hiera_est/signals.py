@@ -1,4 +1,4 @@
-"""Regressor generation, measurement synthesis, surrogates, and the quantizer.
+"""Regressor generation, surrogates, random streams, and the quantizer.
 
 Each regressor entry is a sinusoid ``offset + sin_amp*sin(w t) + cos_amp*cos(w t)``
 with coefficients sampled once per scenario from a seeded counter-based RNG
@@ -56,21 +56,28 @@ class RegressorGenerator:
     def n_agents(self) -> int:
         return len(self.rows_per_agent)
 
-    @property
-    def uniform_rows(self) -> bool:
-        return len(set(self.rows_per_agent)) == 1
-
     @cached_property
     def _batched(self):
-        # (N, p, n) coefficient stacks; only valid when all p_i are equal.
-        return (
-            np.stack(self.offset),
-            np.stack(self.sin_amp),
-            np.stack(self.cos_amp),
-            np.stack(self.freq),
-        )
+        # (N, p_max, n) coefficient stacks; agents with fewer rows are padded
+        # with zero rows, whose entries are exactly 0 at every t.
+        p_max = max(self.rows_per_agent)
+
+        def stack(tables):
+            out = np.zeros((self.n_agents, p_max, self.n_params))
+            for i, a in enumerate(tables):
+                out[i, : a.shape[0]] = a
+            return out
+
+        return tuple(stack(t) for t in (self.offset, self.sin_amp, self.cos_amp, self.freq))
+
+    @cached_property
+    def real_rows(self) -> np.ndarray:
+        """Flat indices of the real rows in the padded (N * p_max) row stack."""
+        rows = np.asarray(self.rows_per_agent)
+        return np.flatnonzero(np.arange(rows.max()) < rows[:, None])
 
     def evaluate(self, agent: int, t: float) -> np.ndarray:
+        """Regressor C_i(t) of one agent, shape (p_i, n): the reference formula."""
         a, b, d, w = (
             self.offset[agent],
             self.sin_amp[agent],
@@ -79,21 +86,17 @@ class RegressorGenerator:
         )
         return a + b * np.sin(w * t) + d * np.cos(w * t)
 
-    def evaluate_dot(self, agent: int, t: float) -> np.ndarray:
-        """Analytic time derivative of the regressor of one agent."""
-        b, d, w = self.sin_amp[agent], self.cos_amp[agent], self.freq[agent]
-        return w * (b * np.cos(w * t) - d * np.sin(w * t))
-
     def evaluate_all(self, t: float) -> np.ndarray:
-        """All agents' regressors at time t, shape (N, p, n). Uniform rows only."""
-        if not self.uniform_rows:
-            raise ValueError("evaluate_all requires uniform rows per agent")
+        """All agents' regressors at time t, shape (N, p_max, n), zero-padded.
+
+        Zero rows change neither C^T C, C^T y nor any stacked gradient, so the
+        padded stack serves every row layout.
+        """
         a, b, d, w = self._batched
         return a + b * np.sin(w * t) + d * np.cos(w * t)
 
     def evaluate_all_dot(self, t: float) -> np.ndarray:
-        if not self.uniform_rows:
-            raise ValueError("evaluate_all_dot requires uniform rows per agent")
+        """Analytic time derivative of evaluate_all, zero on the padding rows."""
         _, b, d, w = self._batched
         return w * (b * np.cos(w * t) - d * np.sin(w * t))
 
@@ -187,70 +190,11 @@ def sample_coefficients(
     )
 
 
-def evaluate_regressor(gen: RegressorGenerator, agent: int, t: float) -> np.ndarray:
-    """Regressor matrix C_i(t) of one agent, shape (p_i, n)."""
-    if not (0 <= agent < gen.n_agents):
-        raise IndexError(f"agent {agent} out of range")
-    return gen.evaluate(agent, t)
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """One agent's sensor sample: output vector y, regressor C, and time t."""
-
-    y: np.ndarray
-    C: np.ndarray
-    t: float
-
-
-def measure(
-    gen: RegressorGenerator,
-    theta: np.ndarray,
-    agent: int,
-    t: float,
-    noise_sd: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> Measurement:
-    """Synthesize y_i(t) = C_i(t) theta, plus optional Gaussian noise."""
-    c = evaluate_regressor(gen, agent, t)
-    theta = np.asarray(theta, dtype=float)
-    y = c @ theta
-    if noise_sd > 0.0:
-        if rng is None:
-            raise ValueError("noise_sd > 0 requires an rng")
-        y = y + noise_sd * rng.standard_normal(c.shape[0])
-    return Measurement(y=y, C=c, t=t)
-
-
-@dataclass(frozen=True)
-class Surrogate:
-    """Premultiplied regression data: Cp = C^T C (n x n PSD), yp = C^T y."""
-
-    Cp: np.ndarray
-    yp: np.ndarray
-
-
-def surrogate(m: Measurement) -> Surrogate:
-    return Surrogate(Cp=m.C.T @ m.C, yp=m.C.T @ m.y)
-
-
 def surrogate_all(c_all: np.ndarray, y_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched surrogate construction: (N,p,n),(N,p) -> (N,n,n),(N,n)."""
     cp = np.einsum("api,apj->aij", c_all, c_all)
     yp = np.einsum("api,ap->ai", c_all, y_all)
     return cp, yp
-
-
-def stack_centralized(measurements) -> tuple[np.ndarray, np.ndarray]:
-    """Row-stack per-agent measurements into the centralized (C, y) pair."""
-    n_cols = {m.C.shape[1] for m in measurements}
-    if len(n_cols) != 1:
-        raise ValueError(f"agents disagree on n: {sorted(n_cols)}")
-    c = np.vstack([m.C for m in measurements])
-    y = np.concatenate([np.atleast_1d(m.y) for m in measurements])
-    if y.shape[0] != c.shape[0]:
-        raise ValueError("stacked y and C row counts differ")
-    return c, y
 
 
 def quantize(value, eps: float):

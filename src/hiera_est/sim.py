@@ -5,6 +5,10 @@ states, and running excitation integrals) is advanced with classical RK4.
 Discontinuous inputs (topology switches, packet-loss masks, measurement
 noise) are frozen over each step, evaluated at the step's start for all four
 stages, so the per-step field stays smooth.
+
+The consensus layer's field is consensus.dac_derivative. Each estimator kind
+is declared once, in ESTIMATORS: its state blocks, their derivative and what
+it records at each sample.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,7 +25,8 @@ from . import estimators as est
 from . import excitation as exc
 from .config import AnalysisConfig, ConfigError, ScenarioConfig
 from .graph import active_topology
-from .signals import loss_stream, noise_stream, quantize, surrogate_all
+from .signals import loss_stream, noise_stream, surrogate_all
+from .signals import quantize  # noqa: F401  (perfbench patches sim.quantize)
 
 DIVERGENCE_LIMIT = 1e12
 CONSERVATION_TOL = 1e-8
@@ -159,21 +165,109 @@ class Metrics:
         }
 
 
+class EstimatorInput(NamedTuple):
+    """What an estimator reads at one time: the consensus outputs, and the
+    network's row-stacked data (zero padding rows included)."""
+
+    out: cns.ConsensusOutput
+    c_stack: np.ndarray  # (N * p_max, n)
+    y_stack: np.ndarray  # (N * p_max,)
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One estimator kind, declared once.
+
+    blocks(cfg) lists its state blocks as (name, shape, checked); the state
+    stores them as "<kind>.<name>", and unchecked blocks are exempt from the
+    divergence guard. derivative(cfg, v, inp) returns one derivative per
+    block, in block order, from the kind's block views v.
+    record(cfg, v, inp) returns the EstimatorTrace fields of one sample,
+    err_norm aside. The estimators module is looked up at call time.
+    """
+
+    blocks: Callable
+    derivative: Callable
+    record: Callable
+
+
+def _drem_scalar(v, inp: EstimatorInput):
+    cf, yf = est.drem_extend(inp.out, v["zC"], v["zy"])
+    return est.drem_scalarize(cf, yf)
+
+
+def _mixing_update(cfg, v, scal) -> list:
+    """Derivatives of a DREM kind's theta and of its running integral of phi^2."""
+    return [est.drem_derivative(v["theta"], scal, cfg.gamma_drem), scal.phi**2]
+
+
+def _mixing_record(v, scal) -> dict:
+    return {"theta_hat": v["theta"], "phi": scal.phi, "phi_sq_int": v["phi_int"]}
+
+
+ESTIMATORS = {
+    "ge": Estimator(
+        blocks=lambda cfg: [("theta", (cfg.n_agents, cfg.n), True)],
+        derivative=lambda cfg, v, inp: [
+            est.ge_derivative(v["theta"], inp.out, cfg.gamma_ge)
+        ],
+        record=lambda cfg, v, inp: {"theta_hat": v["theta"]},
+    ),
+    "drem": Estimator(
+        blocks=lambda cfg: [
+            ("zC", (cfg.n_agents, cfg.drem_filters.r, cfg.n, cfg.n), True),
+            ("zy", (cfg.n_agents, cfg.drem_filters.r, cfg.n), True),
+            ("theta", (cfg.n_agents, cfg.n), True),
+            ("phi_int", (cfg.n_agents,), False),
+        ],
+        derivative=lambda cfg, v, inp: [
+            *est.drem_filter_derivative(cfg.drem_filters, v["zC"], v["zy"], inp.out),
+            *_mixing_update(cfg, v, _drem_scalar(v, inp)),
+        ],
+        record=lambda cfg, v, inp: _mixing_record(v, _drem_scalar(v, inp)),
+    ),
+    "drem_simple": Estimator(
+        blocks=lambda cfg: [
+            ("theta", (cfg.n_agents, cfg.n), True),
+            ("phi_int", (cfg.n_agents,), False),
+        ],
+        derivative=lambda cfg, v, inp: _mixing_update(
+            cfg, v, est.drem_simple_scalarize(inp.out)
+        ),
+        record=lambda cfg, v, inp: _mixing_record(v, est.drem_simple_scalarize(inp.out)),
+    ),
+    "centralized": Estimator(
+        blocks=lambda cfg: [("theta", (cfg.n,), True)],
+        derivative=lambda cfg, v, inp: [
+            est.centralized_ge_derivative(
+                v["theta"], inp.c_stack, inp.y_stack, cfg.gamma_centralized
+            )
+        ],
+        record=lambda cfg, v, inp: {"theta_hat": v["theta"]},
+    ),
+}
+
+
+def analysis_report(cfg: ScenarioConfig) -> dict:
+    """The excitation report of a scenario: one pass of the analysis."""
+    a: AnalysisConfig = cfg.analysis
+    return exc.analyze_scenario(
+        cfg.generator,
+        cfg.schedule,
+        a.T_grid,
+        a.horizon,
+        a.grid_step,
+        alpha_threshold=a.alpha_threshold,
+        inflation=a.inflation,
+    )
+
+
 def resolve_gain(cfg: ScenarioConfig, report: dict | None = None) -> float:
     """Resolve the consensus gain: explicit value, or safety_factor x bound."""
     if cfg.k != "auto":
         return float(cfg.k)
     if report is None:
-        a: AnalysisConfig = cfg.analysis
-        report = exc.analyze_scenario(
-            cfg.generator,
-            cfg.schedule,
-            a.T_grid,
-            a.horizon,
-            a.grid_step,
-            alpha_threshold=a.alpha_threshold,
-            inflation=a.inflation,
-        )
+        report = analysis_report(cfg)
     if not report.get("pe", False):
         raise ConfigError(
             "auto gain failed: stacked regressor is not persistently exciting "
@@ -194,25 +288,18 @@ def run_scenario(cfg: ScenarioConfig, check_invariants: bool = True) -> TraceSet
     gen = cfg.generator
     theta = cfg.theta
     k = resolve_gain(cfg)
-    bank = cfg.drem_filters
-    r = bank.r
+    kinds = {kind: ESTIMATORS[kind] for kind in cfg.estimators}
+    blocks = {kind: spec.blocks(cfg) for kind, spec in kinds.items()}
 
     layout = _Layout()
     layout.add("X", (N, n, n))
     layout.add("x", (N, n))
-    for kind in cfg.estimators:
-        if kind == "ge":
-            layout.add("ge.theta", (N, n))
-        elif kind == "drem":
-            layout.add("drem.zC", (N, r, n, n))
-            layout.add("drem.zy", (N, r, n))
-            layout.add("drem.theta", (N, n))
-            layout.add("drem.phi_int", (N,), check=False)
-        elif kind == "drem_simple":
-            layout.add("drem_simple.theta", (N, n))
-            layout.add("drem_simple.phi_int", (N,), check=False)
-        elif kind == "centralized":
-            layout.add("centralized.theta", (n,))
+    for kind, kind_blocks in blocks.items():
+        for name, shape, check in kind_blocks:
+            layout.add(f"{kind}.{name}", shape, check)
+
+    def kind_views(views: dict, kind: str) -> dict:
+        return {name: views[f"{kind}.{name}"] for name, _, _ in blocks[kind]}
 
     state = np.zeros(layout.size)
     check_idx = np.nonzero(layout.check_mask())[0]
@@ -222,90 +309,53 @@ def run_scenario(cfg: ScenarioConfig, check_invariants: bool = True) -> TraceSet
     d_stage = np.zeros(layout.size)
     stage_views = layout.unpack(stage)
     dv = layout.unpack(d_stage)
+    field_kinds = [
+        (spec, kind_views(stage_views, kind), list(kind_views(dv, kind).values()))
+        for kind, spec in kinds.items()
+    ]
 
+    p_max = max(cfg.rows_per_agent)
     noise_rngs = (
         [noise_stream(cfg.seed, i) for i in range(N)] if cfg.noise_sd > 0 else None
     )
     loss_rng = loss_stream(cfg.seed) if cfg.p_loss > 0 else None
 
-    uniform = gen.uniform_rows
-
-    def measurements(t: float, eta):
-        """Surrogates and stacked data at time t with held noise eta."""
-        if uniform:
-            c_all = gen.evaluate_all(t)
-            y_all = np.einsum("api,i->ap", c_all, theta)
-            if eta is not None:
-                y_all = y_all + eta
-            cp, yp = surrogate_all(c_all, y_all)
-            return cp, yp, c_all.reshape(-1, n), y_all.reshape(-1)
-        cp = np.empty((N, n, n))
-        yp = np.empty((N, n))
-        c_rows, y_rows = [], []
-        for i in range(N):
-            c = gen.evaluate(i, t)
-            y = c @ theta
-            if eta is not None:
-                y = y + eta[i]
-            cp[i] = c.T @ c
-            yp[i] = c.T @ y
-            c_rows.append(c)
-            y_rows.append(y)
-        return cp, yp, np.vstack(c_rows), np.concatenate(y_rows)
-
     half_h = 0.5 * cfg.h
     last = [None, None, None]  # grid index, noise draw, measurements
 
     def measured(t: float, eta):
-        """measurements() once per distinct stage time and noise draw.
+        """Surrogates and zero-padded stacked data at time t with held noise eta.
 
-        RK4 visits t, t + h/2 (twice) and t + h, and t + h is the next step's
-        t. Stage times are snapped to the half-step grid m*h/2, so the two
-        spellings of a step boundary, t + h and (step+1)*h, which can differ
-        in the last bit, share one evaluation.
+        Evaluated once per distinct stage time and noise draw: RK4 visits t,
+        t + h/2 (twice) and t + h, and t + h is the next step's t. Stage times
+        are snapped to the half-step grid m*h/2, so the two spellings of a
+        step boundary, t + h and (step+1)*h, which can differ in the last
+        bit, share one evaluation.
         """
         m = round(t / half_h)
         if m != last[0] or eta is not last[1]:
-            last[:] = m, eta, measurements(m * half_h, eta)
+            c_all = gen.evaluate_all(m * half_h)
+            y_all = np.einsum("api,i->ap", c_all, theta)
+            if eta is not None:
+                y_all = y_all + eta
+            cp, yp = surrogate_all(c_all, y_all)
+            last[:] = m, eta, (cp, yp, c_all.reshape(-1, n), y_all.reshape(-1))
         return last[2]
+
+    def observe(t: float, eta, v: dict):
+        """Surrogates and the estimators' input at time t and consensus states v."""
+        cp, yp, c_stack, y_stack = measured(t, eta)
+        out = cns.consensus_outputs(cp, yp, v["X"], v["x"])
+        return cp, yp, EstimatorInput(out, c_stack, y_stack)
 
     def make_field(lap, eta):
         def field(t: float, flat: np.ndarray) -> np.ndarray:
             stage[:] = flat
-            v = stage_views
-            cp, yp, c_stack, y_stack = measured(t, eta)
-            out = cns.ConsensusOutput(Chat=cp - v["X"], yhat=yp - v["x"])
-            qc = quantize(out.Chat, cfg.epsilon)
-            qy = quantize(out.yhat, cfg.epsilon)
-            dv["X"][:] = k * (lap @ qc.reshape(N, -1)).reshape(N, n, n)
-            dv["x"][:] = k * (lap @ qy)
-            for kind in cfg.estimators:
-                if kind == "ge":
-                    dv["ge.theta"][:] = est.ge_derivative(
-                        v["ge.theta"], out, cfg.gamma_ge
-                    )
-                elif kind == "drem":
-                    dzC, dzy = est.drem_filter_derivative(
-                        bank, v["drem.zC"], v["drem.zy"], out
-                    )
-                    dv["drem.zC"][:] = dzC
-                    dv["drem.zy"][:] = dzy
-                    cf, yf = est.drem_extend(out, v["drem.zC"], v["drem.zy"])
-                    scal = est.drem_scalarize(cf, yf)
-                    dv["drem.theta"][:] = est.drem_derivative(
-                        v["drem.theta"], scal, cfg.gamma_drem
-                    )
-                    dv["drem.phi_int"][:] = scal.phi**2
-                elif kind == "drem_simple":
-                    scal = est.drem_simple_scalarize(out)
-                    dv["drem_simple.theta"][:] = est.drem_derivative(
-                        v["drem_simple.theta"], scal, cfg.gamma_drem
-                    )
-                    dv["drem_simple.phi_int"][:] = scal.phi**2
-                elif kind == "centralized":
-                    dv["centralized.theta"][:] = est.centralized_ge_derivative(
-                        v["centralized.theta"], c_stack, y_stack, cfg.gamma_centralized
-                    )
+            _, _, inp = observe(t, eta, stage_views)
+            dv["X"][:], dv["x"][:] = cns.dac_derivative(inp.out, lap, k, cfg.epsilon)
+            for spec, v, d in field_kinds:
+                for view, value in zip(d, spec.derivative(cfg, v, inp)):
+                    view[:] = value
             return d_stage.copy()
 
         return field
@@ -318,18 +368,7 @@ def run_scenario(cfg: ScenarioConfig, check_invariants: bool = True) -> TraceSet
     cons_err = np.empty((n_samples, N))
     yhat_err = np.empty((n_samples, N))
     resid_norm = np.empty((n_samples, N))
-    records: dict[str, dict] = {}
-    for kind in cfg.estimators:
-        if kind == "centralized":
-            records[kind] = {"theta": np.empty((n_samples, n))}
-        elif kind == "ge":
-            records[kind] = {"theta": np.empty((n_samples, N, n))}
-        else:
-            records[kind] = {
-                "theta": np.empty((n_samples, N, n)),
-                "phi": np.empty((n_samples, N)),
-                "phi_int": np.empty((n_samples, N)),
-            }
+    records: dict[str, dict[str, np.ndarray]] = {kind: {} for kind in kinds}
 
     mask = None
     bitmask_all_up = None
@@ -361,40 +400,31 @@ def run_scenario(cfg: ScenarioConfig, check_invariants: bool = True) -> TraceSet
 
         eta = None
         if noise_rngs is not None:
-            eta = cfg.noise_sd * np.stack(
-                [noise_rngs[i].standard_normal(cfg.rows_per_agent[i]) for i in range(N)]
-            ) if uniform else [
-                cfg.noise_sd * noise_rngs[i].standard_normal(cfg.rows_per_agent[i])
-                for i in range(N)
-            ]
+            # Exactly p_i draws per agent; the padding rows stay noise-free.
+            draws = [rng.standard_normal(p) for rng, p in zip(noise_rngs, cfg.rows_per_agent)]
+            eta = np.zeros(N * p_max)
+            eta[gen.real_rows] = cfg.noise_sd * np.concatenate(draws)
+            eta = eta.reshape(N, p_max)
 
         lap = cns.effective_laplacian(topo, mask)
 
         if step % cfg.decimation == 0:
             v = layout.unpack(state)
-            cp, yp, _, _ = measured(t, eta)
-            out = cns.ConsensusOutput(Chat=cp - v["X"], yhat=yp - v["x"])
+            cp, yp, inp = observe(t, eta, v)
             cbar, ybar = cns.average_reference(cp, yp)
-            cerr, yerr = cns.consensus_error(out, cbar, ybar)
+            cerr, yerr = cns.consensus_error(inp.out, cbar, ybar)
             ts[sample_idx] = t
             sigmas[sample_idx] = topo_idx
             links[sample_idx] = bitmask_all_up
             cons_err[sample_idx] = cerr
             yhat_err[sample_idx] = yerr
-            resid_norm[sample_idx] = np.linalg.norm(cns.residual(out, theta), axis=-1)
-            for kind in cfg.estimators:
+            resid_norm[sample_idx] = np.linalg.norm(cns.residual(inp.out, theta), axis=-1)
+            for kind, spec in kinds.items():
                 rec = records[kind]
-                if kind == "centralized":
-                    rec["theta"][sample_idx] = v["centralized.theta"]
-                    continue
-                rec["theta"][sample_idx] = v[f"{kind}.theta"]
-                if kind == "drem":
-                    cf, yf = est.drem_extend(out, v["drem.zC"], v["drem.zy"])
-                    rec["phi"][sample_idx] = est.drem_scalarize(cf, yf).phi
-                    rec["phi_int"][sample_idx] = v["drem.phi_int"]
-                elif kind == "drem_simple":
-                    rec["phi"][sample_idx] = est.drem_simple_scalarize(out).phi
-                    rec["phi_int"][sample_idx] = v["drem_simple.phi_int"]
+                for name, value in spec.record(cfg, kind_views(v, kind), inp).items():
+                    if sample_idx == 0:
+                        rec[name] = np.empty((n_samples, *np.shape(value)))
+                    rec[name][sample_idx] = value
 
             x_sum = np.max(np.abs(v["X"].sum(axis=0)))
             xs_sum = np.max(np.abs(v["x"].sum(axis=0)))
@@ -424,20 +454,12 @@ def run_scenario(cfg: ScenarioConfig, check_invariants: bool = True) -> TraceSet
                     f"at t={t + cfg.h:g} (value {state[flat_idx]:.3e})"
                 )
 
-    est_traces: dict[str, EstimatorTrace] = {}
-    for kind in cfg.estimators:
-        rec = records[kind]
-        if kind == "centralized":
-            err = np.linalg.norm(rec["theta"] - theta, axis=-1)
-            est_traces[kind] = EstimatorTrace(theta_hat=rec["theta"], err_norm=err)
-        else:
-            err = np.linalg.norm(rec["theta"] - theta, axis=-1)
-            est_traces[kind] = EstimatorTrace(
-                theta_hat=rec["theta"],
-                err_norm=err,
-                phi=rec.get("phi"),
-                phi_sq_int=rec.get("phi_int"),
-            )
+    est_traces = {
+        kind: EstimatorTrace(
+            err_norm=np.linalg.norm(rec["theta_hat"] - theta, axis=-1), **rec
+        )
+        for kind, rec in records.items()
+    }
 
     return TraceSet(
         t=ts,

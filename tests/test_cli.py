@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from hiera_est import cli
+from hiera_est import excitation as exc
+from hiera_est.sim import run_scenario
 from hiera_est.cli import (
     EXIT_DIVERGENCE,
     EXIT_OK,
@@ -58,6 +61,33 @@ class TestRun:
         assert json.loads(capsys.readouterr().out)["k"] == 6.5
         echo = json.loads((out / "config-echo.json").read_text())
         assert echo["k"] == 6.5
+
+    def test_auto_gain_analyses_once(self, scenario_file, tmp_path, capsys, monkeypatch):
+        # The analysis that resolves k also gives the report and the margins,
+        # and the run gets the resolved k.
+        passes, run_gains = [], []
+        bounds = exc.estimate_assumption_bounds
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return bounds(*args, **kwargs)
+
+        def run_resolved(cfg):
+            run_gains.append(cfg.k)
+            # The resolved k (~5e7) is far too stiff for h = 1e-3.
+            return run_scenario(dataclasses.replace(cfg, k=5.0))
+
+        monkeypatch.setattr(exc, "estimate_assumption_bounds", counted)
+        monkeypatch.setattr(cli, "run_scenario", run_resolved)
+        out = tmp_path / "auto"
+        code = main(["run", "-c", str(scenario_file), "-o", str(out), "--set", "k=auto"])
+        assert code == EXIT_OK
+        assert len(passes) == 1
+        k = json.loads(capsys.readouterr().out)["k"]
+        assert run_gains == [k]
+        constants = json.loads((out / "constants.json").read_text())
+        assert constants["k"] == k > constants["k_min"]
+        assert constants["quantized"]["k"] == k
 
     def test_validation_exit(self, scenario_file, tmp_path, capsys):
         code = main(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hiera_est.consensus import (
-    ConsensusState,
     average_reference,
     consensus_error,
     consensus_outputs,
@@ -30,16 +29,20 @@ def data():
     return cp, yp, theta
 
 
+def zeros(n_agents=4, n=3):
+    """Zero-initialized consensus states (X, x)."""
+    return np.zeros((n_agents, n, n)), np.zeros((n_agents, n))
+
+
 class TestDerivative:
     def test_neighbor_sum_form(self, topo, data):
         # dX_i = k * sum_{j in N_i} (Chat_i - Chat_j), written via the Laplacian
         cp, yp, _ = data
-        state = ConsensusState.zeros(4, 3)
-        state.X = np.random.default_rng(1).normal(size=(4, 3, 3))
-        state.x = np.random.default_rng(2).normal(size=(4, 3))
+        X = np.random.default_rng(1).normal(size=(4, 3, 3))
+        x = np.random.default_rng(2).normal(size=(4, 3))
         k = 3.2
-        dX, dx = dac_derivative(state, cp, yp, topo, k)
-        out = consensus_outputs(state, cp, yp)
+        out = consensus_outputs(cp, yp, X, x)
+        dX, dx = dac_derivative(out, effective_laplacian(topo), k)
         for i in range(4):
             expX = sum(
                 out.Chat[i] - out.Chat[j] for j in topo.neighbors(i)
@@ -50,46 +53,45 @@ class TestDerivative:
 
     def test_conservation_of_sums(self, topo, data):
         cp, yp, _ = data
-        state = ConsensusState.zeros(4, 3)
-        dX, dx = dac_derivative(state, cp, yp, topo, 2.0)
+        out = consensus_outputs(cp, yp, *zeros())
+        dX, dx = dac_derivative(out, effective_laplacian(topo), 2.0)
         np.testing.assert_allclose(dX.sum(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(dx.sum(axis=0), 0.0, atol=1e-12)
 
     def test_conservation_with_quantization_and_loss(self, topo, data):
         cp, yp, _ = data
-        state = ConsensusState.zeros(4, 3)
         mask = np.ones((4, 4), dtype=bool)
         mask[0, 1] = False  # asymmetric request: must drop both directions
-        dX, dx = dac_derivative(
-            state, cp, yp, topo, 2.0, eps=0.036, loss_mask=mask
-        )
+        out = consensus_outputs(cp, yp, *zeros())
+        dX, dx = dac_derivative(out, effective_laplacian(topo, mask), 2.0, eps=0.036)
         np.testing.assert_allclose(dX.sum(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(dx.sum(axis=0), 0.0, atol=1e-12)
 
     def test_symmetry_preserved(self, topo, data):
         cp, yp, _ = data
-        state = ConsensusState.zeros(4, 3)
-        dX, _ = dac_derivative(state, cp, yp, topo, 2.0, eps=0.018)
+        out = consensus_outputs(cp, yp, *zeros())
+        dX, _ = dac_derivative(out, effective_laplacian(topo), 2.0, eps=0.018)
         np.testing.assert_array_equal(dX, np.transpose(dX, (0, 2, 1)))
 
     def test_consensus_fixed_point(self, topo, data):
         # when every output equals the average, the derivative vanishes
         cp, yp, _ = data
         cbar, ybar = average_reference(cp, yp)
-        state = ConsensusState(X=cp - cbar, x=yp - ybar)
-        dX, dx = dac_derivative(state, cp, yp, topo, 2.0)
+        out = consensus_outputs(cp, yp, cp - cbar, yp - ybar)
+        dX, dx = dac_derivative(out, effective_laplacian(topo), 2.0)
         np.testing.assert_allclose(dX, 0.0, atol=1e-12)
         np.testing.assert_allclose(dx, 0.0, atol=1e-12)
 
     def test_gain_must_be_positive(self, topo, data):
         cp, yp, _ = data
         with pytest.raises(ValueError):
-            dac_derivative(ConsensusState.zeros(4, 3), cp, yp, topo, 0.0)
+            dac_derivative(consensus_outputs(cp, yp, *zeros()), topo.laplacian, 0.0)
 
     def test_agent_count_mismatch(self, topo, data):
         cp, yp, _ = data
+        out = consensus_outputs(cp, yp, *zeros())
         with pytest.raises(ValueError):
-            dac_derivative(ConsensusState.zeros(5, 3), cp[:4], yp[:4], topo, 1.0)
+            dac_derivative(out, np.zeros((5, 5)), 1.0)
 
 
 class TestEffectiveLaplacian:
@@ -119,19 +121,18 @@ class TestErrorsAndResidual:
     def test_zero_error_at_average(self, data):
         cp, yp, _ = data
         cbar, ybar = average_reference(cp, yp)
-        state = ConsensusState(X=cp - cbar, x=yp - ybar)
-        out = consensus_outputs(state, cp, yp)
+        out = consensus_outputs(cp, yp, cp - cbar, yp - ybar)
         cerr, yerr = consensus_error(out, cbar, ybar)
         np.testing.assert_allclose(cerr, 0.0, atol=1e-12)
         np.testing.assert_allclose(yerr, 0.0, atol=1e-12)
 
     def test_residual_zero_on_consistent_outputs(self, data):
         cp, yp, theta = data
-        out = consensus_outputs(ConsensusState.zeros(4, 3), cp, yp)
+        out = consensus_outputs(cp, yp, *zeros())
         np.testing.assert_allclose(residual(out, theta), 0.0, atol=1e-10)
 
     def test_residual_detects_wrong_theta(self, data):
         cp, yp, theta = data
-        out = consensus_outputs(ConsensusState.zeros(4, 3), cp, yp)
+        out = consensus_outputs(cp, yp, *zeros())
         r = residual(out, theta + np.array([0.5, 0.0, 0.0]))
         assert np.linalg.norm(r) > 1e-3

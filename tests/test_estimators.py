@@ -122,7 +122,7 @@ class TestFilterBank:
         out = ConsensusOutput(
             Chat=np.full((1, 1, 1), 3.0), yhat=np.full((1, 1), 5.0)
         )
-        zC, zy = bank.zero_states(1, 1)
+        zC, zy = np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1))
         h = 1e-3
         for _ in range(5000):
             dzC, dzy = drem_filter_derivative(bank, zC, zy, out)
@@ -134,9 +134,8 @@ class TestFilterBank:
         rng = np.random.default_rng(3)
         out = make_output(rng, n_agents=2, n=3)
         bank = default_filter_bank(3)
-        zC, zy = bank.zero_states(2, 3)
-        zC += rng.normal(size=zC.shape)
-        zy += rng.normal(size=zy.shape)
+        zC = rng.normal(size=(2, bank.r, 3, 3))
+        zy = rng.normal(size=(2, bank.r, 3))
         cf, yf = drem_extend(out, zC, zy)
         assert cf.shape == (2, 9, 3) and yf.shape == (2, 9)
         np.testing.assert_array_equal(cf[:, :3], out.Chat)

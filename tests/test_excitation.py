@@ -10,6 +10,7 @@ from hiera_est.excitation import (
     consensus_error_bound,
     estimate_assumption_bounds,
     gain_bound,
+    gain_margins,
     pe_level,
     quantized_bounds,
     stacked_regressor,
@@ -188,8 +189,9 @@ def test_analyze_scenario_report():
     topo = topology_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     report = analyze_scenario(
         gen, constant_schedule(topo),
-        T_grid=[0.2, 0.4, 0.8], horizon=4.0, grid_step=0.002, k=3.0,
+        T_grid=[0.2, 0.4, 0.8], horizon=4.0, grid_step=0.002,
     )
+    report.update(gain_margins(report, k=3.0, epsilon=0.0, theta_norm=0.0))
     assert report["pe"]
     assert report["T"] in (0.2, 0.4, 0.8)
     assert report["k_min"] > 0

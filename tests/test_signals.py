@@ -4,14 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiera_est.signals import (
-    Measurement,
     RegressorGenerator,
-    measure,
     noise_stream,
     quantize,
     sample_coefficients,
-    stack_centralized,
-    surrogate,
     surrogate_all,
 )
 
@@ -46,8 +42,14 @@ class TestSampling:
     def test_per_agent_rows(self):
         g = sample_coefficients(2, 3, [1, 2, 4], [0, 1], [0, 1], seed=0)
         assert g.rows_per_agent == (1, 2, 4)
-        assert not g.uniform_rows
         assert g.evaluate(2, 0.3).shape == (4, 2)
+        # the batched tables pad every agent to the longest with zero rows
+        c_all = g.evaluate_all(0.3)
+        assert c_all.shape == (3, 4, 2)
+        for i, p in enumerate(g.rows_per_agent):
+            np.testing.assert_array_equal(c_all[i, :p], g.evaluate(i, 0.3))
+            np.testing.assert_array_equal(c_all[i, p:], 0.0)
+            np.testing.assert_array_equal(g.evaluate_all_dot(0.3)[i, p:], 0.0)
 
     def test_bad_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -73,8 +75,8 @@ class TestEvaluate:
 
     def test_derivative_finite_difference(self, gen):
         t, h = 0.9, 1e-6
-        fd = (gen.evaluate(1, t + h) - gen.evaluate(1, t - h)) / (2 * h)
-        np.testing.assert_allclose(gen.evaluate_dot(1, t), fd, rtol=1e-7, atol=1e-6)
+        fd = (gen.evaluate_all(t + h) - gen.evaluate_all(t - h)) / (2 * h)
+        np.testing.assert_allclose(gen.evaluate_all_dot(t), fd, rtol=1e-7, atol=1e-6)
 
     def test_entry_bound_holds(self, gen):
         bound = gen.entry_bound()
@@ -96,30 +98,35 @@ class TestEvaluate:
             )
 
 
+def per_agent_data(gen, theta, t):
+    """Each agent's (C_i, y_i) from the reference formula, unpadded."""
+    return [(c, c @ theta) for c in (gen.evaluate(i, t) for i in range(gen.n_agents))]
+
+
 class TestSurrogate:
     def test_definition(self, gen):
         theta = np.array([1.0, -1.0, 0.5])
-        m = measure(gen, theta, 0, 0.4)
-        s = surrogate(m)
-        np.testing.assert_allclose(s.Cp, m.C.T @ m.C)
-        np.testing.assert_allclose(s.yp, m.C.T @ m.y)
+        c_all = gen.evaluate_all(0.4)
+        cp, yp = surrogate_all(c_all, c_all @ theta)
+        for i, (c, y) in enumerate(per_agent_data(gen, theta, 0.4)):
+            np.testing.assert_allclose(cp[i], c.T @ c)
+            np.testing.assert_allclose(yp[i], c.T @ y)
 
     def test_solution_preserved(self, gen):
         theta = np.array([2.0, 0.0, -3.0])
-        m = measure(gen, theta, 1, 1.1)
-        s = surrogate(m)
-        np.testing.assert_allclose(s.yp, s.Cp @ theta, atol=1e-10)
+        c_all = gen.evaluate_all(1.1)
+        cp, yp = surrogate_all(c_all, c_all @ theta)
+        np.testing.assert_allclose(yp, cp @ theta, atol=1e-10)
 
-    def test_batched_matches_single(self, gen):
+    def test_batched_matches_single(self):
+        # uneven rows: the zero padding leaves C^T C and C^T y unchanged
+        gen = sample_coefficients(3, 4, [1, 3, 2, 3], [0, 20], [0, 3], seed=11)
         theta = np.array([1.0, 2.0, 3.0])
-        t = 0.8
-        c_all = gen.evaluate_all(t)
-        y_all = np.einsum("api,i->ap", c_all, theta)
-        cp, yp = surrogate_all(c_all, y_all)
-        for i in range(gen.n_agents):
-            s = surrogate(Measurement(y=y_all[i], C=c_all[i], t=t))
-            np.testing.assert_allclose(cp[i], s.Cp, atol=1e-12)
-            np.testing.assert_allclose(yp[i], s.yp, atol=1e-12)
+        c_all = gen.evaluate_all(0.8)
+        cp, yp = surrogate_all(c_all, np.einsum("api,i->ap", c_all, theta))
+        for i, (c, y) in enumerate(per_agent_data(gen, theta, 0.8)):
+            np.testing.assert_allclose(cp[i], c.T @ c, atol=1e-12)
+            np.testing.assert_allclose(yp[i], c.T @ y, atol=1e-12)
 
     def test_surrogate_is_psd_symmetric(self, gen):
         cp, _ = surrogate_all(
@@ -128,19 +135,20 @@ class TestSurrogate:
         np.testing.assert_allclose(cp, np.transpose(cp, (0, 2, 1)), atol=1e-14)
         assert np.all(np.linalg.eigvalsh(cp) >= -1e-10)
 
-    def test_stack_centralized(self, gen):
+    def test_stack_centralized(self):
+        # the padded network stack has the same normal equations as the rows
+        gen = sample_coefficients(3, 3, [1, 2, 3], [0, 20], [0, 3], seed=11)
         theta = np.array([1.0, 2.0, 3.0])
-        ms = [measure(gen, theta, i, 0.5) for i in range(gen.n_agents)]
-        c, y = stack_centralized(ms)
-        assert c.shape == (sum(gen.rows_per_agent), 3)
-        np.testing.assert_allclose(y, c @ theta, atol=1e-12)
+        c_all = gen.evaluate_all(0.5)
+        c_stack = c_all.reshape(-1, 3)
+        y_stack = c_stack @ theta
+        c = np.vstack([c for c, _ in per_agent_data(gen, theta, 0.5)])
+        assert c_stack.shape == (9, 3) and c.shape == (6, 3)
+        np.testing.assert_allclose(c_stack.T @ c_stack, c.T @ c, rtol=1e-14)
+        np.testing.assert_allclose(c_stack.T @ y_stack, c.T @ (c @ theta), rtol=1e-14)
 
 
 class TestNoise:
-    def test_requires_rng(self, gen):
-        with pytest.raises(ValueError):
-            measure(gen, np.zeros(3), 0, 0.0, noise_sd=0.5)
-
     def test_streams_independent_per_agent(self):
         a = noise_stream(5, 0).standard_normal(4)
         b = noise_stream(5, 1).standard_normal(4)

@@ -18,6 +18,10 @@ from .graph import SwitchingSchedule
 from .signals import RegressorGenerator
 
 DEFAULT_SUP_INFLATION = 1.05
+# Grid times per batched regressor evaluation in the analysis: enough to
+# amortise numpy's per-call cost, few enough that the (block, N, p_max, n)
+# temporaries stay small next to the run itself.
+GRID_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,41 @@ class QuantizedBounds(NamedTuple):
     r_eps: float
 
 
+def _grid_blocks(horizon: float, grid_step: float) -> list[np.ndarray]:
+    """The analysis grid t_k = k * grid_step on [0, horizon], in blocks of GRID_BLOCK times."""
+    ts = np.arange(int(math.floor(horizon / grid_step + 1e-9)) + 1) * grid_step
+    return np.split(ts, range(GRID_BLOCK, len(ts), GRID_BLOCK))
+
+
+def _grams(f: np.ndarray) -> np.ndarray:
+    """F^T F of every matrix in a stack (..., p, n) -> (..., n, n)."""
+    return np.swapaxes(f, -1, -2) @ f
+
+
+def _window_min_eigs(grams_at: Callable, windows, horizon: float, grid_step: float) -> list:
+    """Per-window smallest eigenvalues of the sliding Gram integrals, one array per T.
+
+    grams_at(ts) gives F(t)^T F(t) at a block of grid times, shape (len(ts), n, n).
+    The window start slides over [0, horizon - T] at grid resolution; each
+    window's integral is a difference of one cumulative trapezoid at
+    grid_step, so every window length reads off the same array.
+    """
+    for T in windows:
+        if T <= 0:
+            raise ValueError("window T must be positive")
+        if horizon < T:
+            raise ValueError("horizon must cover at least one window")
+        if grid_step <= 0 or grid_step > T / 10:
+            raise ValueError("grid too coarse: need grid_step <= T/10")
+
+    grams = np.concatenate([grams_at(tb) for tb in _grid_blocks(horizon, grid_step)])
+    # Cumulative trapezoid: cum[k] = integral of the Gram from 0 to ts[k].
+    cum = np.zeros_like(grams)
+    np.cumsum(0.5 * grid_step * (grams[1:] + grams[:-1]), axis=0, out=cum[1:])
+    ms = [int(round(T / grid_step)) for T in windows]
+    return [np.linalg.eigvalsh(cum[m:] - cum[:-m])[:, 0] for m in ms]
+
+
 def pe_level(
     signal: Callable[[float], np.ndarray],
     T: float,
@@ -67,62 +106,13 @@ def pe_level(
     window's Gram integral of F(t)^T F(t) is evaluated by composite trapezoid
     at grid_step and its smallest eigenvalue recorded.
     """
-    if T <= 0:
-        raise ValueError("window T must be positive")
-    if horizon < T:
-        raise ValueError("horizon must cover at least one window")
-    if grid_step <= 0 or grid_step > T / 10:
-        raise ValueError("grid too coarse: need grid_step <= T/10")
 
-    m = int(round(T / grid_step))
-    n_pts = int(math.floor(horizon / grid_step + 1e-9)) + 1
-    ts = np.arange(n_pts) * grid_step
+    def grams_at(ts):
+        return _grams(np.stack([np.atleast_2d(np.asarray(signal(t), dtype=float)) for t in ts]))
 
-    f0 = np.atleast_2d(np.asarray(signal(ts[0]), dtype=float))
-    n = f0.shape[1]
-    grams = np.empty((n_pts, n, n))
-    grams[0] = f0.T @ f0
-    for k in range(1, n_pts):
-        fk = np.atleast_2d(np.asarray(signal(ts[k]), dtype=float))
-        grams[k] = fk.T @ fk
-
-    # Cumulative trapezoid: cum[k] = integral of the Gram from 0 to ts[k].
-    cum = np.zeros_like(grams)
-    np.cumsum(0.5 * grid_step * (grams[1:] + grams[:-1]), axis=0, out=cum[1:])
-
-    starts = range(0, n_pts - m)
-    window_ints = np.stack([cum[s + m] - cum[s] for s in starts])
-    min_eigs = np.linalg.eigvalsh(window_ints)[:, 0]
-    return PEWitness(
-        alpha=max(float(min_eigs.min()), 0.0),
-        window=T,
-        grid_step=grid_step,
-        horizon=horizon,
-        min_eig_trace=min_eigs,
-    )
-
-
-def alpha_curve(
-    signal: Callable[[float], np.ndarray],
-    T_grid,
-    horizon: float,
-    grid_step: float | None = None,
-) -> list[tuple[float, float]]:
-    """Excitation level alpha as a function of the window length T."""
-    out = []
-    for T in T_grid:
-        step = grid_step if grid_step is not None else T / 200
-        out.append((float(T), pe_level(signal, T, horizon, step).alpha))
-    return out
-
-
-def stacked_regressor(gen: RegressorGenerator) -> Callable[[float], np.ndarray]:
-    """The network-wide row-stacked regressor C(t) as a callable, shape (p, n)."""
-
-    def signal(t: float) -> np.ndarray:
-        return gen.evaluate_all(t).reshape(-1, gen.n_params)[gen.real_rows]
-
-    return signal
+    (min_eigs,) = _window_min_eigs(grams_at, [T], horizon, grid_step)
+    alpha = max(float(min_eigs.min()), 0.0)
+    return PEWitness(alpha, T, grid_step, horizon, min_eig_trace=min_eigs)
 
 
 def estimate_assumption_bounds(
@@ -140,22 +130,15 @@ def estimate_assumption_bounds(
     """
     if horizon <= 0 or grid_step <= 0:
         raise ValueError("horizon and grid_step must be positive")
-    n = gen.n_params
-    n_agents = gen.n_agents
-    n_pts = int(math.floor(horizon / grid_step + 1e-9)) + 1
-    beta = 0.0
-    gamma = 0.0
-    for k in range(n_pts):
-        t = k * grid_step
-        c = gen.evaluate_all(t)
-        cd = gen.evaluate_all_dot(t)
+    beta = gamma = 0.0
+    for tb in _grid_blocks(horizon, grid_step):
+        c = gen.evaluate_all(tb)  # (B, N, p_max, n)
+        cd = gen.evaluate_all_dot(tb)
         ct = np.swapaxes(c, -1, -2)
-        cps = ct @ c
         cpd = np.swapaxes(cd, -1, -2) @ c + ct @ cd
-        cbar = cps.mean(axis=0)
-        beta = max(beta, float(np.linalg.eigvalsh(cbar)[-1]))
-        centered = (cpd - cpd.mean(axis=0)).reshape(n_agents * n, n)
-        gamma = max(gamma, float(np.linalg.norm(centered, ord=2)))
+        centered = (cpd - cpd.mean(axis=1, keepdims=True)).reshape(len(tb), -1, gen.n_params)
+        beta = max(beta, float(np.linalg.eigvalsh((ct @ c).mean(axis=1))[:, -1].max()))
+        gamma = max(gamma, float(np.linalg.svd(centered, compute_uv=False)[:, 0].max()))
     return inflation * beta, inflation * gamma
 
 
@@ -275,8 +258,12 @@ def analyze_scenario(
     alpha_threshold and reports the gain bound at the family's worst-case
     connectivity. gain_margins adds the margins at a chosen gain.
     """
-    signal = stacked_regressor(gen)
-    curve = alpha_curve(signal, T_grid, horizon, grid_step)
+
+    def stacked_grams(tb):  # the real rows of the padded stack
+        return _grams(gen.evaluate_all(tb).reshape(len(tb), -1, gen.n_params)[:, gen.real_rows])
+
+    min_eigs = _window_min_eigs(stacked_grams, T_grid, horizon, grid_step)
+    curve = [(float(T), max(float(e.min()), 0.0)) for T, e in zip(T_grid, min_eigs)]
     chosen = next(((T, a) for T, a in curve if a > alpha_threshold), None)
     beta, gamma = estimate_assumption_bounds(gen, horizon, grid_step, inflation)
     lam_m = schedule.lambda_g_min

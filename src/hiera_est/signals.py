@@ -86,19 +86,22 @@ class RegressorGenerator:
         )
         return a + b * np.sin(w * t) + d * np.cos(w * t)
 
-    def evaluate_all(self, t: float) -> np.ndarray:
+    def evaluate_all(self, t) -> np.ndarray:
         """All agents' regressors at time t, shape (N, p_max, n), zero-padded.
 
         Zero rows change neither C^T C, C^T y nor any stacked gradient, so the
-        padded stack serves every row layout.
+        padded stack serves every row layout. A 1-D array of times gives one
+        such stack per time, shape (len(t), N, p_max, n).
         """
         a, b, d, w = self._batched
-        return a + b * np.sin(w * t) + d * np.cos(w * t)
+        wt = w * np.asarray(t)[..., None, None, None]
+        return a + b * np.sin(wt) + d * np.cos(wt)
 
-    def evaluate_all_dot(self, t: float) -> np.ndarray:
+    def evaluate_all_dot(self, t) -> np.ndarray:
         """Analytic time derivative of evaluate_all, zero on the padding rows."""
         _, b, d, w = self._batched
-        return w * (b * np.cos(w * t) - d * np.sin(w * t))
+        wt = w * np.asarray(t)[..., None, None, None]
+        return w * (b * np.cos(wt) - d * np.sin(wt))
 
     def entry_bound(self) -> float:
         """Upper bound on |entry| valid for all t: max over entries of |A|+|B|+|D|."""

@@ -32,6 +32,8 @@ DIVERGENCE_LIMIT = 1e12
 CONSERVATION_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
 GAIN_FLOOR = 1e-6
+# RK4 is stable on the negative real axis for h*|lambda| up to this value.
+RK4_STABILITY_LIMIT = 2.785293563405282
 
 
 class SimulationDiverged(RuntimeError):
@@ -98,7 +100,7 @@ class TraceSet:
 
     t: np.ndarray
     sigma: np.ndarray
-    links: np.ndarray
+    links: np.ndarray  # (S,) number of links up
     cons_err: np.ndarray  # (S, N) spectral norm of Chat_i - Cbar
     yhat_err: np.ndarray  # (S, N)
     resid_norm: np.ndarray  # (S, N)
@@ -279,15 +281,23 @@ def resolve_gain(cfg: ScenarioConfig, report: dict | None = None) -> float:
 def run_scenario(cfg: ScenarioConfig, check_invariants: bool = True) -> TraceSet:
     """Integrate one scenario and return the decimated trace.
 
-    Deterministic given the config (including seed). Raises
-    SimulationDiverged when any state magnitude exceeds 1e12 and, when
-    check_invariants is set, InvariantViolation on conservation or symmetry
-    failures at decimated samples.
+    Deterministic given the config (including seed). Raises ConfigError
+    before integrating when k * lambda_max_family * h exceeds RK4's
+    real-axis stability limit, SimulationDiverged when any state magnitude
+    exceeds 1e12 and, when check_invariants is set, InvariantViolation on
+    conservation or symmetry failures at decimated samples.
     """
     n, N = cfg.n, cfg.n_agents
     gen = cfg.generator
     theta = cfg.theta
     k = resolve_gain(cfg)
+    lam_max = cfg.schedule.lambda_max_family
+    if k * lam_max * cfg.h > RK4_STABILITY_LIMIT:
+        raise ConfigError(
+            f"consensus gain k={k:.6g} is too stiff for RK4 at h={cfg.h:g}: "
+            f"k*lambda_max*h = {k * lam_max * cfg.h:.4g} with lambda_max={lam_max:.6g} "
+            f"exceeds the stability limit {RK4_STABILITY_LIMIT:.4f}; lower k or h"
+        )
     kinds = {kind: ESTIMATORS[kind] for kind in cfg.estimators}
     blocks = {kind: spec.blocks(cfg) for kind, spec in kinds.items()}
 
@@ -364,14 +374,14 @@ def run_scenario(cfg: ScenarioConfig, check_invariants: bool = True) -> TraceSet
     n_samples = n_steps // cfg.decimation + 1
     ts = np.empty(n_samples)
     sigmas = np.empty(n_samples, dtype=int)
-    links = np.zeros(n_samples, dtype=np.int64)
+    links = np.zeros(n_samples, dtype=int)
     cons_err = np.empty((n_samples, N))
     yhat_err = np.empty((n_samples, N))
     resid_norm = np.empty((n_samples, N))
     records: dict[str, dict[str, np.ndarray]] = {kind: {} for kind in kinds}
 
     mask = None
-    bitmask_all_up = None
+    links_up = 0
     next_loss_t = 0.0
     prev_topo_idx = -1
     sample_idx = 0
@@ -392,10 +402,10 @@ def run_scenario(cfg: ScenarioConfig, check_invariants: bool = True) -> TraceSet
             for (i, j), link_up in zip(edges, up):
                 if not link_up:
                     mask[i, j] = mask[j, i] = False
-            bitmask_all_up = int(sum(int(b) << e for e, b in enumerate(up)))
+            links_up = int(up.sum())
             next_loss_t = t + cfg.loss_resample_dt
         elif loss_rng is None and (step == 0 or topo_idx != prev_topo_idx):
-            bitmask_all_up = (1 << len(edges)) - 1
+            links_up = len(edges)
         prev_topo_idx = topo_idx
 
         eta = None
@@ -415,7 +425,7 @@ def run_scenario(cfg: ScenarioConfig, check_invariants: bool = True) -> TraceSet
             cerr, yerr = cns.consensus_error(inp.out, cbar, ybar)
             ts[sample_idx] = t
             sigmas[sample_idx] = topo_idx
-            links[sample_idx] = bitmask_all_up
+            links[sample_idx] = links_up
             cons_err[sample_idx] = cerr
             yhat_err[sample_idx] = yerr
             resid_norm[sample_idx] = np.linalg.norm(cns.residual(inp.out, theta), axis=-1)
@@ -568,10 +578,5 @@ def write_run_dir(
     trace.to_csv(outdir / "traces.csv")
     (outdir / "metrics.json").write_text(json.dumps(metrics.to_jsonable(), indent=2))
     if constants is not None:
-        clean = {
-            key: val
-            for key, val in constants.items()
-            if not isinstance(val, exc.ExcitationConstants)
-        }
-        (outdir / "constants.json").write_text(json.dumps(clean, indent=2))
+        (outdir / "constants.json").write_text(json.dumps(constants, indent=2))
     (outdir / "config-echo.json").write_text(json.dumps(cfg.echo(), indent=2))

@@ -89,6 +89,16 @@ class TestRun:
         assert constants["k"] == k > constants["k_min"]
         assert constants["quantized"]["k"] == k
 
+    def test_auto_gain_too_stiff_for_step_is_rejected(self, scenario_file, tmp_path, capsys):
+        # The resolved k (~5e7) times lambda_max = 3 times h = 1e-3 is far past
+        # RK4's stability limit: a validation error before integrating.
+        out = tmp_path / "stiff"
+        code = main(["run", "-c", str(scenario_file), "-o", str(out), "--set", "k=auto"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "too stiff" in err and "lambda_max=3" in err and "h=0.001" in err
+        assert not out.exists()
+
     def test_validation_exit(self, scenario_file, tmp_path, capsys):
         code = main(
             ["run", "-c", str(scenario_file), "-o", str(tmp_path / "x"),

@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from hiera_est.excitation import (
+    GRID_BLOCK,
     ExcitationConstants,
-    alpha_curve,
     analyze_scenario,
     avg_gram_pe_level,
     consensus_error_bound,
@@ -13,11 +13,10 @@ from hiera_est.excitation import (
     gain_margins,
     pe_level,
     quantized_bounds,
-    stacked_regressor,
     switched_feasibility,
 )
 from hiera_est.graph import constant_schedule, topology_from_edges
-from hiera_est.signals import sample_coefficients
+from hiera_est.signals import RegressorGenerator, sample_coefficients
 
 
 class TestPeLevel:
@@ -74,11 +73,18 @@ class TestPeLevel:
 
 
 def test_alpha_curve_monotone_for_constant():
-    # For a constant full-rank signal, alpha grows linearly with T.
-    sig = lambda t: np.eye(2)
-    curve = alpha_curve(sig, [0.1, 0.2, 0.4], horizon=1.0)
-    alphas = [a for _, a in curve]
-    np.testing.assert_allclose(alphas, [0.1, 0.2, 0.4], rtol=1e-10)
+    # For a constant stacked regressor, alpha(T) = T * lambda_min(sum C_i^T C_i).
+    tables = [np.array([[1.0, 0.0]]), np.array([[0.0, 2.0], [1.0, 1.0]])]
+    zeros = [np.zeros_like(c) for c in tables]
+    gen = RegressorGenerator.from_tables(tables, zeros, zeros, zeros)
+    topo = topology_from_edges(2, [(0, 1)])
+    T_grid = [0.1, 0.2, 0.4]
+    report = analyze_scenario(
+        gen, constant_schedule(topo), T_grid, horizon=1.0, grid_step=0.005
+    )
+    lam = np.linalg.eigvalsh(sum(c.T @ c for c in tables))[0]
+    alphas = [p["alpha"] for p in report["alpha_curve"]]
+    np.testing.assert_allclose(alphas, [T * lam for T in T_grid], rtol=1e-10)
 
 
 class TestGainBound:
@@ -211,7 +217,48 @@ def test_analyze_scenario_not_pe():
     assert "k_min" not in report
 
 
-def test_stacked_regressor_shape():
-    gen = sample_coefficients(3, 4, [1, 2, 1, 3], [0, 1], [0, 1], seed=4)
-    sig = stacked_regressor(gen)
-    assert sig(0.5).shape == (7, 3)
+def test_blocked_analysis_matches_per_time_reference(monkeypatch):
+    # Uneven rows, and a grid of three blocks whose last block is partial.
+    gen = sample_coefficients(2, 3, [1, 2, 3], [0, 2], [0.5, 3.0], seed=11)
+    topo = topology_from_edges(3, [(0, 1), (1, 2)])
+    step = 0.01
+    n_pts = 2 * GRID_BLOCK + 101
+    horizon = (n_pts - 1) * step
+    T_grid = [0.2, 0.5, 1.0]
+
+    calls = []
+    evaluate_all = RegressorGenerator.evaluate_all
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return evaluate_all(self, t)
+
+    monkeypatch.setattr(RegressorGenerator, "evaluate_all", counted)
+    report = analyze_scenario(
+        gen, constant_schedule(topo), T_grid, horizon, step, inflation=1.0
+    )
+    # Two passes (alpha, then beta/gamma), each one evaluation per block.
+    assert calls == 2 * [GRID_BLOCK, GRID_BLOCK, 101]
+    monkeypatch.undo()
+
+    def stacked(t):
+        return np.vstack([gen.evaluate(i, t) for i in range(gen.n_agents)])
+
+    alphas = [p["alpha"] for p in report["alpha_curve"]]
+    ref = [pe_level(stacked, T, horizon, step).alpha for T in T_grid]
+    np.testing.assert_allclose(alphas, ref, rtol=1e-12)
+    assert min(ref) > 0
+
+    beta = gamma = 0.0
+    for t in np.arange(n_pts) * step:
+        c = [gen.evaluate(i, t) for i in range(gen.n_agents)]
+        cd = [
+            w * (b * np.cos(w * t) - d * np.sin(w * t))
+            for b, d, w in zip(gen.sin_amp, gen.cos_amp, gen.freq)
+        ]
+        cps = [ci.T @ ci for ci in c]
+        cpd = [di.T @ ci + ci.T @ di for ci, di in zip(c, cd)]
+        mean_cpd = sum(cpd) / len(cpd)
+        beta = max(beta, np.linalg.eigvalsh(sum(cps) / len(cps))[-1])
+        gamma = max(gamma, np.linalg.norm(np.vstack([m - mean_cpd for m in cpd]), 2))
+    np.testing.assert_allclose([report["beta"], report["gamma"]], [beta, gamma], rtol=1e-12)

@@ -182,6 +182,26 @@ class TestRunScenario:
         assert tr.sigma[idx] == 1
 
 
+    @pytest.mark.parametrize("p_loss", [0.0, 0.5])
+    def test_links_counts_links_up_at_64_edges(self, p_loss):
+        edges = [[i, j] for i in range(12) for j in range(i + 1, 12)][:64]
+        doc = small_doc(
+            n_agents=12, topology={"edges": edges}, estimators=["ge"],
+            p_loss=p_loss, t_end=0.05, decimation=1,
+        )
+        tr = run_scenario(load_config(doc))
+        if p_loss == 0.0:
+            assert np.all(tr.links == 64)
+        else:
+            assert tr.links.min() >= 0 and 0 < tr.links.max() < 64
+
+    def test_gain_past_rk4_stability_limit_rejected(self):
+        # lambda_max of the 3-agent path is 3: k * 3 * 1e-3 must stay <= 2.785.
+        run_scenario(load_config(small_doc(k=900.0, t_end=0.01)))
+        with pytest.raises(ConfigError, match="too stiff"):
+            run_scenario(load_config(small_doc(k=1000.0, t_end=0.01)))
+
+
 class TestResolveGain:
     def test_explicit_gain(self):
         assert resolve_gain(load_config(small_doc(k=4.2))) == 4.2

@@ -168,8 +168,9 @@ def _sweep_worker(payload):
 
 def cmd_sweep(args) -> int:
     doc = _load_doc(args.config, args.set)
+    raws = [v.strip() for v in args.values.split(",") if v.strip() != ""]
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        values = [float(v) for v in raws]
     except ValueError:
         raise ConfigError(f"sweep values must be numeric: {args.values!r}") from None
     if not values:
@@ -177,12 +178,18 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
 
+    # Members whose values print alike would share, and overwrite, one directory.
+    names = [f"{args.axis}={v:g}" for v in values]
+    clashes = {m: [r for r, n in zip(raws, names) if n == m] for m in names if names.count(m) > 1}
+    if clashes:
+        raise ConfigError(f"sweep values share an output directory: {clashes}")
+
     jobs = []
     base = Path(args.output)
-    for v in values:
+    for v, name in zip(values, names):
         v_doc = apply_overrides(doc, [f"{args.axis}={v}"])
         load_config(v_doc)  # validate before fanning out
-        jobs.append((v_doc, str(base / f"{args.axis}={v:g}")))
+        jobs.append((v_doc, str(base / name)))
 
     workers = min(args.jobs, len(jobs), _usable_cpus())
     if workers > 1:

@@ -87,7 +87,6 @@ class ScenarioConfig:
     generator: RegressorGenerator
     seed: int
     k: float | str  # positive gain or "auto"
-    rows_per_agent: tuple[int, ...] = ()
     gain_safety_factor: float = 1.01
     gamma_ge: np.ndarray = None
     gamma_drem: np.ndarray = None
@@ -260,7 +259,6 @@ def load_config(d: dict) -> ScenarioConfig:
         generator=generator,
         seed=seed,
         k=k,
-        rows_per_agent=generator.rows_per_agent,
         gain_safety_factor=gain_safety_factor,
         gamma_ge=gamma_ge,
         gamma_drem=gamma_drem,

@@ -85,6 +85,9 @@ def _window_min_eigs(grams_at: Callable, windows, horizon: float, grid_step: flo
             raise ValueError("horizon must cover at least one window")
         if grid_step <= 0 or grid_step > T / 10:
             raise ValueError("grid too coarse: need grid_step <= T/10")
+        # A window of round(T / grid_step) steps can pass the grid's last time.
+        if round(T / grid_step) > horizon / grid_step + 1e-9:
+            raise ValueError("horizon must cover at least one window")
 
     grams = np.concatenate([grams_at(tb) for tb in _grid_blocks(horizon, grid_step)])
     # Cumulative trapezoid: cum[k] = integral of the Gram from 0 to ts[k].

@@ -7,8 +7,9 @@ noise) are frozen over each step, evaluated at the step's start for all four
 stages, so the per-step field stays smooth.
 
 The consensus layer's field is consensus.dac_derivative. Each estimator kind
-is declared once, in ESTIMATORS: its state blocks, their derivative and what
-it records at each sample.
+is declared once, in ESTIMATORS: its state blocks and one field that gives
+their derivatives and the kind's sample at the same state. Samples are
+written by RK4's first stage, the field evaluation at the step's own state.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ SYMMETRY_TOL = 1e-10
 GAIN_FLOOR = 1e-6
 # RK4 is stable on the negative real axis for h*|lambda| up to this value.
 RK4_STABILITY_LIMIT = 2.785293563405282
+# compute_metrics: tail window, fewest samples for a decay fit, error floor.
+TAIL_FRACTION = 0.2
+MIN_FIT_SAMPLES = 50
+ERR_FLOOR = 1e-12
 
 
 class SimulationDiverged(RuntimeError):
@@ -182,38 +187,41 @@ class Estimator:
 
     blocks(cfg) lists its state blocks as (name, shape, checked); the state
     stores them as "<kind>.<name>", and unchecked blocks are exempt from the
-    divergence guard. derivative(cfg, v, inp) returns one derivative per
-    block, in block order, from the kind's block views v.
-    record(cfg, v, inp) returns the EstimatorTrace fields of one sample,
-    err_norm aside. The estimators module is looked up at call time.
+    divergence guard. field(cfg, v, inp) evaluates the kind at one state
+    from its block views v: it returns one derivative per block, in block
+    order, and the EstimatorTrace fields of a sample at that state, err_norm
+    aside. The estimators module is looked up at call time.
     """
 
     blocks: Callable
-    derivative: Callable
-    record: Callable
+    field: Callable
 
 
-def _drem_scalar(v, inp: EstimatorInput):
+def _gradient(v, derivative) -> tuple[list, dict]:
+    """A gradient kind's one derivative, and its sample."""
+    return [derivative], {"theta_hat": v["theta"]}
+
+
+def _mixing(cfg, v, scal) -> tuple[list, dict]:
+    """A DREM kind's derivatives of theta and of its running integral of
+    phi^2, and its sample."""
+    derivs = [est.drem_derivative(v["theta"], scal, cfg.gamma_drem), scal.phi**2]
+    return derivs, {"theta_hat": v["theta"], "phi": scal.phi, "phi_sq_int": v["phi_int"]}
+
+
+def _drem_field(cfg, v, inp: EstimatorInput) -> tuple[list, dict]:
+    filters = est.drem_filter_derivative(cfg.drem_filters, v["zC"], v["zy"], inp.out)
     cf, yf = est.drem_extend(inp.out, v["zC"], v["zy"])
-    return est.drem_scalarize(cf, yf)
-
-
-def _mixing_update(cfg, v, scal) -> list:
-    """Derivatives of a DREM kind's theta and of its running integral of phi^2."""
-    return [est.drem_derivative(v["theta"], scal, cfg.gamma_drem), scal.phi**2]
-
-
-def _mixing_record(v, scal) -> dict:
-    return {"theta_hat": v["theta"], "phi": scal.phi, "phi_sq_int": v["phi_int"]}
+    derivs, sample = _mixing(cfg, v, est.drem_scalarize(cf, yf))
+    return [*filters, *derivs], sample
 
 
 ESTIMATORS = {
     "ge": Estimator(
         blocks=lambda cfg: [("theta", (cfg.n_agents, cfg.n), True)],
-        derivative=lambda cfg, v, inp: [
-            est.ge_derivative(v["theta"], inp.out, cfg.gamma_ge)
-        ],
-        record=lambda cfg, v, inp: {"theta_hat": v["theta"]},
+        field=lambda cfg, v, inp: _gradient(
+            v, est.ge_derivative(v["theta"], inp.out, cfg.gamma_ge)
+        ),
     ),
     "drem": Estimator(
         blocks=lambda cfg: [
@@ -222,30 +230,21 @@ ESTIMATORS = {
             ("theta", (cfg.n_agents, cfg.n), True),
             ("phi_int", (cfg.n_agents,), False),
         ],
-        derivative=lambda cfg, v, inp: [
-            *est.drem_filter_derivative(cfg.drem_filters, v["zC"], v["zy"], inp.out),
-            *_mixing_update(cfg, v, _drem_scalar(v, inp)),
-        ],
-        record=lambda cfg, v, inp: _mixing_record(v, _drem_scalar(v, inp)),
+        field=_drem_field,
     ),
     "drem_simple": Estimator(
         blocks=lambda cfg: [
             ("theta", (cfg.n_agents, cfg.n), True),
             ("phi_int", (cfg.n_agents,), False),
         ],
-        derivative=lambda cfg, v, inp: _mixing_update(
-            cfg, v, est.drem_simple_scalarize(inp.out)
-        ),
-        record=lambda cfg, v, inp: _mixing_record(v, est.drem_simple_scalarize(inp.out)),
+        field=lambda cfg, v, inp: _mixing(cfg, v, est.drem_simple_scalarize(inp.out)),
     ),
     "centralized": Estimator(
         blocks=lambda cfg: [("theta", (cfg.n,), True)],
-        derivative=lambda cfg, v, inp: [
-            est.centralized_ge_derivative(
-                v["theta"], inp.c_stack, inp.y_stack, cfg.gamma_centralized
-            )
-        ],
-        record=lambda cfg, v, inp: {"theta_hat": v["theta"]},
+        field=lambda cfg, v, inp: _gradient(
+            v, est.centralized_ge_derivative(v["theta"], inp.c_stack, inp.y_stack,
+                                             cfg.gamma_centralized)
+        ),
     ),
 }
 
@@ -278,14 +277,14 @@ def resolve_gain(cfg: ScenarioConfig, report: dict | None = None) -> float:
     return max(cfg.gain_safety_factor * report["k_min"], GAIN_FLOOR)
 
 
-def run_scenario(cfg: ScenarioConfig, check_invariants: bool = True) -> TraceSet:
+def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     """Integrate one scenario and return the decimated trace.
 
     Deterministic given the config (including seed). Raises ConfigError
     before integrating when k * lambda_max_family * h exceeds RK4's
     real-axis stability limit, SimulationDiverged when any state magnitude
-    exceeds 1e12 and, when check_invariants is set, InvariantViolation on
-    conservation or symmetry failures at decimated samples.
+    exceeds 1e12, and InvariantViolation on conservation or symmetry
+    failures at decimated samples.
     """
     n, N = cfg.n, cfg.n_agents
     gen = cfg.generator
@@ -311,6 +310,16 @@ def run_scenario(cfg: ScenarioConfig, check_invariants: bool = True) -> TraceSet
     def kind_views(views: dict, kind: str) -> dict:
         return {name: views[f"{kind}.{name}"] for name, _, _ in blocks[kind]}
 
+    n_steps = int(round(cfg.t_end / cfg.h))
+    n_samples = n_steps // cfg.decimation + 1
+    ts = np.empty(n_samples)
+    sigmas = np.empty(n_samples, dtype=int)
+    links = np.zeros(n_samples, dtype=int)
+    cons_err = np.empty((n_samples, N))
+    yhat_err = np.empty((n_samples, N))
+    resid_norm = np.empty((n_samples, N))
+    records: dict[str, dict[str, np.ndarray]] = {kind: {} for kind in kinds}
+
     state = np.zeros(layout.size)
     check_idx = np.nonzero(layout.check_mask())[0]
     # The field copies each stage's state into `stage` and writes its
@@ -320,11 +329,11 @@ def run_scenario(cfg: ScenarioConfig, check_invariants: bool = True) -> TraceSet
     stage_views = layout.unpack(stage)
     dv = layout.unpack(d_stage)
     field_kinds = [
-        (spec, kind_views(stage_views, kind), list(kind_views(dv, kind).values()))
+        (spec, kind_views(stage_views, kind), list(kind_views(dv, kind).values()), records[kind])
         for kind, spec in kinds.items()
     ]
 
-    p_max = max(cfg.rows_per_agent)
+    p_max = max(gen.rows_per_agent)
     noise_rngs = (
         [noise_stream(cfg.seed, i) for i in range(N)] if cfg.noise_sd > 0 else None
     )
@@ -352,109 +361,96 @@ def run_scenario(cfg: ScenarioConfig, check_invariants: bool = True) -> TraceSet
             last[:] = m, eta, (cp, yp, c_all.reshape(-1, n), y_all.reshape(-1))
         return last[2]
 
-    def observe(t: float, eta, v: dict):
-        """Surrogates and the estimators' input at time t and consensus states v."""
+    max_conservation = max_asymmetry = 0.0
+
+    def write_sample(i: int, t: float, cp, yp, out, kind_samples):
+        """Sample i from one field evaluation at the state of time t."""
+        nonlocal max_conservation, max_asymmetry
+        cbar, ybar = cns.average_reference(cp, yp)
+        cons_err[i], yhat_err[i] = cns.consensus_error(out, cbar, ybar)
+        resid_norm[i] = np.linalg.norm(cns.residual(out, theta), axis=-1)
+        for rec, sample in kind_samples:
+            for name, value in sample.items():
+                if i == 0:
+                    rec[name] = np.empty((n_samples, *np.shape(value)))
+                rec[name][i] = value
+
+        X, x = stage_views["X"], stage_views["x"]
+        x_sum = np.max(np.abs(X.sum(axis=0)))
+        xs_sum = np.max(np.abs(x.sum(axis=0)))
+        asym = np.max(np.abs(X - np.transpose(X, (0, 2, 1))))
+        max_conservation = max(max_conservation, x_sum, xs_sum)
+        max_asymmetry = max(max_asymmetry, asym)
+        if x_sum > CONSERVATION_TOL or xs_sum > CONSERVATION_TOL:
+            raise InvariantViolation(
+                f"consensus-state sums drifted at t={t:g}: "
+                f"max|sum X|={x_sum:.3e}, max|sum x|={xs_sum:.3e}"
+            )
+        if asym > SYMMETRY_TOL:
+            raise InvariantViolation(f"integrator state lost symmetry at t={t:g}: {asym:.3e}")
+
+    # Index of the sample the next field evaluation writes, if any. The loop
+    # sets it just before RK4's first stage, which evaluates the step's state.
+    pending: list[int] = []
+
+    def field(t: float, flat: np.ndarray) -> np.ndarray:
+        # lap and eta are the current step's, held over all four stages.
+        stage[:] = flat
         cp, yp, c_stack, y_stack = measured(t, eta)
-        out = cns.consensus_outputs(cp, yp, v["X"], v["x"])
-        return cp, yp, EstimatorInput(out, c_stack, y_stack)
+        out = cns.consensus_outputs(cp, yp, stage_views["X"], stage_views["x"])
+        inp = EstimatorInput(out, c_stack, y_stack)
+        dv["X"][:], dv["x"][:] = cns.dac_derivative(out, lap, k, cfg.epsilon)
+        kind_samples = []
+        for spec, v, d, rec in field_kinds:
+            derivs, sample = spec.field(cfg, v, inp)
+            for view, value in zip(d, derivs):
+                view[:] = value
+            kind_samples.append((rec, sample))
+        if pending:
+            write_sample(pending.pop(), t, cp, yp, out, kind_samples)
+        return d_stage.copy()
 
-    def make_field(lap, eta):
-        def field(t: float, flat: np.ndarray) -> np.ndarray:
-            stage[:] = flat
-            _, _, inp = observe(t, eta, stage_views)
-            dv["X"][:], dv["x"][:] = cns.dac_derivative(inp.out, lap, k, cfg.epsilon)
-            for spec, v, d in field_kinds:
-                for view, value in zip(d, spec.derivative(cfg, v, inp)):
-                    view[:] = value
-            return d_stage.copy()
-
-        return field
-
-    n_steps = int(round(cfg.t_end / cfg.h))
-    n_samples = n_steps // cfg.decimation + 1
-    ts = np.empty(n_samples)
-    sigmas = np.empty(n_samples, dtype=int)
-    links = np.zeros(n_samples, dtype=int)
-    cons_err = np.empty((n_samples, N))
-    yhat_err = np.empty((n_samples, N))
-    resid_norm = np.empty((n_samples, N))
-    records: dict[str, dict[str, np.ndarray]] = {kind: {} for kind in kinds}
-
+    # Each graph's edges (i < j, row-major), for drawing its loss mask.
+    graph_edges = [np.nonzero(np.triu(topo.adjacency)) for topo in cfg.schedule.topologies]
     mask = None
     links_up = 0
     next_loss_t = 0.0
     prev_topo_idx = -1
-    sample_idx = 0
-    max_conservation = 0.0
-    max_asymmetry = 0.0
 
     for step in range(n_steps + 1):
         t = step * cfg.h
         topo_idx = active_topology(cfg.schedule, min(t, cfg.t_end))
-        topo = cfg.schedule.topologies[topo_idx]
-        edges = topo.edges() if (cfg.p_loss > 0 or step == 0 or topo_idx != prev_topo_idx) else None
-
-        if loss_rng is not None and (
-            t >= next_loss_t - 0.5 * cfg.h or topo_idx != prev_topo_idx
-        ):
-            up = loss_rng.random(len(edges)) >= cfg.p_loss
-            mask = np.ones((N, N), dtype=bool)
-            for (i, j), link_up in zip(edges, up):
-                if not link_up:
-                    mask[i, j] = mask[j, i] = False
-            links_up = int(up.sum())
-            next_loss_t = t + cfg.loss_resample_dt
-        elif loss_rng is None and (step == 0 or topo_idx != prev_topo_idx):
-            links_up = len(edges)
+        switched = topo_idx != prev_topo_idx  # always at step 0
         prev_topo_idx = topo_idx
+        # A switch forces a redraw of the loss mask.
+        redraw = loss_rng is not None and (switched or t >= next_loss_t - 0.5 * cfg.h)
+        iu, ju = graph_edges[topo_idx]
+        if redraw:
+            down = loss_rng.random(len(iu)) < cfg.p_loss
+            mask = np.ones((N, N), dtype=bool)
+            mask[iu[down], ju[down]] = mask[ju[down], iu[down]] = False
+            links_up = len(iu) - int(down.sum())
+            next_loss_t = t + cfg.loss_resample_dt
+        elif switched:
+            links_up = len(iu)
+        if switched or redraw:
+            lap = cns.effective_laplacian(cfg.schedule.topologies[topo_idx], mask)
 
         eta = None
         if noise_rngs is not None:
             # Exactly p_i draws per agent; the padding rows stay noise-free.
-            draws = [rng.standard_normal(p) for rng, p in zip(noise_rngs, cfg.rows_per_agent)]
+            draws = [rng.standard_normal(p) for rng, p in zip(noise_rngs, gen.rows_per_agent)]
             eta = np.zeros(N * p_max)
             eta[gen.real_rows] = cfg.noise_sd * np.concatenate(draws)
             eta = eta.reshape(N, p_max)
 
-        lap = cns.effective_laplacian(topo, mask)
-
         if step % cfg.decimation == 0:
-            v = layout.unpack(state)
-            cp, yp, inp = observe(t, eta, v)
-            cbar, ybar = cns.average_reference(cp, yp)
-            cerr, yerr = cns.consensus_error(inp.out, cbar, ybar)
-            ts[sample_idx] = t
-            sigmas[sample_idx] = topo_idx
-            links[sample_idx] = links_up
-            cons_err[sample_idx] = cerr
-            yhat_err[sample_idx] = yerr
-            resid_norm[sample_idx] = np.linalg.norm(cns.residual(inp.out, theta), axis=-1)
-            for kind, spec in kinds.items():
-                rec = records[kind]
-                for name, value in spec.record(cfg, kind_views(v, kind), inp).items():
-                    if sample_idx == 0:
-                        rec[name] = np.empty((n_samples, *np.shape(value)))
-                    rec[name][sample_idx] = value
-
-            x_sum = np.max(np.abs(v["X"].sum(axis=0)))
-            xs_sum = np.max(np.abs(v["x"].sum(axis=0)))
-            asym = np.max(np.abs(v["X"] - np.transpose(v["X"], (0, 2, 1))))
-            max_conservation = max(max_conservation, x_sum, xs_sum)
-            max_asymmetry = max(max_asymmetry, asym)
-            if check_invariants:
-                if x_sum > CONSERVATION_TOL or xs_sum > CONSERVATION_TOL:
-                    raise InvariantViolation(
-                        f"consensus-state sums drifted at t={t:g}: "
-                        f"max|sum X|={x_sum:.3e}, max|sum x|={xs_sum:.3e}"
-                    )
-                if asym > SYMMETRY_TOL:
-                    raise InvariantViolation(
-                        f"integrator state lost symmetry at t={t:g}: {asym:.3e}"
-                    )
-            sample_idx += 1
+            i = step // cfg.decimation
+            ts[i], sigmas[i], links[i] = t, topo_idx, links_up
+            pending.append(i)
 
         if step < n_steps:
-            state = rk4_step(make_field(lap, eta), state, t, cfg.h)
+            state = rk4_step(field, state, t, cfg.h)
             checked = np.abs(state[check_idx])
             worst = np.argmax(checked)
             if not np.isfinite(checked[worst]) or checked[worst] > DIVERGENCE_LIMIT:
@@ -463,11 +459,11 @@ def run_scenario(cfg: ScenarioConfig, check_invariants: bool = True) -> TraceSet
                     f"state component '{layout.locate(flat_idx)}' diverged "
                     f"at t={t + cfg.h:g} (value {state[flat_idx]:.3e})"
                 )
+        elif pending:  # the last sample has no step after it
+            field(t, state)
 
     est_traces = {
-        kind: EstimatorTrace(
-            err_norm=np.linalg.norm(rec["theta_hat"] - theta, axis=-1), **rec
-        )
+        kind: EstimatorTrace(err_norm=np.linalg.norm(rec["theta_hat"] - theta, axis=-1), **rec)
         for kind, rec in records.items()
     }
 
@@ -513,33 +509,27 @@ def fit_decay_rate(
     return float(slope)
 
 
-def compute_metrics(
-    trace: TraceSet,
-    ceiling: float | None = None,
-    tail_fraction: float = 0.2,
-    min_fit_samples: int = 50,
-    err_floor: float = 1e-12,
-) -> Metrics:
+def compute_metrics(trace: TraceSet, ceiling: float | None = None) -> Metrics:
     """Extract convergence metrics from a trace.
 
     The decay rate discards the transient (first transient_fraction of the
-    horizon) and any samples saturated below err_floor; when an estimator
+    horizon) and any samples saturated below ERR_FLOOR; when an estimator
     converges to the floor before the transient window even opens, the fit
-    falls back to the full trace. Tail suprema use the last tail_fraction.
+    falls back to the full trace. Tail suprema use the last TAIL_FRACTION.
     When a consensus-error ceiling is supplied, transient_end is the first
     sample time at which all agents' consensus errors are inside it.
     """
     t = trace.t
     post = t >= trace.transient_fraction * trace.t_end
-    tail = t >= (1.0 - tail_fraction) * trace.t_end
+    tail = t >= (1.0 - TAIL_FRACTION) * trace.t_end
     if not np.any(tail):
         raise ValueError("tail window is empty")
 
     def one_rate(err: np.ndarray) -> float:
         try:
-            return fit_decay_rate(t[post], err[post], min_fit_samples, err_floor)
+            return fit_decay_rate(t[post], err[post], MIN_FIT_SAMPLES, ERR_FLOOR)
         except ValueError:
-            return fit_decay_rate(t, err, min_fit_samples, err_floor)
+            return fit_decay_rate(t, err, MIN_FIT_SAMPLES, ERR_FLOOR)
 
     per_est = {}
     for name, tr in trace.estimators.items():

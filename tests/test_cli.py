@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hiera_est import cli
+from hiera_est import cli, sim
 from hiera_est import excitation as exc
 from hiera_est.sim import run_scenario
 from hiera_est.cli import (
@@ -117,6 +117,19 @@ class TestRun:
         )
         assert code == EXIT_DIVERGENCE
 
+    def test_invariant_violation_exit(self, scenario_file, tmp_path, monkeypatch, capsys):
+        # A consensus field that does not conserve the state sums.
+        dac = sim.cns.dac_derivative
+
+        def leaky(out, lap, k, eps=0.0):
+            dX, dx = dac(out, lap, k, eps)
+            return dX, dx + 1.0
+
+        monkeypatch.setattr(sim.cns, "dac_derivative", leaky)
+        code = main(["run", "-c", str(scenario_file), "-o", str(tmp_path / "leak")])
+        assert code == EXIT_DIVERGENCE == 3
+        assert "sums drifted at t=0.01:" in capsys.readouterr().err
+
     def test_unwritable_output_exit(self, scenario_file):
         code = main(
             ["run", "-c", str(scenario_file), "-o", "/proc/definitely/not/writable"]
@@ -199,6 +212,27 @@ class TestSweep:
             ]
         )
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "values, clash",
+        [
+            ("0.1,0.1000001", "{'epsilon=0.1': ['0.1', '0.1000001']}"),
+            ("0,0.018,0", "{'epsilon=0': ['0', '0']}"),
+        ],
+    )
+    def test_values_sharing_a_directory_rejected(
+        self, scenario_file, tmp_path, monkeypatch, capsys, values, clash
+    ):
+        ran = []
+        monkeypatch.setattr(cli, "_run_one", lambda doc, outdir: ran.append(outdir))
+        out = tmp_path / "s"
+        code = main(
+            ["sweep", "-c", str(scenario_file), "-o", str(out), "--axis", "epsilon",
+             "--values", values, "--jobs", "2"]
+        )
+        assert code == EXIT_VALIDATION
+        assert clash in capsys.readouterr().err
+        assert ran == [] and not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, scenario_file, tmp_path, jobs):

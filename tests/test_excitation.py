@@ -71,6 +71,20 @@ class TestPeLevel:
         with pytest.raises(ValueError):
             pe_level(sig, T=3.0, horizon=2.0, grid_step=0.01)
 
+    def test_window_past_last_grid_time_rejected(self):
+        # T <= horizon, but T spans round(10.6) = 11 steps of a grid whose
+        # last index is 10: no window fits. Rejected before any sampling.
+        times = []
+
+        def sig(t):
+            times.append(t)
+            return np.array([[1.0]])
+
+        with pytest.raises(ValueError, match="horizon must cover at least one window"):
+            pe_level(sig, T=1.06, horizon=1.06, grid_step=0.1)
+        assert times == []
+        assert pe_level(sig, T=1.0, horizon=1.06, grid_step=0.1).alpha == pytest.approx(1.0)
+
 
 def test_alpha_curve_monotone_for_constant():
     # For a constant stacked regressor, alpha(T) = T * lambda_min(sum C_i^T C_i).
@@ -215,6 +229,24 @@ def test_analyze_scenario_not_pe():
     )
     assert report["pe"] is False
     assert "k_min" not in report
+
+
+def test_analyze_scenario_window_past_last_grid_time_rejected(monkeypatch):
+    gen = sample_coefficients(2, 2, 1, [0, 2], [0.5, 2.5], seed=3)
+    topo = topology_from_edges(2, [(0, 1)])
+    sampled = []
+    evaluate_all = RegressorGenerator.evaluate_all
+
+    def counted(self, t):
+        sampled.append(t)
+        return evaluate_all(self, t)
+
+    monkeypatch.setattr(RegressorGenerator, "evaluate_all", counted)
+    with pytest.raises(ValueError, match="horizon must cover at least one window"):
+        analyze_scenario(
+            gen, constant_schedule(topo), T_grid=[1.0, 1.06], horizon=1.06, grid_step=0.1
+        )
+    assert sampled == []
 
 
 def test_blocked_analysis_matches_per_time_reference(monkeypatch):

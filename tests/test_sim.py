@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from hiera_est import consensus, estimators, sim
 from hiera_est.config import ConfigError, load_config
 from hiera_est.signals import RegressorGenerator
 from hiera_est.sim import (
+    InvariantViolation,
     SimulationDiverged,
     compute_metrics,
     fit_decay_rate,
@@ -194,6 +196,102 @@ class TestRunScenario:
             assert np.all(tr.links == 64)
         else:
             assert tr.links.min() >= 0 and 0 < tr.links.max() < 64
+
+    @staticmethod
+    def drift_sum(dX):
+        dX[0] += 1.0  # X stays symmetric, its sum over agents drifts
+
+    @staticmethod
+    def break_symmetry(dX):
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        dX[0] += skew  # the sum over agents is kept, X_0 and X_1 turn asymmetric
+        dX[1] -= skew
+
+    @pytest.mark.parametrize(
+        "bump, message",
+        [("drift_sum", "sums drifted at t=0.06:"), ("break_symmetry", "lost symmetry at t=0.06:")],
+    )
+    def test_invariant_violation_at_first_sample_after_perturbation(
+        self, monkeypatch, bump, message
+    ):
+        # Four field evaluations per step; from call 4*50 + 1 on (the second
+        # stage of the step from t = 0.05) the consensus field is perturbed,
+        # so the state at t = 0.051 is the first off the invariant and the
+        # sample at t = 0.06 is the first to see it.
+        calls = [0]
+        dac = consensus.dac_derivative
+
+        def perturbed(out, lap, k, eps=0.0):
+            dX, dx = dac(out, lap, k, eps)
+            calls[0] += 1
+            if calls[0] > 4 * 50 + 1:
+                getattr(self, bump)(dX)
+            return dX, dx
+
+        monkeypatch.setattr(sim.cns, "dac_derivative", perturbed)
+        with pytest.raises(InvariantViolation, match=message):
+            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.2)))
+
+    @pytest.mark.parametrize("decimation, last_sample_alone", [(10, 1), (7, 0)])
+    def test_one_scalarization_per_field_evaluation(
+        self, monkeypatch, decimation, last_sample_alone
+    ):
+        # Samples come from RK4's first stage, so each DREM kind scalarizes
+        # once per field evaluation; only a sample at the last step, which
+        # has no step after it, evaluates the field once more.
+        counts = {"drem_scalarize": 0, "drem_simple_scalarize": 0}
+        for name in counts:
+            fn = getattr(estimators, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(estimators, name, counted)
+        doc = small_doc(
+            estimators=["ge", "drem", "drem_simple"], t_end=0.1, decimation=decimation
+        )
+        tr = run_scenario(load_config(doc))
+        n_steps = 100
+        assert counts == {name: 4 * n_steps + last_sample_alone for name in counts}
+        assert tr.t[-1] == pytest.approx(0.1 if last_sample_alone else 0.098)
+
+    @pytest.mark.parametrize("p_loss, rebuilds", [(0.0, 3), (0.3, 5)])
+    def test_laplacian_rebuilt_only_when_the_network_changes(
+        self, monkeypatch, p_loss, rebuilds
+    ):
+        # Graph switches at 0.13 and 0.26. Without loss the Laplacian is built
+        # at t = 0 and at each switch; with loss the mask is also redrawn
+        # every 0.1 s and at each switch: 0, 0.1, 0.13, 0.23, 0.26.
+        laplacians, redraws = [0], [0]
+        laplacian = consensus.effective_laplacian
+        loss_stream = sim.loss_stream
+
+        def counted_laplacian(topo, mask=None):
+            laplacians[0] += 1
+            return laplacian(topo, mask)
+
+        class CountedRng:
+            def __init__(self, seed):
+                self.rng = loss_stream(seed)
+
+            def random(self, size):
+                redraws[0] += 1
+                return self.rng.random(size)
+
+        monkeypatch.setattr(sim.cns, "effective_laplacian", counted_laplacian)
+        monkeypatch.setattr(sim, "loss_stream", CountedRng)
+        doc = small_doc(estimators=["ge"], p_loss=p_loss, t_end=0.3)
+        del doc["topology"]
+        doc["schedule"] = {
+            "graphs": [{"edges": [[0, 1], [1, 2]]}, {"edges": [[0, 2], [1, 2]]}],
+            "segments": [[0.0, 0], [0.13, 1], [0.26, 0]],
+            "dwell_min": 0.13,
+        }
+        tr = run_scenario(load_config(doc))
+        assert laplacians[0] == rebuilds
+        assert redraws[0] == (rebuilds if p_loss else 0)
+        assert np.flatnonzero(np.diff(tr.sigma)).size == 2
 
     def test_gain_past_rk4_stability_limit_rejected(self):
         # lambda_max of the 3-agent path is 3: k * 3 * 1e-3 must stay <= 2.785.

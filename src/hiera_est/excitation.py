@@ -169,13 +169,6 @@ def gain_bound(
     return 2.0 * n * n_agents**2 * beta * gamma * T**2 / (lambda_g * alpha**2)
 
 
-def avg_gram_pe_level(alpha: float, T: float, n_agents: int) -> float:
-    """Guaranteed excitation level of the squared average Gram: alpha^2/(T N^2)."""
-    if alpha <= 0 or T <= 0 or n_agents <= 0:
-        raise ValueError("alpha, T, N must be positive")
-    return alpha**2 / (T * n_agents**2)
-
-
 def consensus_error_bound(n: int, gamma: float, k: float, lambda_g: float) -> float:
     """Asymptotic per-agent ceiling on the consensus tracking error norm."""
     if k <= 0 or lambda_g <= 0:

@@ -8,7 +8,6 @@ from a family as a piecewise-constant, right-continuous function of time.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -51,11 +50,6 @@ class Topology:
     laplacian: np.ndarray
     lambda2: float
     lambda_max: float
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Undirected edge list with i < j, in row-major order."""
-        iu, ju = np.nonzero(np.triu(self.adjacency))
-        return list(zip(iu.tolist(), ju.tolist()))
 
     def neighbors(self, i: int) -> np.ndarray:
         return np.nonzero(self.adjacency[i])[0]
@@ -113,16 +107,6 @@ def topology_from_edges(n_agents: int, edges) -> Topology:
     return build_topology(a)
 
 
-def line_graph_connectivity_floor(n_agents: int) -> float:
-    """Smallest algebraic connectivity over all connected graphs with N nodes.
-
-    Attained by the path graph; usable as a conservative substitute for the
-    true connectivity when only the node count is known.
-    """
-    if n_agents < 2:
-        raise ValueError("need at least 2 agents")
-    return 2.0 * (1.0 - math.cos(math.pi / n_agents))
-
 
 @dataclass(frozen=True)
 class SwitchingSchedule:
@@ -174,9 +158,6 @@ class SwitchingSchedule:
     def lambda_max_family(self) -> float:
         """Largest Laplacian eigenvalue over the graph family."""
         return max(t.lambda_max for t in self.topologies)
-
-    def topology_at(self, t: float) -> Topology:
-        return self.topologies[active_topology(self, t)]
 
 
 def constant_schedule(topo: Topology) -> SwitchingSchedule:

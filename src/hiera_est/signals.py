@@ -103,13 +103,6 @@ class RegressorGenerator:
         wt = w * np.asarray(t)[..., None, None, None]
         return w * (b * np.cos(wt) - d * np.sin(wt))
 
-    def entry_bound(self) -> float:
-        """Upper bound on |entry| valid for all t: max over entries of |A|+|B|+|D|."""
-        return max(
-            float(np.max(np.abs(a) + np.abs(b) + np.abs(d)))
-            for a, b, d in zip(self.offset, self.sin_amp, self.cos_amp)
-        )
-
     def to_jsonable(self) -> dict:
         """Dump coefficient tables for exact reproducibility."""
         return {

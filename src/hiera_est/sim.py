@@ -4,7 +4,8 @@ The full stacked state (consensus integrators, estimator states, filter-bank
 states, and running excitation integrals) is advanced with classical RK4.
 Discontinuous inputs (topology switches, packet-loss masks, measurement
 noise) are frozen over each step, evaluated at the step's start for all four
-stages, so the per-step field stays smooth.
+stages, so the per-step field stays smooth. Each agent's noise is drawn
+NOISE_BLOCK steps at a time, the same numbers as one draw per step.
 
 The consensus layer's field is consensus.dac_derivative. Each estimator kind
 is declared once, in ESTIMATORS: its state blocks and one field that gives
@@ -39,6 +40,8 @@ RK4_STABILITY_LIMIT = 2.785293563405282
 TAIL_FRACTION = 0.2
 MIN_FIT_SAMPLES = 50
 ERR_FLOOR = 1e-12
+# Steps of measurement noise each agent draws at once.
+NOISE_BLOCK = 256
 
 
 class SimulationDiverged(RuntimeError):
@@ -85,9 +88,11 @@ class _Layout:
         return mask
 
     def locate(self, flat_index: int) -> str:
-        for name, _, sl, _ in self._specs:
+        """The block and the entry inside it, e.g. 'ge.theta[17, 2]'."""
+        for name, shape, sl, _ in self._specs:
             if sl.start <= flat_index < sl.stop:
-                return name
+                entry = np.unravel_index(flat_index - sl.start, shape)
+                return f"{name}[{', '.join(str(int(j)) for j in entry)}]"
         return "<unknown>"
 
 
@@ -340,21 +345,25 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     loss_rng = loss_stream(cfg.seed) if cfg.p_loss > 0 else None
 
     half_h = 0.5 * cfg.h
+    regressors = [None, None, None]  # grid index, C(t), noise-free C(t) theta
     last = [None, None, None]  # grid index, noise draw, measurements
 
     def measured(t: float, eta):
         """Surrogates and zero-padded stacked data at time t with held noise eta.
 
-        Evaluated once per distinct stage time and noise draw: RK4 visits t,
-        t + h/2 (twice) and t + h, and t + h is the next step's t. Stage times
-        are snapped to the half-step grid m*h/2, so the two spellings of a
-        step boundary, t + h and (step+1)*h, which can differ in the last
-        bit, share one evaluation.
+        The regressors are evaluated once per distinct stage time: RK4 visits
+        t, t + h/2 (twice) and t + h, and t + h is the next step's t. Stage
+        times are snapped to the half-step grid m*h/2, so the two spellings of
+        a step boundary, t + h and (step+1)*h, which can differ in the last
+        bit, share one evaluation. A new noise draw only redoes y and the
+        surrogates.
         """
         m = round(t / half_h)
-        if m != last[0] or eta is not last[1]:
+        if m != regressors[0]:
             c_all = gen.evaluate_all(m * half_h)
-            y_all = np.einsum("api,i->ap", c_all, theta)
+            regressors[:] = m, c_all, np.einsum("api,i->ap", c_all, theta)
+        if m != last[0] or eta is not last[1]:
+            _, c_all, y_all = regressors
             if eta is not None:
                 y_all = y_all + eta
             cp, yp = surrogate_all(c_all, y_all)
@@ -378,7 +387,8 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         X, x = stage_views["X"], stage_views["x"]
         x_sum = np.max(np.abs(X.sum(axis=0)))
         xs_sum = np.max(np.abs(x.sum(axis=0)))
-        asym = np.max(np.abs(X - np.transpose(X, (0, 2, 1))))
+        agent_asym = np.max(np.abs(X - np.transpose(X, (0, 2, 1))), axis=(1, 2))
+        asym = np.max(agent_asym)
         max_conservation = max(max_conservation, x_sum, xs_sum)
         max_asymmetry = max(max_asymmetry, asym)
         if x_sum > CONSERVATION_TOL or xs_sum > CONSERVATION_TOL:
@@ -387,7 +397,10 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
                 f"max|sum X|={x_sum:.3e}, max|sum x|={xs_sum:.3e}"
             )
         if asym > SYMMETRY_TOL:
-            raise InvariantViolation(f"integrator state lost symmetry at t={t:g}: {asym:.3e}")
+            raise InvariantViolation(
+                f"integrator state lost symmetry at t={t:g}: {asym:.3e} "
+                f"at agent {int(np.argmax(agent_asym))}"
+            )
 
     # Index of the sample the next field evaluation writes, if any. The loop
     # sets it just before RK4's first stage, which evaluates the step's state.
@@ -438,11 +451,18 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
 
         eta = None
         if noise_rngs is not None:
-            # Exactly p_i draws per agent; the padding rows stay noise-free.
-            draws = [rng.standard_normal(p) for rng, p in zip(noise_rngs, gen.rows_per_agent)]
-            eta = np.zeros(N * p_max)
-            eta[gen.real_rows] = cfg.noise_sd * np.concatenate(draws)
-            eta = eta.reshape(N, p_max)
+            if step % NOISE_BLOCK == 0:
+                # K steps of p_i draws per agent in one call, the same numbers
+                # as K calls of p_i; the padding rows stay noise-free.
+                K = min(NOISE_BLOCK, n_steps + 1 - step)
+                draws = [
+                    rng.standard_normal(K * p).reshape(K, p)
+                    for rng, p in zip(noise_rngs, gen.rows_per_agent)
+                ]
+                noise = np.zeros((K, N * p_max))
+                noise[:, gen.real_rows] = cfg.noise_sd * np.concatenate(draws, axis=1)
+                noise = noise.reshape(K, N, p_max)
+            eta = noise[step % NOISE_BLOCK]
 
         if step % cfg.decimation == 0:
             i = step // cfg.decimation

@@ -6,7 +6,6 @@ from hiera_est.excitation import (
     GRID_BLOCK,
     ExcitationConstants,
     analyze_scenario,
-    avg_gram_pe_level,
     consensus_error_bound,
     estimate_assumption_bounds,
     gain_bound,
@@ -120,13 +119,6 @@ class TestGainBound:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             gain_bound(3, 10, 1.0, 1.0, 0.1, 1.0, 0.0)
-
-
-def test_avg_gram_pe_level_reference():
-    # alpha^2/(T N^2) at the reference constants
-    np.testing.assert_allclose(
-        avg_gram_pe_level(51.326, 0.16, 10), 164.65, rtol=1e-3
-    )
 
 
 def test_consensus_error_bound_reference():

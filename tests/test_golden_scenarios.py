@@ -16,9 +16,13 @@ A change that reorders floating-point arithmetic in the simulator must still
 reproduce them. The samples and the tolerances are the benchmark's own
 (``perfbench.workloads.checkpoints`` and ``compare``, rtol 1e-9).
 
-Regenerate the file only when a change is meant to alter the outputs:
+Run as a script, this file writes the records that are missing from the
+file and those named on the command line, and refuses to overwrite any other
+record, so adding a case never moves an older reference:
 
-    PYTHONPATH=src python tests/test_golden_scenarios.py
+    PYTHONPATH=src python tests/test_golden_scenarios.py [NAME ...]
+
+Name a record only when a change is meant to alter its outputs.
 """
 
 import json
@@ -123,6 +127,20 @@ def run(name: str) -> dict:
     return out
 
 
+def regenerate(names, path=GOLDEN) -> list[str]:
+    """Write the records named and those missing from ``path``; keep every
+    other stored record as it is. Returns the names written."""
+    known = SHIPPED + tuple(GENERATED)
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"no golden record named {', '.join(unknown)}")
+    stored = json.loads(path.read_text()) if path.exists() else {}
+    fresh = {name: run(name) for name in known if name in names or name not in stored}
+    lines = [f" {json.dumps(k)}: {json.dumps(v)}" for k, v in {**stored, **fresh}.items()]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    return list(fresh)
+
+
 @pytest.fixture(scope="module")
 def stored():
     return json.loads(GOLDEN.read_text())
@@ -138,8 +156,22 @@ def test_matches_golden(stored, name):
     assert workloads.compare(got, stored[name]) == []
 
 
+def test_regeneration_keeps_records_not_named(tmp_path):
+    path = tmp_path / "golden.json"
+    old = {name: {"t": [float(i)]} for i, name in enumerate(SHIPPED + ("mixed_rows",))}
+    path.write_text(json.dumps(old))
+    assert regenerate(["quantized"], path) == ["quantized", "switched_lossy"]
+    records = json.loads(path.read_text())
+    assert list(records) == list(old) + ["switched_lossy"]
+    for name in SHIPPED[1:] + ("mixed_rows",):
+        assert records[name] == old[name]
+    golden = json.loads(GOLDEN.read_text())
+    for name in ("quantized", "switched_lossy"):
+        assert workloads.compare(records[name], golden[name]) == []
+    with pytest.raises(ValueError, match="no golden record named nominal"):
+        regenerate(["nominal"], path)
+
+
 if __name__ == "__main__":
-    records = {name: run(name) for name in SHIPPED + tuple(GENERATED)}
-    lines = [f" {json.dumps(k)}: {json.dumps(v)}" for k, v in records.items()]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {GOLDEN}")
+    written = regenerate(sys.argv[1:])
+    print(f"wrote {', '.join(written) or 'no record'} to {GOLDEN}; every other record kept")

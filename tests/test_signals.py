@@ -78,12 +78,6 @@ class TestEvaluate:
         fd = (gen.evaluate_all(t + h) - gen.evaluate_all(t - h)) / (2 * h)
         np.testing.assert_allclose(gen.evaluate_all_dot(t), fd, rtol=1e-7, atol=1e-6)
 
-    def test_entry_bound_holds(self, gen):
-        bound = gen.entry_bound()
-        for t in np.linspace(0, 50, 500):
-            for i in range(gen.n_agents):
-                assert np.all(np.abs(gen.evaluate(i, t)) <= bound + 1e-12)
-
     def test_jsonable_roundtrip(self, gen):
         d = gen.to_jsonable()
         back = RegressorGenerator.from_tables(

@@ -117,12 +117,12 @@ class TestRunScenario:
         d2 = t2.estimators["ge"].theta_hat - t0.estimators["ge"].theta_hat
         np.testing.assert_allclose(d1, 2 * d2, rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize("noise_sd, per_step", [(0.0, 2), (0.2, 3)])
+    @pytest.mark.parametrize("noise_sd, per_step", [(0.0, 2), (0.2, 2)])
     def test_measurements_once_per_stage_time_and_noise_draw(
         self, monkeypatch, noise_sd, per_step
     ):
-        # RK4 visits t, t+h/2 (twice) and t+h; t+h is the next step's t unless
-        # a new noise draw is held from there on.
+        # RK4 visits t, t+h/2 (twice) and t+h; t+h is the next step's t, and a
+        # new noise draw held from there on reuses its regressors.
         times = []
         evaluate_all = RegressorGenerator.evaluate_all
 
@@ -138,6 +138,50 @@ class TestRunScenario:
         # every stage time is on the half-step grid, spelled one way
         half = 0.5 * cfg.h
         assert sorted(set(times)) == [m * half for m in range(2 * n_steps + 1)]
+
+    @staticmethod
+    def noisy_doc():
+        # 310 steps, 311 draws: neither a multiple of 7 nor of 256
+        return small_doc(
+            rows_per_agent=[1, 2, 3], estimators=["ge", "drem", "centralized"],
+            gamma_ge=0.5, gamma_centralized=0.5, noise_sd=0.1, p_loss=0.3, epsilon=0.01, t_end=0.31,
+        )
+
+    def test_noise_blocks_give_the_per_step_draws(self, monkeypatch):
+        # A block of one step is a draw per step; every block size must give
+        # the same trace bit for bit.
+        traces = []
+        for block in (1, 7, sim.NOISE_BLOCK):
+            monkeypatch.setattr(sim, "NOISE_BLOCK", block)
+            traces.append(run_scenario(load_config(self.noisy_doc())))
+        for tr in traces[1:]:
+            for name, value in vars(tr).items():
+                if name != "estimators":
+                    np.testing.assert_array_equal(value, getattr(traces[0], name))
+            for kind, et in tr.estimators.items():
+                for name, value in vars(et).items():
+                    np.testing.assert_array_equal(
+                        value, getattr(traces[0].estimators[kind], name)
+                    )
+
+    def test_each_agent_draws_its_noise_once_per_block(self, monkeypatch):
+        sizes = {}
+        noise_stream = sim.noise_stream
+
+        class CountedRng:
+            def __init__(self, seed, agent):
+                self.rng, self.agent = noise_stream(seed, agent), agent
+
+            def standard_normal(self, size):
+                sizes.setdefault(self.agent, []).append(size)
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(sim, "noise_stream", CountedRng)
+        run_scenario(load_config(self.noisy_doc()))
+        n_draws, block = 310 + 1, sim.NOISE_BLOCK
+        for agent, p in enumerate([1, 2, 3]):
+            assert len(sizes[agent]) == -(-n_draws // block)
+            assert sizes[agent] == [min(block, n_draws - s) * p for s in range(0, n_draws, block)]
 
     def test_estimators_independent_of_each_other(self):
         # Each kind reads the consensus outputs and nothing of the others, so
@@ -160,6 +204,18 @@ class TestRunScenario:
     def test_divergence_detected_and_named(self):
         with pytest.raises(SimulationDiverged, match="ge.theta"):
             run_scenario(load_config(small_doc(gamma_ge=1e6, estimators=["ge"])))
+
+    def test_divergence_names_the_agent_and_entry(self, monkeypatch):
+        ge_derivative = estimators.ge_derivative
+
+        def blown(theta, out, gamma):
+            d = ge_derivative(theta, out, gamma)
+            d[2, 1] += 1e18
+            return d
+
+        monkeypatch.setattr(estimators, "ge_derivative", blown)
+        with pytest.raises(SimulationDiverged, match=r"'ge\.theta\[2, 1\]' diverged at t=0\.001 "):
+            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.01)))
 
     def test_centralized_baseline(self):
         tr = run_scenario(
@@ -231,6 +287,21 @@ class TestRunScenario:
         monkeypatch.setattr(sim.cns, "dac_derivative", perturbed)
         with pytest.raises(InvariantViolation, match=message):
             run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.2)))
+
+    def test_symmetry_violation_names_the_most_asymmetric_agent(self, monkeypatch):
+        # The sum over agents is kept; agent 2 turns twice as asymmetric as
+        # agents 0 and 1.
+        dac = consensus.dac_derivative
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+        def perturbed(out, lap, k, eps=0.0):
+            dX, dx = dac(out, lap, k, eps)
+            dX += np.array([1.0, 1.0, -2.0])[:, None, None] * skew
+            return dX, dx
+
+        monkeypatch.setattr(sim.cns, "dac_derivative", perturbed)
+        with pytest.raises(InvariantViolation, match=r"lost symmetry at t=0\.01: .* at agent 2$"):
+            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.02)))
 
     @pytest.mark.parametrize("decimation, last_sample_alone", [(10, 1), (7, 0)])
     def test_one_scalarization_per_field_evaluation(

@@ -1,15 +1,19 @@
 """Dynamic average consensus: derivative fields, outputs, and error measures.
 
-All quantities are batched over agents: integrator states X (N,n,n) and
-x (N,n), surrogate inputs Cp (N,n,n) and yp (N,n). The quantized and
-packet-loss variants share the nominal derivative field, dac_derivative, the
-only implementation of it: eps = 0 means exact communication, and lost links
-are removed from the Laplacian it is given.
+Both surrogate signals obey the same equation, so they travel as one packed
+channel: each agent's row is [vec(M_i) | v_i], n^2 + n entries, for the
+matrix surrogate C_i^T C_i and the vector surrogate C_i^T y_i alike. Packed
+are the surrogate inputs P (N, n^2+n), the integrator states S = [vec(X_i) |
+x_i] and the outputs Z = P - S; split gives the (N,n,n) and (N,n) views of
+any packed rows. The quantized and packet-loss variants share the nominal
+derivative field, dac_derivative, the only implementation of it: eps = 0
+means exact communication, and lost links are removed from the Laplacian it
+is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -17,19 +21,31 @@ from .graph import Topology
 from .signals import quantize
 
 
-@dataclass
+def split(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views (M, v) of packed rows [vec(M) | v]: (..., n, n) and (..., n)."""
+    nn = (math.isqrt(4 * rows.shape[-1] + 1) - 1) // 2  # width = n^2 + n
+    return rows[..., : nn * nn].reshape(*rows.shape[:-1], nn, nn), rows[..., nn * nn :]
+
+
+def pack(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Packed rows [vec(M) | v] from (..., n, n) matrices and (..., n) vectors."""
+    return np.concatenate([M.reshape(*M.shape[:-2], -1), v], axis=-1)
+
+
 class ConsensusOutput:
-    """Consensus outputs per agent: Chat = Cp - X, yhat = yp - x."""
+    """Consensus outputs per agent, packed: Z = P - S, and the views
+    Chat = Cp - X (N, n, n) and yhat = yp - x (N, n) into its rows."""
 
-    Chat: np.ndarray  # (N, n, n)
-    yhat: np.ndarray  # (N, n)
+    __slots__ = ("Z", "Chat", "yhat")
+
+    def __init__(self, Z: np.ndarray):
+        self.Z = Z
+        self.Chat, self.yhat = split(Z)
 
 
-def consensus_outputs(
-    Cp: np.ndarray, yp: np.ndarray, X: np.ndarray, x: np.ndarray
-) -> ConsensusOutput:
-    """Outputs of the consensus block from its surrogate inputs and states."""
-    return ConsensusOutput(Chat=Cp - X, yhat=yp - x)
+def consensus_outputs(P: np.ndarray, S: np.ndarray) -> ConsensusOutput:
+    """Outputs of the consensus block from its packed inputs and states."""
+    return ConsensusOutput(P - S)
 
 
 def effective_laplacian(topo: Topology, loss_mask: np.ndarray | None = None) -> np.ndarray:
@@ -47,24 +63,20 @@ def effective_laplacian(topo: Topology, loss_mask: np.ndarray | None = None) -> 
 
 def dac_derivative(
     out: ConsensusOutput, lap: np.ndarray, k: float, eps: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrator-state derivatives (dX, dx) of the consensus block.
+) -> np.ndarray:
+    """Packed integrator-state derivative [vec(dX_i) | dx_i] of the consensus block.
 
     Each agent integrates k times the sum over its active neighbors of the
     difference of transmitted outputs, written through the step's Laplacian
     lap (see effective_laplacian); transmission applies the floor quantizer
-    at step eps (identity when eps = 0).
+    at step eps (identity when eps = 0). Both channels take one quantizer
+    call and one Laplacian product.
     """
     if k <= 0:
         raise ValueError("consensus gain k must be positive")
-    n_agents = out.Chat.shape[0]
-    if lap.shape != (n_agents, n_agents):
+    if lap.shape != (out.Z.shape[0],) * 2:
         raise ValueError("output/Laplacian agent count mismatch")
-    qc = quantize(out.Chat, eps)
-    qy = quantize(out.yhat, eps)
-    dX = k * (lap @ qc.reshape(n_agents, -1)).reshape(qc.shape)
-    dx = k * (lap @ qy)
-    return dX, dx
+    return k * (lap @ quantize(out.Z, eps))
 
 
 def average_reference(Cp: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -187,9 +187,13 @@ def sample_coefficients(
 
 
 def surrogate_all(c_all: np.ndarray, y_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched surrogate construction: (N,p,n),(N,p) -> (N,n,n),(N,n)."""
-    cp = np.einsum("api,apj->aij", c_all, c_all)
-    yp = np.einsum("api,ap->ai", c_all, y_all)
+    """Batched surrogate construction: (...,N,p,n),(...,N,p) -> (...,N,n,n),(...,N,n).
+
+    C^T C is formed once per regressor stack of c_all; the leading axes of
+    y_all broadcast against c_all's, so one stack can serve several outputs.
+    """
+    cp = np.einsum("...api,...apj->...aij", c_all, c_all)
+    yp = np.einsum("...api,...ap->...ai", c_all, y_all)
     return cp, yp
 
 

@@ -4,11 +4,15 @@ The full stacked state (consensus integrators, estimator states, filter-bank
 states, and running excitation integrals) is advanced with classical RK4.
 Discontinuous inputs (topology switches, packet-loss masks, measurement
 noise) are frozen over each step, evaluated at the step's start for all four
-stages, so the per-step field stays smooth. Each agent's noise is drawn
-NOISE_BLOCK steps at a time, the same numbers as one draw per step.
+stages, so the per-step field stays smooth.
 
-The consensus layer's field is consensus.dac_derivative. Each estimator kind
-is declared once, in ESTIMATORS: its state blocks and one field that gives
+The consensus layer's inputs are exogenous, so they are tabulated
+INPUT_BLOCK steps at a time: each agent's noise in one draw (the same
+numbers as one draw per step), the regressors in one evaluation of the
+block's half-step grid, and the packed surrogates in one surrogate_all call.
+The field only indexes the tables. The consensus layer's field is
+consensus.dac_derivative, on one packed channel. Each estimator kind is
+declared once, in ESTIMATORS: its state blocks and one field that gives
 their derivatives and the kind's sample at the same state. Samples are
 written by RK4's first stage, the field evaluation at the step's own state.
 """
@@ -40,16 +44,36 @@ RK4_STABILITY_LIMIT = 2.785293563405282
 TAIL_FRACTION = 0.2
 MIN_FIT_SAMPLES = 50
 ERR_FLOOR = 1e-12
-# Steps of measurement noise each agent draws at once.
-NOISE_BLOCK = 256
+# Steps whose noise and consensus inputs are tabulated at once.
+INPUT_BLOCK = 32
 
 
-class SimulationDiverged(RuntimeError):
+class _StateError(RuntimeError):
+    """A failure located in the state: block (e.g. 'ge.theta' or 'X'), agent
+    (None when the block has no agent axis or the check sums over agents),
+    entry (the index inside the agent's part of the block), time t and the
+    offending value."""
+
+    def __init__(self, message: str, block: str, agent: int | None,
+                 entry: tuple[int, ...], t: float, value: float):
+        super().__init__(message)
+        self.block, self.agent, self.entry, self.t, self.value = block, agent, entry, t, value
+
+    def __reduce__(self):  # sweep workers send these back through pickle
+        return type(self), (str(self), self.block, self.agent, self.entry, self.t, self.value)
+
+
+class SimulationDiverged(_StateError):
     """A state component left the finite range during integration."""
 
 
-class InvariantViolation(RuntimeError):
+class InvariantViolation(_StateError):
     """A conservation/symmetry invariant failed beyond integrator tolerance."""
+
+
+def _entry_name(block: str, agent: int | None, entry: tuple[int, ...]) -> str:
+    index = ([] if agent is None else [agent]) + list(entry)
+    return f"{block}[{', '.join(str(j) for j in index)}]"
 
 
 def rk4_step(field, state: np.ndarray, t: float, h: float) -> np.ndarray:
@@ -64,36 +88,60 @@ def rk4_step(field, state: np.ndarray, t: float, h: float) -> np.ndarray:
 
 
 class _Layout:
-    """Slicing map from a flat state vector to named array views."""
+    """Slicing map from a flat state vector to named array views.
+
+    A block of packed rows, shape (N, width), may name the parts of each
+    row, {part: shape}: unpack then also gives each part's (N, *shape) views,
+    and locate names an entry by its part, e.g. 'X[3, 0, 2]'.
+    """
 
     def __init__(self):
-        self._specs: list[tuple[str, tuple[int, ...], slice, bool]] = []
+        self._specs: list[tuple[str, tuple[int, ...], slice, bool, bool, list]] = []
         self.size = 0
 
-    def add(self, name: str, shape: tuple[int, ...], check: bool = True):
+    def add(self, name: str, shape: tuple[int, ...], check: bool = True,
+            per_agent: bool = True, parts: dict | None = None):
         """check=False exempts the block from the divergence guard (e.g. the
-        monotone excitation integrals, which legitimately grow very large)."""
+        monotone excitation integrals, which legitimately grow very large);
+        per_agent=False marks a block without a leading agent axis."""
         length = int(np.prod(shape)) if shape else 1
-        self._specs.append((name, shape, slice(self.size, self.size + length), check))
+        columns, col = [], 0
+        for part, part_shape in (parts or {}).items():
+            width = int(np.prod(part_shape))
+            columns.append((part, part_shape, slice(col, col + width)))
+            col += width
+        spec = (name, shape, slice(self.size, self.size + length), check, per_agent, columns)
+        self._specs.append(spec)
         self.size += length
 
     def unpack(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: flat[sl].reshape(shape) for name, shape, sl, _ in self._specs}
+        views = {}
+        for name, shape, sl, _, _, columns in self._specs:
+            views[name] = rows = flat[sl].reshape(shape)
+            for part, part_shape, cols in columns:
+                views[part] = rows[:, cols].reshape(shape[0], *part_shape)
+        return views
 
     def check_mask(self) -> np.ndarray:
         mask = np.zeros(self.size, dtype=bool)
-        for _, _, sl, check in self._specs:
+        for _, _, sl, check, _, _ in self._specs:
             if check:
                 mask[sl] = True
         return mask
 
-    def locate(self, flat_index: int) -> str:
-        """The block and the entry inside it, e.g. 'ge.theta[17, 2]'."""
-        for name, shape, sl, _ in self._specs:
+    def locate(self, flat_index: int) -> tuple[str, int | None, tuple[int, ...]]:
+        """The block (or part), agent and entry of a flat index."""
+        for name, shape, sl, _, per_agent, columns in self._specs:
             if sl.start <= flat_index < sl.stop:
-                entry = np.unravel_index(flat_index - sl.start, shape)
-                return f"{name}[{', '.join(str(int(j)) for j in entry)}]"
-        return "<unknown>"
+                index = tuple(int(j) for j in np.unravel_index(flat_index - sl.start, shape))
+                if not per_agent:
+                    return name, None, index
+                for part, part_shape, cols in columns:
+                    if cols.start <= index[1] < cols.stop:
+                        entry = np.unravel_index(index[1] - cols.start, part_shape)
+                        return part, index[0], tuple(int(j) for j in entry)
+                return name, index[0], index[1:]
+        raise IndexError(f"flat index {flat_index} outside the state")
 
 
 @dataclass
@@ -179,11 +227,11 @@ class Metrics:
 
 class EstimatorInput(NamedTuple):
     """What an estimator reads at one time: the consensus outputs, and the
-    network's row-stacked data (zero padding rows included)."""
+    network's regressors and outputs per agent (zero padding rows included)."""
 
     out: cns.ConsensusOutput
-    c_stack: np.ndarray  # (N * p_max, n)
-    y_stack: np.ndarray  # (N * p_max,)
+    c_all: np.ndarray  # (N, p_max, n)
+    y_all: np.ndarray  # (N, p_max)
 
 
 @dataclass(frozen=True)
@@ -195,11 +243,13 @@ class Estimator:
     divergence guard. field(cfg, v, inp) evaluates the kind at one state
     from its block views v: it returns one derivative per block, in block
     order, and the EstimatorTrace fields of a sample at that state, err_norm
-    aside. The estimators module is looked up at call time.
+    aside. per_agent=False marks a kind whose blocks have no agent axis. The
+    estimators module is looked up at call time.
     """
 
     blocks: Callable
     field: Callable
+    per_agent: bool = True
 
 
 def _gradient(v, derivative) -> tuple[list, dict]:
@@ -247,9 +297,12 @@ ESTIMATORS = {
     "centralized": Estimator(
         blocks=lambda cfg: [("theta", (cfg.n,), True)],
         field=lambda cfg, v, inp: _gradient(
-            v, est.centralized_ge_derivative(v["theta"], inp.c_stack, inp.y_stack,
-                                             cfg.gamma_centralized)
+            v, est.centralized_ge_derivative(
+                v["theta"], inp.c_all.reshape(-1, cfg.n), inp.y_all.reshape(-1),
+                cfg.gamma_centralized,
+            )
         ),
+        per_agent=False,
     ),
 }
 
@@ -306,11 +359,10 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     blocks = {kind: spec.blocks(cfg) for kind, spec in kinds.items()}
 
     layout = _Layout()
-    layout.add("X", (N, n, n))
-    layout.add("x", (N, n))
-    for kind, kind_blocks in blocks.items():
-        for name, shape, check in kind_blocks:
-            layout.add(f"{kind}.{name}", shape, check)
+    layout.add("consensus", (N, n * n + n), parts={"X": (n, n), "x": (n,)})
+    for kind, spec in kinds.items():
+        for name, shape, check in blocks[kind]:
+            layout.add(f"{kind}.{name}", shape, check, spec.per_agent)
 
     def kind_views(views: dict, kind: str) -> dict:
         return {name: views[f"{kind}.{name}"] for name, _, _ in blocks[kind]}
@@ -345,37 +397,52 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     loss_rng = loss_stream(cfg.seed) if cfg.p_loss > 0 else None
 
     half_h = 0.5 * cfg.h
-    regressors = [None, None, None]  # grid index, C(t), noise-free C(t) theta
-    last = [None, None, None]  # grid index, noise draw, measurements
 
-    def measured(t: float, eta):
-        """Surrogates and zero-padded stacked data at time t with held noise eta.
+    def input_tables(step: int, K: int, c_prev):
+        """The inputs the field reads over the K steps from `step` on.
 
-        The regressors are evaluated once per distinct stage time: RK4 visits
-        t, t + h/2 (twice) and t + h, and t + h is the next step's t. Stage
-        times are snapped to the half-step grid m*h/2, so the two spellings of
-        a step boundary, t + h and (step+1)*h, which can differ in the last
-        bit, share one evaluation. A new noise draw only redoes y and the
-        surrogates.
+        Step s's RK4 stages visit the half-step grid times m = 2s, 2s+1
+        (twice) and 2s+2, holding s's noise draw; m*h/2 is the one spelling
+        of each time, so t + h and (s+1)*h share their entry. The tables
+        cover m = 2*step + j, j < G: c_grid[j] the regressors, evaluated once
+        per time (row 0 is the previous block's last, c_prev), and
+        y_tab[j, v], P[j, v] the outputs y = C theta + eta and the packed
+        surrogates [C^T C | C^T y]. With noise, v = 0 holds the draw of the
+        step that starts at or before time m and v = 1 that of the step
+        ending at m (read at even m only); without noise, one v serves both.
+        C^T C is formed once per table time, C^T y once per (time, draw).
         """
-        m = round(t / half_h)
-        if m != regressors[0]:
-            c_all = gen.evaluate_all(m * half_h)
-            regressors[:] = m, c_all, np.einsum("api,i->ap", c_all, theta)
-        if m != last[0] or eta is not last[1]:
-            _, c_all, y_all = regressors
-            if eta is not None:
-                y_all = y_all + eta
-            cp, yp = surrogate_all(c_all, y_all)
-            last[:] = m, eta, (cp, yp, c_all.reshape(-1, n), y_all.reshape(-1))
-        return last[2]
+        m0 = 2 * step
+        G = min(2 * K, 2 * n_steps - m0) + 1
+        m_new = np.arange(m0 + (c_prev is not None), m0 + G)
+        c_grid = gen.evaluate_all(m_new * half_h)
+        if c_prev is not None:
+            c_grid = np.concatenate([c_prev[None], c_grid])
+        y_grid = np.einsum("...api,i->...ap", c_grid, theta)
+        if noise_rngs is None:
+            y_tab = y_grid[:, None]
+        else:
+            # K steps of p_i draws per agent in one call, the same numbers as
+            # K calls of p_i; the padding rows stay noise-free.
+            draws = [
+                rng.standard_normal(K * p).reshape(K, p)
+                for rng, p in zip(noise_rngs, gen.rows_per_agent)
+            ]
+            noise = np.zeros((K, N * p_max))
+            noise[:, gen.real_rows] = cfg.noise_sd * np.concatenate(draws, axis=1)
+            noise = noise.reshape(K, N, p_max)
+            s = np.arange(G) // 2
+            held = np.stack([noise[np.minimum(s, K - 1)], noise[np.maximum(s - 1, 0)]], axis=1)
+            y_tab = y_grid[:, None] + held
+        cp, yp = surrogate_all(c_grid[:, None], y_tab)
+        return c_grid, y_tab, cns.pack(np.broadcast_to(cp, (*yp.shape, n)), yp)
 
     max_conservation = max_asymmetry = 0.0
 
-    def write_sample(i: int, t: float, cp, yp, out, kind_samples):
+    def write_sample(i: int, t: float, rows, out, kind_samples):
         """Sample i from one field evaluation at the state of time t."""
         nonlocal max_conservation, max_asymmetry
-        cbar, ybar = cns.average_reference(cp, yp)
+        cbar, ybar = cns.average_reference(*cns.split(rows))
         cons_err[i], yhat_err[i] = cns.consensus_error(out, cbar, ybar)
         resid_norm[i] = np.linalg.norm(cns.residual(out, theta), axis=-1)
         for rec, sample in kind_samples:
@@ -385,21 +452,28 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
                 rec[name][i] = value
 
         X, x = stage_views["X"], stage_views["x"]
-        x_sum = np.max(np.abs(X.sum(axis=0)))
-        xs_sum = np.max(np.abs(x.sum(axis=0)))
+        sum_X, sum_x = np.abs(X.sum(axis=0)), np.abs(x.sum(axis=0))
+        x_sum, xs_sum = np.max(sum_X), np.max(sum_x)
         agent_asym = np.max(np.abs(X - np.transpose(X, (0, 2, 1))), axis=(1, 2))
         asym = np.max(agent_asym)
         max_conservation = max(max_conservation, x_sum, xs_sum)
         max_asymmetry = max(max_asymmetry, asym)
         if x_sum > CONSERVATION_TOL or xs_sum > CONSERVATION_TOL:
+            block, sums = ("X", sum_X) if x_sum >= xs_sum else ("x", sum_x)
+            entry = np.unravel_index(np.argmax(sums), sums.shape)
             raise InvariantViolation(
                 f"consensus-state sums drifted at t={t:g}: "
-                f"max|sum X|={x_sum:.3e}, max|sum x|={xs_sum:.3e}"
+                f"max|sum X|={x_sum:.3e}, max|sum x|={xs_sum:.3e}",
+                block, None, tuple(int(j) for j in entry), t, float(max(x_sum, xs_sum)),
             )
         if asym > SYMMETRY_TOL:
+            agent = int(np.argmax(agent_asym))
+            skew = np.abs(X[agent] - X[agent].T)
+            entry = tuple(int(j) for j in np.unravel_index(np.argmax(skew), skew.shape))
             raise InvariantViolation(
                 f"integrator state lost symmetry at t={t:g}: {asym:.3e} "
-                f"at agent {int(np.argmax(agent_asym))}"
+                f"in {_entry_name('X', agent, entry)} at agent {agent}",
+                "X", agent, entry, t, float(asym),
             )
 
     # Index of the sample the next field evaluation writes, if any. The loop
@@ -407,12 +481,14 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     pending: list[int] = []
 
     def field(t: float, flat: np.ndarray) -> np.ndarray:
-        # lap and eta are the current step's, held over all four stages.
+        # lap, step and the input tables are the current step's and block's.
         stage[:] = flat
-        cp, yp, c_stack, y_stack = measured(t, eta)
-        out = cns.consensus_outputs(cp, yp, stage_views["X"], stage_views["x"])
-        inp = EstimatorInput(out, c_stack, y_stack)
-        dv["X"][:], dv["x"][:] = cns.dac_derivative(out, lap, k, cfg.epsilon)
+        m = round(t / half_h)
+        at = (m - m0, -1 if m - 2 * step == 2 else 0)
+        rows = P[at]
+        out = cns.consensus_outputs(rows, stage_views["consensus"])
+        inp = EstimatorInput(out, c_grid[at[0]], y_tab[at])
+        dv["consensus"][:] = cns.dac_derivative(out, lap, k, cfg.epsilon)
         kind_samples = []
         for spec, v, d, rec in field_kinds:
             derivs, sample = spec.field(cfg, v, inp)
@@ -420,7 +496,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
                 view[:] = value
             kind_samples.append((rec, sample))
         if pending:
-            write_sample(pending.pop(), t, cp, yp, out, kind_samples)
+            write_sample(pending.pop(), t, rows, out, kind_samples)
         return d_stage.copy()
 
     # Each graph's edges (i < j, row-major), for drawing its loss mask.
@@ -429,6 +505,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     links_up = 0
     next_loss_t = 0.0
     prev_topo_idx = -1
+    c_grid = None
 
     for step in range(n_steps + 1):
         t = step * cfg.h
@@ -449,20 +526,15 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         if switched or redraw:
             lap = cns.effective_laplacian(cfg.schedule.topologies[topo_idx], mask)
 
-        eta = None
-        if noise_rngs is not None:
-            if step % NOISE_BLOCK == 0:
-                # K steps of p_i draws per agent in one call, the same numbers
-                # as K calls of p_i; the padding rows stay noise-free.
-                K = min(NOISE_BLOCK, n_steps + 1 - step)
-                draws = [
-                    rng.standard_normal(K * p).reshape(K, p)
-                    for rng, p in zip(noise_rngs, gen.rows_per_agent)
-                ]
-                noise = np.zeros((K, N * p_max))
-                noise[:, gen.real_rows] = cfg.noise_sd * np.concatenate(draws, axis=1)
-                noise = noise.reshape(K, N, p_max)
-            eta = noise[step % NOISE_BLOCK]
+        if step % INPUT_BLOCK == 0:
+            K = min(INPUT_BLOCK, n_steps + 1 - step)
+            m0 = 2 * step
+            # The previous block's tables are dropped before the next ones are
+            # built, so two blocks' tables are never held at once; only its
+            # last regressor stack is carried over.
+            c_last = None if c_grid is None else c_grid[-1].copy()
+            c_grid = y_tab = P = None
+            c_grid, y_tab, P = input_tables(step, K, c_last)
 
         if step % cfg.decimation == 0:
             i = step // cfg.decimation
@@ -475,9 +547,12 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
             worst = np.argmax(checked)
             if not np.isfinite(checked[worst]) or checked[worst] > DIVERGENCE_LIMIT:
                 flat_idx = int(check_idx[worst])
+                block, agent, entry = layout.locate(flat_idx)
+                value = float(state[flat_idx])
                 raise SimulationDiverged(
-                    f"state component '{layout.locate(flat_idx)}' diverged "
-                    f"at t={t + cfg.h:g} (value {state[flat_idx]:.3e})"
+                    f"state component '{_entry_name(block, agent, entry)}' diverged "
+                    f"at t={t + cfg.h:g} (value {value:.3e})",
+                    block, agent, entry, t + cfg.h, value,
                 )
         elif pending:  # the last sample has no step after it
             field(t, state)
@@ -535,7 +610,9 @@ def compute_metrics(trace: TraceSet, ceiling: float | None = None) -> Metrics:
     The decay rate discards the transient (first transient_fraction of the
     horizon) and any samples saturated below ERR_FLOOR; when an estimator
     converges to the floor before the transient window even opens, the fit
-    falls back to the full trace. Tail suprema use the last TAIL_FRACTION.
+    falls back to the full trace, and an agent with fewer than
+    MIN_FIT_SAMPLES usable samples even there (a short run) gets None.
+    Tail suprema use the last TAIL_FRACTION.
     When a consensus-error ceiling is supplied, transient_end is the first
     sample time at which all agents' consensus errors are inside it.
     """
@@ -545,11 +622,13 @@ def compute_metrics(trace: TraceSet, ceiling: float | None = None) -> Metrics:
     if not np.any(tail):
         raise ValueError("tail window is empty")
 
-    def one_rate(err: np.ndarray) -> float:
-        try:
-            return fit_decay_rate(t[post], err[post], MIN_FIT_SAMPLES, ERR_FLOOR)
-        except ValueError:
-            return fit_decay_rate(t, err, MIN_FIT_SAMPLES, ERR_FLOOR)
+    def one_rate(err: np.ndarray) -> float | None:
+        for window in (post, slice(None)):
+            try:
+                return fit_decay_rate(t[window], err[window], MIN_FIT_SAMPLES, ERR_FLOOR)
+            except ValueError:
+                pass
+        return None
 
     per_est = {}
     for name, tr in trace.estimators.items():

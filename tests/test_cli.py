@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from hiera_est.cli import (
     EXIT_VALIDATION,
     main,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -117,13 +120,30 @@ class TestRun:
         )
         assert code == EXIT_DIVERGENCE
 
+    def test_short_run_reports_no_decay_rate_and_writes_artifacts(self, tmp_path, capsys):
+        # 20 steps, 3 samples: too few for a decay fit, which is not an error.
+        out = tmp_path / "short"
+        scenario = ROOT / "scenarios" / "nominal_switched.json"
+        code = main(["run", "-c", str(scenario), "-o", str(out), "--set", "t_end=0.02"])
+        assert code == EXIT_OK
+        assert {p.name for p in out.iterdir()} == {
+            "traces.csv", "metrics.json", "constants.json", "config-echo.json",
+        }
+        metrics = json.loads((out / "metrics.json").read_text())
+        for kind, m in metrics["per_estimator"].items():
+            assert m["decay_rate"] == [None] * 10, kind
+            assert len(m["final_err"]) == 10
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["metrics"] == metrics
+
     def test_invariant_violation_exit(self, scenario_file, tmp_path, monkeypatch, capsys):
         # A consensus field that does not conserve the state sums.
         dac = sim.cns.dac_derivative
 
         def leaky(out, lap, k, eps=0.0):
-            dX, dx = dac(out, lap, k, eps)
-            return dX, dx + 1.0
+            d = dac(out, lap, k, eps)
+            sim.cns.split(d)[1][:] += 1.0
+            return d
 
         monkeypatch.setattr(sim.cns, "dac_derivative", leaky)
         code = main(["run", "-c", str(scenario_file), "-o", str(tmp_path / "leak")])

@@ -1,5 +1,10 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiera_est.consensus import (
     average_reference,
@@ -7,11 +12,17 @@ from hiera_est.consensus import (
     consensus_outputs,
     dac_derivative,
     effective_laplacian,
+    pack,
     residual,
     spectral_norms,
+    split,
 )
 from hiera_est.graph import topology_from_edges
-from hiera_est.signals import sample_coefficients, surrogate_all
+from hiera_est.signals import quantize, sample_coefficients, surrogate_all
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from perfbench import workloads  # noqa: E402
 
 
 @pytest.fixture
@@ -34,6 +45,16 @@ def zeros(n_agents=4, n=3):
     return np.zeros((n_agents, n, n)), np.zeros((n_agents, n))
 
 
+def outputs(cp, yp, X, x):
+    """Consensus outputs of unpacked surrogates and states."""
+    return consensus_outputs(pack(cp, yp), pack(X, x))
+
+
+def derivative(out, lap, k, eps=0.0):
+    """The packed DAC derivative, split into (dX, dx)."""
+    return split(dac_derivative(out, lap, k, eps))
+
+
 class TestDerivative:
     def test_neighbor_sum_form(self, topo, data):
         # dX_i = k * sum_{j in N_i} (Chat_i - Chat_j), written via the Laplacian
@@ -41,8 +62,8 @@ class TestDerivative:
         X = np.random.default_rng(1).normal(size=(4, 3, 3))
         x = np.random.default_rng(2).normal(size=(4, 3))
         k = 3.2
-        out = consensus_outputs(cp, yp, X, x)
-        dX, dx = dac_derivative(out, effective_laplacian(topo), k)
+        out = outputs(cp, yp, X, x)
+        dX, dx = derivative(out, effective_laplacian(topo), k)
         for i in range(4):
             expX = sum(
                 out.Chat[i] - out.Chat[j] for j in topo.neighbors(i)
@@ -53,8 +74,8 @@ class TestDerivative:
 
     def test_conservation_of_sums(self, topo, data):
         cp, yp, _ = data
-        out = consensus_outputs(cp, yp, *zeros())
-        dX, dx = dac_derivative(out, effective_laplacian(topo), 2.0)
+        out = outputs(cp, yp, *zeros())
+        dX, dx = derivative(out, effective_laplacian(topo), 2.0)
         np.testing.assert_allclose(dX.sum(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(dx.sum(axis=0), 0.0, atol=1e-12)
 
@@ -62,34 +83,34 @@ class TestDerivative:
         cp, yp, _ = data
         mask = np.ones((4, 4), dtype=bool)
         mask[0, 1] = False  # asymmetric request: must drop both directions
-        out = consensus_outputs(cp, yp, *zeros())
-        dX, dx = dac_derivative(out, effective_laplacian(topo, mask), 2.0, eps=0.036)
+        out = outputs(cp, yp, *zeros())
+        dX, dx = derivative(out, effective_laplacian(topo, mask), 2.0, eps=0.036)
         np.testing.assert_allclose(dX.sum(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(dx.sum(axis=0), 0.0, atol=1e-12)
 
     def test_symmetry_preserved(self, topo, data):
         cp, yp, _ = data
-        out = consensus_outputs(cp, yp, *zeros())
-        dX, _ = dac_derivative(out, effective_laplacian(topo), 2.0, eps=0.018)
+        out = outputs(cp, yp, *zeros())
+        dX, _ = derivative(out, effective_laplacian(topo), 2.0, eps=0.018)
         np.testing.assert_array_equal(dX, np.transpose(dX, (0, 2, 1)))
 
     def test_consensus_fixed_point(self, topo, data):
         # when every output equals the average, the derivative vanishes
         cp, yp, _ = data
         cbar, ybar = average_reference(cp, yp)
-        out = consensus_outputs(cp, yp, cp - cbar, yp - ybar)
-        dX, dx = dac_derivative(out, effective_laplacian(topo), 2.0)
+        out = outputs(cp, yp, cp - cbar, yp - ybar)
+        dX, dx = derivative(out, effective_laplacian(topo), 2.0)
         np.testing.assert_allclose(dX, 0.0, atol=1e-12)
         np.testing.assert_allclose(dx, 0.0, atol=1e-12)
 
     def test_gain_must_be_positive(self, topo, data):
         cp, yp, _ = data
         with pytest.raises(ValueError):
-            dac_derivative(consensus_outputs(cp, yp, *zeros()), topo.laplacian, 0.0)
+            dac_derivative(outputs(cp, yp, *zeros()), topo.laplacian, 0.0)
 
     def test_agent_count_mismatch(self, topo, data):
         cp, yp, _ = data
-        out = consensus_outputs(cp, yp, *zeros())
+        out = outputs(cp, yp, *zeros())
         with pytest.raises(ValueError):
             dac_derivative(out, np.zeros((5, 5)), 1.0)
 
@@ -121,18 +142,75 @@ class TestErrorsAndResidual:
     def test_zero_error_at_average(self, data):
         cp, yp, _ = data
         cbar, ybar = average_reference(cp, yp)
-        out = consensus_outputs(cp, yp, cp - cbar, yp - ybar)
+        out = outputs(cp, yp, cp - cbar, yp - ybar)
         cerr, yerr = consensus_error(out, cbar, ybar)
         np.testing.assert_allclose(cerr, 0.0, atol=1e-12)
         np.testing.assert_allclose(yerr, 0.0, atol=1e-12)
 
     def test_residual_zero_on_consistent_outputs(self, data):
         cp, yp, theta = data
-        out = consensus_outputs(cp, yp, *zeros())
+        out = outputs(cp, yp, *zeros())
         np.testing.assert_allclose(residual(out, theta), 0.0, atol=1e-10)
 
     def test_residual_detects_wrong_theta(self, data):
         cp, yp, theta = data
-        out = consensus_outputs(cp, yp, *zeros())
+        out = outputs(cp, yp, *zeros())
         r = residual(out, theta + np.array([0.5, 0.0, 0.0]))
         assert np.linalg.norm(r) > 1e-3
+
+
+def random_connected_edges(rng, n_agents):
+    """A random connected graph: a spanning tree plus random extra edges."""
+    most = n_agents * (n_agents - 1) // 2
+    return workloads.random_connected_edges(rng, n_agents, int(rng.integers(n_agents - 1, most + 1)))
+
+
+class TestPackedChannel:
+    def test_split_and_pack_are_inverse_views(self):
+        X = np.arange(2 * 9.0).reshape(2, 3, 3)
+        x = -np.arange(2 * 3.0).reshape(2, 3)
+        rows = pack(X, x)
+        assert rows.shape == (2, 12)
+        M, v = split(rows)
+        np.testing.assert_array_equal(M, X)
+        np.testing.assert_array_equal(v, x)
+        assert np.shares_memory(M, rows) and np.shares_memory(v, rows)
+        out = consensus_outputs(rows, np.zeros_like(rows))
+        assert np.shares_memory(out.Chat, out.Z) and np.shares_memory(out.yhat, out.Z)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_agents=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        quantized=st.booleans(),
+        lossy=st.booleans(),
+    )
+    def test_packed_derivative_is_the_two_channels(self, n_agents, seed, quantized, lossy):
+        # One quantizer call and one Laplacian product over the packed rows
+        # give, bit for bit, k L Q(Chat) and k L Q(yhat) computed apart.
+        rng = np.random.default_rng(seed)
+        n = 3
+        rows = rng.integers(1, 4, size=n_agents).tolist()
+        gen = sample_coefficients(n, n_agents, rows, [0, 5], [0, 3], seed=seed)
+        c_all = gen.evaluate_all(rng.uniform(0, 10))
+        y_all = np.einsum("api,i->ap", c_all, rng.normal(size=n)) + rng.normal(size=c_all.shape[:2])
+        cp, yp = surrogate_all(c_all, y_all)
+        X = rng.normal(size=(n_agents, n, n))
+        X = X + np.transpose(X, (0, 2, 1))
+        x = rng.normal(size=(n_agents, n))
+        topo = topology_from_edges(n_agents, random_connected_edges(rng, n_agents))
+        mask = rng.random((n_agents, n_agents)) < 0.7 if lossy else None
+        lap = effective_laplacian(topo, mask)
+        k = rng.uniform(0.1, 10)
+        eps = rng.uniform(1e-3, 0.1) if quantized else 0.0
+
+        dX, dx = derivative(outputs(cp, yp, X, x), lap, k, eps)
+        chat, yhat = cp - X, yp - x
+        np.testing.assert_array_equal(
+            dX, k * (lap @ quantize(chat, eps).reshape(n_agents, -1)).reshape(chat.shape)
+        )
+        np.testing.assert_array_equal(dx, k * (lap @ quantize(yhat, eps)))
+        # a symmetric Laplacian conserves both channels' sums over agents
+        scale = k * np.abs(lap).max() * (np.abs(chat).max() + np.abs(yhat).max() + 1.0)
+        assert np.abs(dX.sum(axis=0)).max() <= 64 * n_agents * np.finfo(float).eps * scale
+        assert np.abs(dx.sum(axis=0)).max() <= 64 * n_agents * np.finfo(float).eps * scale

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiera_est.consensus import ConsensusOutput
+from hiera_est.consensus import ConsensusOutput, pack
 from hiera_est.estimators import (
     DremFilterBank,
     adjugate,
@@ -61,7 +61,7 @@ def make_output(rng, n_agents=3, n=2):
     chat = rng.normal(size=(n_agents, n, n))
     chat = chat + np.transpose(chat, (0, 2, 1))
     yhat = rng.normal(size=(n_agents, n))
-    return ConsensusOutput(Chat=chat, yhat=yhat)
+    return ConsensusOutput(pack(chat, yhat))
 
 
 class TestGe:
@@ -81,9 +81,7 @@ class TestGe:
         rng = np.random.default_rng(1)
         out = make_output(rng)
         theta = rng.normal(size=2)
-        out = ConsensusOutput(
-            Chat=out.Chat, yhat=np.einsum("aij,j->ai", out.Chat, theta)
-        )
+        out = ConsensusOutput(pack(out.Chat, np.einsum("aij,j->ai", out.Chat, theta)))
         d = ge_derivative(np.tile(theta, (3, 1)), out, np.eye(2))
         np.testing.assert_allclose(d, 0.0, atol=1e-12)
 
@@ -119,9 +117,7 @@ class TestFilterBank:
     def test_filter_step_response(self):
         # z' = -beta z + alpha u with constant u converges to (alpha/beta) u
         bank = DremFilterBank(alphas=np.array([2.0]), betas=np.array([4.0]))
-        out = ConsensusOutput(
-            Chat=np.full((1, 1, 1), 3.0), yhat=np.full((1, 1), 5.0)
-        )
+        out = ConsensusOutput(pack(np.full((1, 1, 1), 3.0), np.full((1, 1), 5.0)))
         zC, zy = np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1))
         h = 1e-3
         for _ in range(5000):
@@ -223,9 +219,7 @@ class TestScalarize:
         rng = np.random.default_rng(7)
         theta = np.array([0.5, 1.0, -1.0])
         chat = rng.normal(size=(2, 3, 3))
-        out = ConsensusOutput(
-            Chat=chat, yhat=np.einsum("aij,j->ai", chat, theta)
-        )
+        out = ConsensusOutput(pack(chat, np.einsum("aij,j->ai", chat, theta)))
         d = drem_simple_scalarize(out)
         np.testing.assert_allclose(d.phi, np.linalg.det(chat))
         np.testing.assert_allclose(d.Y, d.phi[:, None] * theta, rtol=1e-9)
@@ -247,7 +241,7 @@ class TestScalarize:
     @settings(max_examples=300, deadline=None)
     @given(square_batches(min_axes=1, max_axes=1))
     def test_simple_phi_is_determinant(self, chat):
-        out = ConsensusOutput(Chat=chat, yhat=np.ones(chat.shape[:2]))
+        out = ConsensusOutput(pack(chat, np.ones(chat.shape[:2])))
         tol = SCALED_TOL * frobenius(chat) ** chat.shape[-1]
         assert np.all(np.abs(drem_simple_scalarize(out).phi - np.linalg.det(chat)) <= tol)
 

@@ -1,10 +1,17 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiera_est import consensus, estimators, sim
 from hiera_est.config import ConfigError, load_config
 from hiera_est.signals import RegressorGenerator
 from hiera_est.sim import (
+    CONSERVATION_TOL,
+    SYMMETRY_TOL,
     InvariantViolation,
     SimulationDiverged,
     compute_metrics,
@@ -14,6 +21,10 @@ from hiera_est.sim import (
     run_scenario,
     write_run_dir,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from perfbench import workloads  # noqa: E402
 
 
 def small_doc(**over):
@@ -122,12 +133,15 @@ class TestRunScenario:
         self, monkeypatch, noise_sd, per_step
     ):
         # RK4 visits t, t+h/2 (twice) and t+h; t+h is the next step's t, and a
-        # new noise draw held from there on reuses its regressors.
-        times = []
+        # new noise draw held from there on reuses its regressors. Each block
+        # of steps evaluates its stage times in one call, and the time a
+        # block shares with the next is evaluated once.
+        times, calls = [], [0]
         evaluate_all = RegressorGenerator.evaluate_all
 
         def counted(gen, t):
-            times.append(t)
+            calls[0] += 1
+            times.extend(np.atleast_1d(t).tolist())
             return evaluate_all(gen, t)
 
         monkeypatch.setattr(RegressorGenerator, "evaluate_all", counted)
@@ -135,9 +149,10 @@ class TestRunScenario:
         run_scenario(cfg)
         n_steps = 100
         assert len(times) == per_step * n_steps + 1
-        # every stage time is on the half-step grid, spelled one way
+        assert calls[0] == -(-(n_steps + 1) // sim.INPUT_BLOCK)
+        # each stage time is on the half-step grid, spelled one way, once
         half = 0.5 * cfg.h
-        assert sorted(set(times)) == [m * half for m in range(2 * n_steps + 1)]
+        assert sorted(times) == [m * half for m in range(2 * n_steps + 1)]
 
     @staticmethod
     def noisy_doc():
@@ -148,11 +163,11 @@ class TestRunScenario:
         )
 
     def test_noise_blocks_give_the_per_step_draws(self, monkeypatch):
-        # A block of one step is a draw per step; every block size must give
-        # the same trace bit for bit.
+        # A block of one step is a noise draw and an input table per step;
+        # every block size must give the same trace bit for bit.
         traces = []
-        for block in (1, 7, sim.NOISE_BLOCK):
-            monkeypatch.setattr(sim, "NOISE_BLOCK", block)
+        for block in (1, 7, sim.INPUT_BLOCK):
+            monkeypatch.setattr(sim, "INPUT_BLOCK", block)
             traces.append(run_scenario(load_config(self.noisy_doc())))
         for tr in traces[1:]:
             for name, value in vars(tr).items():
@@ -178,7 +193,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(sim, "noise_stream", CountedRng)
         run_scenario(load_config(self.noisy_doc()))
-        n_draws, block = 310 + 1, sim.NOISE_BLOCK
+        n_draws, block = 310 + 1, sim.INPUT_BLOCK
         for agent, p in enumerate([1, 2, 3]):
             assert len(sizes[agent]) == -(-n_draws // block)
             assert sizes[agent] == [min(block, n_draws - s) * p for s in range(0, n_draws, block)]
@@ -205,6 +220,36 @@ class TestRunScenario:
         with pytest.raises(SimulationDiverged, match="ge.theta"):
             run_scenario(load_config(small_doc(gamma_ge=1e6, estimators=["ge"])))
 
+    @pytest.mark.parametrize(
+        "column, name, block, agent, entry",
+        [(2, r"X\[1, 1, 0\]", "X", 1, (1, 0)), (5, r"x\[1, 1\]", "x", 1, (1,))],
+    )
+    def test_divergent_consensus_entry_named_by_its_part(
+        self, monkeypatch, column, name, block, agent, entry
+    ):
+        # n = 2: agent 1's packed row is [X00 X01 X10 X11 | x0 x1]. The
+        # centralized estimator does not read the consensus outputs, so the
+        # consensus entry is the only one that diverges.
+        dac = consensus.dac_derivative
+
+        def blown(out, lap, k, eps=0.0):
+            d = dac(out, lap, k, eps)
+            d[1, column] += 1e18
+            return d
+
+        monkeypatch.setattr(sim.cns, "dac_derivative", blown)
+        doc = small_doc(estimators=["centralized"], gamma_centralized=0.5, t_end=0.01)
+        with pytest.raises(SimulationDiverged, match=rf"'{name}' diverged at t=0\.001 ") as err:
+            run_scenario(load_config(doc))
+        e = err.value
+        assert (e.block, e.agent, e.entry, e.t) == (block, agent, entry, 0.001)
+
+    def test_located_errors_survive_pickling(self):
+        import pickle
+
+        e = pickle.loads(pickle.dumps(InvariantViolation("msg", "X", 2, (0, 1), 0.5, 3.0)))
+        assert (str(e), e.block, e.agent, e.entry, e.t, e.value) == ("msg", "X", 2, (0, 1), 0.5, 3.0)
+
     def test_divergence_names_the_agent_and_entry(self, monkeypatch):
         ge_derivative = estimators.ge_derivative
 
@@ -214,8 +259,13 @@ class TestRunScenario:
             return d
 
         monkeypatch.setattr(estimators, "ge_derivative", blown)
-        with pytest.raises(SimulationDiverged, match=r"'ge\.theta\[2, 1\]' diverged at t=0\.001 "):
+        with pytest.raises(
+            SimulationDiverged, match=r"'ge\.theta\[2, 1\]' diverged at t=0\.001 "
+        ) as err:
             run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.01)))
+        e = err.value
+        assert (e.block, e.agent, e.entry, e.t) == ("ge.theta", 2, (1,), 0.001)
+        assert e.value > 1e12
 
     def test_centralized_baseline(self):
         tr = run_scenario(
@@ -278,11 +328,11 @@ class TestRunScenario:
         dac = consensus.dac_derivative
 
         def perturbed(out, lap, k, eps=0.0):
-            dX, dx = dac(out, lap, k, eps)
+            d = dac(out, lap, k, eps)
             calls[0] += 1
             if calls[0] > 4 * 50 + 1:
-                getattr(self, bump)(dX)
-            return dX, dx
+                getattr(self, bump)(consensus.split(d)[0])
+            return d
 
         monkeypatch.setattr(sim.cns, "dac_derivative", perturbed)
         with pytest.raises(InvariantViolation, match=message):
@@ -295,13 +345,34 @@ class TestRunScenario:
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
         def perturbed(out, lap, k, eps=0.0):
-            dX, dx = dac(out, lap, k, eps)
-            dX += np.array([1.0, 1.0, -2.0])[:, None, None] * skew
-            return dX, dx
+            d = dac(out, lap, k, eps)
+            consensus.split(d)[0][:] += np.array([1.0, 1.0, -2.0])[:, None, None] * skew
+            return d
 
         monkeypatch.setattr(sim.cns, "dac_derivative", perturbed)
-        with pytest.raises(InvariantViolation, match=r"lost symmetry at t=0\.01: .* at agent 2$"):
+        with pytest.raises(
+            InvariantViolation, match=r"lost symmetry at t=0\.01: .* in X\[2, 0, 1\] at agent 2$"
+        ) as err:
             run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.02)))
+        e = err.value
+        assert (e.block, e.agent, e.entry, e.t) == ("X", 2, (0, 1), 0.01)
+        assert e.value > SYMMETRY_TOL
+
+    def test_conservation_violation_names_the_drifting_entry(self, monkeypatch):
+        # x_0 of every agent gains 1 per unit time: sum x drifts, X keeps.
+        dac = consensus.dac_derivative
+
+        def leaky(out, lap, k, eps=0.0):
+            d = dac(out, lap, k, eps)
+            consensus.split(d)[1][:, 0] += 1.0
+            return d
+
+        monkeypatch.setattr(sim.cns, "dac_derivative", leaky)
+        with pytest.raises(InvariantViolation, match="sums drifted at t=0.01:") as err:
+            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.02)))
+        e = err.value
+        assert (e.block, e.agent, e.entry, e.t) == ("x", None, (0,), 0.01)
+        assert e.value == pytest.approx(0.03)
 
     @pytest.mark.parametrize("decimation, last_sample_alone", [(10, 1), (7, 0)])
     def test_one_scalarization_per_field_evaluation(
@@ -369,6 +440,49 @@ class TestRunScenario:
         run_scenario(load_config(small_doc(k=900.0, t_end=0.01)))
         with pytest.raises(ConfigError, match="too stiff"):
             run_scenario(load_config(small_doc(k=1000.0, t_end=0.01)))
+
+
+def random_connected_edges(rng, n_agents):
+    """A random connected graph: a spanning tree plus random extra edges."""
+    most = n_agents * (n_agents - 1) // 2
+    return workloads.random_connected_edges(rng, n_agents, int(rng.integers(n_agents - 1, most + 1)))
+
+
+class TestInvariantsOverRandomNetworks:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_agents=st.integers(2, 12),
+        seed=st.integers(0, 2**31 - 1),
+        quantized=st.booleans(),
+        p_loss=st.sampled_from([0.0, 0.3]),
+        noise_sd=st.sampled_from([0.0, 0.1]),
+    )
+    def test_short_runs_keep_the_invariants(self, n_agents, seed, quantized, p_loss, noise_sd):
+        # Two random connected graphs switching at t = 0.03, loss redrawn
+        # every 0.02 s, 1 to 3 rows per agent, 8 input blocks of 7 steps.
+        rng = np.random.default_rng(seed)
+        doc = small_doc(
+            n=3, theta=rng.uniform(-2, 2, size=3).tolist(), n_agents=n_agents, seed=seed,
+            rows_per_agent=rng.integers(1, 4, size=n_agents).tolist(),
+            estimators=["ge", "drem_simple"], gamma_ge=0.2, gamma_drem=1e-9,
+            epsilon=float(rng.uniform(1e-3, 0.05)) if quantized else 0.0,
+            p_loss=p_loss, loss_resample_dt=0.02, noise_sd=noise_sd, t_end=0.055,
+            decimation=3,
+        )
+        del doc["topology"]
+        doc["schedule"] = {
+            "graphs": [{"edges": random_connected_edges(rng, n_agents)} for _ in range(2)],
+            "segments": [[0.0, 0], [0.03, 1]],
+            "dwell_min": 0.025,
+        }
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "INPUT_BLOCK", 7)
+            tr = run_scenario(load_config(doc))
+        assert tr.max_conservation_err < CONSERVATION_TOL
+        assert tr.max_asymmetry < SYMMETRY_TOL
+        if not quantized and noise_sd == 0.0:
+            # zero-init, noiseless, unquantized: yhat = Chat theta to roundoff
+            assert tr.resid_norm.max() < 1e-9 * max(1.0, np.abs(tr.theta).max())
 
 
 class TestResolveGain:

@@ -84,16 +84,15 @@ def average_reference(Cp: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.nd
     return Cp.mean(axis=0), yp.mean(axis=0)
 
 
-def spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Induced 2-norm of each matrix in a batch (...,m,n)."""
-    return np.linalg.svd(mats, compute_uv=False)[..., 0]
-
-
 def consensus_error(
     output: ConsensusOutput, Cbar: np.ndarray, ybar: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-agent deviations from the network average: (matrix norms, vector norms)."""
-    cerr = spectral_norms(output.Chat - Cbar)
+    """Per-agent deviations from the network average: (matrix norms, vector norms).
+
+    Chat_i - Cbar is symmetric, so its induced 2-norm is its largest
+    eigenvalue magnitude.
+    """
+    cerr = np.abs(np.linalg.eigvalsh(output.Chat - Cbar)).max(axis=-1)
     yerr = np.linalg.norm(output.yhat - ybar, axis=-1)
     return cerr, yerr
 
@@ -101,8 +100,8 @@ def consensus_error(
 def residual(output: ConsensusOutput, theta: np.ndarray) -> np.ndarray:
     """Regression-identity residual r_i = yhat_i - Chat_i theta, shape (N,n).
 
+    theta is one (n,) vector for every agent or one row per agent, (N, n).
     Identically zero for zero-initialized, noiseless, non-quantized runs; under
     quantization its norm is diagnosed against the r(eps) ceiling.
     """
-    theta = np.asarray(theta, dtype=float)
-    return output.yhat - np.einsum("aij,j->ai", output.Chat, theta)
+    return output.yhat - (output.Chat @ theta[..., None])[..., 0]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import consensus as cns
 from .consensus import ConsensusOutput
 
 
@@ -46,19 +47,23 @@ def ge_derivative(
     gain: np.ndarray,
 ) -> np.ndarray:
     """Gradient-flow update: gain @ Chat^T (yhat - Chat theta_hat), per agent."""
-    err = out.yhat - (out.Chat @ theta_hat[..., None])[..., 0]
-    grad = (err[..., None, :] @ out.Chat)[..., 0, :]
+    grad = (cns.residual(out, theta_hat)[..., None, :] @ out.Chat)[..., 0, :]
     return grad @ gain.T
 
 
 def centralized_ge_derivative(
     theta_hat_c: np.ndarray,
-    C: np.ndarray,
-    y: np.ndarray,
+    M: np.ndarray,
+    v: np.ndarray,
     gain: np.ndarray,
 ) -> np.ndarray:
-    """Gradient flow on the stacked network-wide regression (baseline)."""
-    return gain @ (C.T @ (y - C @ theta_hat_c))
+    """Gradient flow on the stacked network-wide regression (baseline).
+
+    M = sum_i C_i^T C_i and v = sum_i C_i^T y_i are the network sums of the
+    surrogates, so gain (v - M theta) is gain C^T (y - C theta) of the stacked
+    regressor C and output y.
+    """
+    return gain @ (v - M @ theta_hat_c)
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,8 @@ class DremFilterBank:
     """First-order stable filter bank z' = -beta z + alpha u per operator.
 
     Each filter realizes the transfer function alpha/(s + beta) applied to
-    both consensus channels; beta > 0 (exponentially stable), alpha != 0.
+    the packed consensus output row, both channels at once; beta > 0
+    (exponentially stable), alpha != 0.
     """
 
     alphas: np.ndarray
@@ -96,29 +102,23 @@ def default_filter_bank(n: int) -> DremFilterBank:
 
 
 def drem_filter_derivative(
-    bank: DremFilterBank,
-    zC: np.ndarray,
-    zy: np.ndarray,
-    out: ConsensusOutput,
-) -> tuple[np.ndarray, np.ndarray]:
-    """State derivatives of the filter bank driven by the consensus outputs."""
-    a = bank.alphas[None, :, None, None]
-    b = bank.betas[None, :, None, None]
-    dzC = -b * zC + a * out.Chat[:, None]
-    dzy = -b[..., 0] * zy + a[..., 0] * out.yhat[:, None]
-    return dzC, dzy
+    bank: DremFilterBank, z: np.ndarray, out: ConsensusOutput
+) -> np.ndarray:
+    """State derivative of the filter bank driven by the consensus outputs.
+
+    z holds each agent's r filtered copies of its packed output row Z,
+    shape (N, r, n^2 + n): one filter equation for both channels.
+    """
+    return -bank.betas[:, None] * z + bank.alphas[:, None] * out.Z[:, None]
 
 
-def drem_extend(
-    out: ConsensusOutput, zC: np.ndarray, zy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def drem_extend(out: ConsensusOutput, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stack the raw consensus output atop the filtered copies.
 
     Returns Cf of shape (N, (r+1)n, n) and yf of shape (N, (r+1)n).
     """
     n_agents, n = out.yhat.shape
-    blocks_c = np.concatenate([out.Chat[:, None], zC], axis=1)
-    blocks_y = np.concatenate([out.yhat[:, None], zy], axis=1)
+    blocks_c, blocks_y = cns.split(np.concatenate([out.Z[:, None], z], axis=1))
     return blocks_c.reshape(n_agents, -1, n), blocks_y.reshape(n_agents, -1)
 
 

@@ -199,7 +199,10 @@ def quantized_bounds(
         raise ValueError("invalid constants")
     n, N = c.n, c.n_agents
     lhs = c.alpha**2 / (c.T * N**2)
-    b_eps = n * c.gamma / (k * lambda_g) + epsilon * n**2 * math.sqrt(N) * lambda_max / lambda_g
+    b_eps = (
+        consensus_error_bound(n, c.gamma, k, lambda_g)
+        + epsilon * n**2 * math.sqrt(N) * lambda_max / lambda_g
+    )
     rhs = 2.0 * c.beta * c.T * b_eps
     r_eps = (
         epsilon
@@ -214,29 +217,6 @@ def quantized_bounds(
         b_eps=b_eps,
         r_eps=r_eps,
     )
-
-
-def switched_feasibility(
-    c: ExcitationConstants,
-    k: float,
-    lambda_g_min: float,
-    lambda_g_max: float,
-    epsilon: float,
-) -> tuple[bool, float]:
-    """Quantized feasibility over a switched graph family.
-
-    Uses the family-wide extremes: the smallest algebraic connectivity in the
-    denominators and the largest Laplacian eigenvalue in the quantization term.
-    """
-    qb = quantized_bounds(
-        c,
-        k,
-        lambda_g=lambda_g_min,
-        lambda_max=lambda_g_max,
-        epsilon=epsilon,
-        theta_norm=0.0,
-    )
-    return qb.feasible, qb.margin
 
 
 def analyze_scenario(
@@ -293,11 +273,15 @@ def analyze_scenario(
 
 
 def gain_margins(report: dict, k: float, epsilon: float, theta_norm: float) -> dict:
-    """The quantized and switched feasibility entries of a PE report at gain k."""
+    """The quantized and switched feasibility entries of a PE report at gain k.
+
+    Both use the family-wide extremes, the smallest algebraic connectivity
+    and the largest Laplacian eigenvalue, so the switched entry is the
+    quantized one's feasibility and margin (theta only enters r_eps).
+    """
     consts = report["constants"]
     lam_m, lam_max = report["lambda_g_min"], report["lambda_max_family"]
     qb = quantized_bounds(consts, k, lam_m, lam_max, epsilon, theta_norm)
-    feasible, margin = switched_feasibility(consts, k, lam_m, lam_max, epsilon)
     return {
         "quantized": {
             "k": k,
@@ -307,5 +291,5 @@ def gain_margins(report: dict, k: float, epsilon: float, theta_norm: float) -> d
             "b_eps": qb.b_eps,
             "r_eps": qb.r_eps,
         },
-        "switched": {"feasible": feasible, "margin": margin},
+        "switched": {"feasible": qb.feasible, "margin": qb.margin},
     }

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -90,9 +90,10 @@ def rk4_step(field, state: np.ndarray, t: float, h: float) -> np.ndarray:
 class _Layout:
     """Slicing map from a flat state vector to named array views.
 
-    A block of packed rows, shape (N, width), may name the parts of each
-    row, {part: shape}: unpack then also gives each part's (N, *shape) views,
-    and locate names an entry by its part, e.g. 'X[3, 0, 2]'.
+    A block of packed rows, shape (..., width), may name the parts of its
+    last axis, {part: shape}: unpack then also gives each part's
+    (..., *shape) views, and locate names an entry by its part, e.g.
+    'X[3, 0, 2]' or 'drem.zy[3, 1, 2]'.
     """
 
     def __init__(self):
@@ -119,7 +120,7 @@ class _Layout:
         for name, shape, sl, _, _, columns in self._specs:
             views[name] = rows = flat[sl].reshape(shape)
             for part, part_shape, cols in columns:
-                views[part] = rows[:, cols].reshape(shape[0], *part_shape)
+                views[part] = rows[..., cols].reshape(*shape[:-1], *part_shape)
         return views
 
     def check_mask(self) -> np.ndarray:
@@ -137,9 +138,9 @@ class _Layout:
                 if not per_agent:
                     return name, None, index
                 for part, part_shape, cols in columns:
-                    if cols.start <= index[1] < cols.stop:
-                        entry = np.unravel_index(index[1] - cols.start, part_shape)
-                        return part, index[0], tuple(int(j) for j in entry)
+                    if cols.start <= index[-1] < cols.stop:
+                        entry = np.unravel_index(index[-1] - cols.start, part_shape)
+                        return part, index[0], index[1:-1] + tuple(int(j) for j in entry)
                 return name, index[0], index[1:]
         raise IndexError(f"flat index {flat_index} outside the state")
 
@@ -225,26 +226,20 @@ class Metrics:
         }
 
 
-class EstimatorInput(NamedTuple):
-    """What an estimator reads at one time: the consensus outputs, and the
-    network's regressors and outputs per agent (zero padding rows included)."""
-
-    out: cns.ConsensusOutput
-    c_all: np.ndarray  # (N, p_max, n)
-    y_all: np.ndarray  # (N, p_max)
-
-
 @dataclass(frozen=True)
 class Estimator:
     """One estimator kind, declared once.
 
-    blocks(cfg) lists its state blocks as (name, shape, checked); the state
-    stores them as "<kind>.<name>", and unchecked blocks are exempt from the
-    divergence guard. field(cfg, v, inp) evaluates the kind at one state
-    from its block views v: it returns one derivative per block, in block
-    order, and the EstimatorTrace fields of a sample at that state, err_norm
-    aside. per_agent=False marks a kind whose blocks have no agent axis. The
-    estimators module is looked up at call time.
+    blocks(cfg) lists its state blocks as (name, shape, checked), or
+    (name, shape, checked, parts) for a block of packed rows whose parts
+    name its entries (see _Layout); the state stores them as
+    "<kind>.<name>", and unchecked blocks are exempt from the divergence
+    guard. field(cfg, v, out, rows) evaluates the kind at one state from its
+    block views v, the consensus outputs and the packed surrogate inputs
+    [C_i^T C_i | C_i^T y_i] of every agent: it returns one derivative per
+    block, in block order, and the EstimatorTrace fields of a sample at that
+    state, err_norm aside. per_agent=False marks a kind whose blocks have no
+    agent axis. The estimators module is looked up at call time.
     """
 
     blocks: Callable
@@ -264,24 +259,23 @@ def _mixing(cfg, v, scal) -> tuple[list, dict]:
     return derivs, {"theta_hat": v["theta"], "phi": scal.phi, "phi_sq_int": v["phi_int"]}
 
 
-def _drem_field(cfg, v, inp: EstimatorInput) -> tuple[list, dict]:
-    filters = est.drem_filter_derivative(cfg.drem_filters, v["zC"], v["zy"], inp.out)
-    cf, yf = est.drem_extend(inp.out, v["zC"], v["zy"])
-    derivs, sample = _mixing(cfg, v, est.drem_scalarize(cf, yf))
-    return [*filters, *derivs], sample
+def _drem_field(cfg, v, out, rows) -> tuple[list, dict]:
+    dz = est.drem_filter_derivative(cfg.drem_filters, v["z"], out)
+    derivs, sample = _mixing(cfg, v, est.drem_scalarize(*est.drem_extend(out, v["z"])))
+    return [dz, *derivs], sample
 
 
 ESTIMATORS = {
     "ge": Estimator(
         blocks=lambda cfg: [("theta", (cfg.n_agents, cfg.n), True)],
-        field=lambda cfg, v, inp: _gradient(
-            v, est.ge_derivative(v["theta"], inp.out, cfg.gamma_ge)
+        field=lambda cfg, v, out, rows: _gradient(
+            v, est.ge_derivative(v["theta"], out, cfg.gamma_ge)
         ),
     ),
     "drem": Estimator(
         blocks=lambda cfg: [
-            ("zC", (cfg.n_agents, cfg.drem_filters.r, cfg.n, cfg.n), True),
-            ("zy", (cfg.n_agents, cfg.drem_filters.r, cfg.n), True),
+            ("z", (cfg.n_agents, cfg.drem_filters.r, cfg.n * cfg.n + cfg.n), True,
+             {"zC": (cfg.n, cfg.n), "zy": (cfg.n,)}),
             ("theta", (cfg.n_agents, cfg.n), True),
             ("phi_int", (cfg.n_agents,), False),
         ],
@@ -292,14 +286,13 @@ ESTIMATORS = {
             ("theta", (cfg.n_agents, cfg.n), True),
             ("phi_int", (cfg.n_agents,), False),
         ],
-        field=lambda cfg, v, inp: _mixing(cfg, v, est.drem_simple_scalarize(inp.out)),
+        field=lambda cfg, v, out, rows: _mixing(cfg, v, est.drem_simple_scalarize(out)),
     ),
     "centralized": Estimator(
         blocks=lambda cfg: [("theta", (cfg.n,), True)],
-        field=lambda cfg, v, inp: _gradient(
+        field=lambda cfg, v, out, rows: _gradient(
             v, est.centralized_ge_derivative(
-                v["theta"], inp.c_all.reshape(-1, cfg.n), inp.y_all.reshape(-1),
-                cfg.gamma_centralized,
+                v["theta"], *cns.split(rows.sum(axis=0)), cfg.gamma_centralized
             )
         ),
         per_agent=False,
@@ -361,11 +354,12 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     layout = _Layout()
     layout.add("consensus", (N, n * n + n), parts={"X": (n, n), "x": (n,)})
     for kind, spec in kinds.items():
-        for name, shape, check in blocks[kind]:
-            layout.add(f"{kind}.{name}", shape, check, spec.per_agent)
+        for name, shape, check, *parts in blocks[kind]:
+            parts = {f"{kind}.{part}": ps for part, ps in dict(*parts).items()}
+            layout.add(f"{kind}.{name}", shape, check, spec.per_agent, parts)
 
     def kind_views(views: dict, kind: str) -> dict:
-        return {name: views[f"{kind}.{name}"] for name, _, _ in blocks[kind]}
+        return {name: views[f"{kind}.{name}"] for name, *_ in blocks[kind]}
 
     n_steps = int(round(cfg.t_end / cfg.h))
     n_samples = n_steps // cfg.decimation + 1
@@ -399,29 +393,26 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     half_h = 0.5 * cfg.h
 
     def input_tables(step: int, K: int, c_prev):
-        """The inputs the field reads over the K steps from `step` on.
+        """The packed inputs the field reads over the K steps from `step` on.
 
-        Step s's RK4 stages visit the half-step grid times m = 2s, 2s+1
-        (twice) and 2s+2, holding s's noise draw; m*h/2 is the one spelling
-        of each time, so t + h and (s+1)*h share their entry. The tables
-        cover m = 2*step + j, j < G: c_grid[j] the regressors, evaluated once
-        per time (row 0 is the previous block's last, c_prev), and
-        y_tab[j, v], P[j, v] the outputs y = C theta + eta and the packed
-        surrogates [C^T C | C^T y]. With noise, v = 0 holds the draw of the
-        step that starts at or before time m and v = 1 that of the step
-        ending at m (read at even m only); without noise, one v serves both.
-        C^T C is formed once per table time, C^T y once per (time, draw).
+        Step s's RK4 stages c = 0, 1 (twice), 2 visit the half-step grid
+        times m = 2s + c, all holding s's noise draw; m*h/2 is the one
+        spelling of each time, so t + h and (s+1)*h share it. P[j, c] is
+        the packed surrogate [C^T C | C^T y] at stage c of step step + j,
+        with y = C theta + eta. The regressors are evaluated once per grid
+        time up to t_end; the first time is the previous block's last, whose
+        stack c_prev is carried over. The last step only reads its stage 0,
+        so its other stages repeat it. Returns P and the stack at the block's
+        last grid time.
         """
-        m0 = 2 * step
-        G = min(2 * K, 2 * n_steps - m0) + 1
-        m_new = np.arange(m0 + (c_prev is not None), m0 + G)
-        c_grid = gen.evaluate_all(m_new * half_h)
+        m_end = min(2 * (step + K), 2 * n_steps)
+        c_grid = gen.evaluate_all(np.arange(2 * step + (c_prev is not None), m_end + 1) * half_h)
         if c_prev is not None:
             c_grid = np.concatenate([c_prev[None], c_grid])
-        y_grid = np.einsum("...api,i->...ap", c_grid, theta)
-        if noise_rngs is None:
-            y_tab = y_grid[:, None]
-        else:
+        stages = np.minimum(2 * np.arange(K)[:, None] + np.arange(3), len(c_grid) - 1)
+        c = c_grid[stages]  # (K, 3, N, p_max, n)
+        y = np.einsum("...api,i->...ap", c, theta)
+        if noise_rngs is not None:
             # K steps of p_i draws per agent in one call, the same numbers as
             # K calls of p_i; the padding rows stay noise-free.
             draws = [
@@ -430,12 +421,8 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
             ]
             noise = np.zeros((K, N * p_max))
             noise[:, gen.real_rows] = cfg.noise_sd * np.concatenate(draws, axis=1)
-            noise = noise.reshape(K, N, p_max)
-            s = np.arange(G) // 2
-            held = np.stack([noise[np.minimum(s, K - 1)], noise[np.maximum(s - 1, 0)]], axis=1)
-            y_tab = y_grid[:, None] + held
-        cp, yp = surrogate_all(c_grid[:, None], y_tab)
-        return c_grid, y_tab, cns.pack(np.broadcast_to(cp, (*yp.shape, n)), yp)
+            y += noise.reshape(K, 1, N, p_max)
+        return cns.pack(*surrogate_all(c, y)), c_grid[-1].copy()
 
     max_conservation = max_asymmetry = 0.0
 
@@ -481,17 +468,14 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     pending: list[int] = []
 
     def field(t: float, flat: np.ndarray) -> np.ndarray:
-        # lap, step and the input tables are the current step's and block's.
+        # lap, step, step0 and P are the current step's and block's.
         stage[:] = flat
-        m = round(t / half_h)
-        at = (m - m0, -1 if m - 2 * step == 2 else 0)
-        rows = P[at]
+        rows = P[step - step0, round(t / half_h) - 2 * step]
         out = cns.consensus_outputs(rows, stage_views["consensus"])
-        inp = EstimatorInput(out, c_grid[at[0]], y_tab[at])
         dv["consensus"][:] = cns.dac_derivative(out, lap, k, cfg.epsilon)
         kind_samples = []
         for spec, v, d, rec in field_kinds:
-            derivs, sample = spec.field(cfg, v, inp)
+            derivs, sample = spec.field(cfg, v, out, rows)
             for view, value in zip(d, derivs):
                 view[:] = value
             kind_samples.append((rec, sample))
@@ -505,7 +489,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     links_up = 0
     next_loss_t = 0.0
     prev_topo_idx = -1
-    c_grid = None
+    c_last = None
 
     for step in range(n_steps + 1):
         t = step * cfg.h
@@ -527,14 +511,9 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
             lap = cns.effective_laplacian(cfg.schedule.topologies[topo_idx], mask)
 
         if step % INPUT_BLOCK == 0:
-            K = min(INPUT_BLOCK, n_steps + 1 - step)
-            m0 = 2 * step
-            # The previous block's tables are dropped before the next ones are
-            # built, so two blocks' tables are never held at once; only its
-            # last regressor stack is carried over.
-            c_last = None if c_grid is None else c_grid[-1].copy()
-            c_grid = y_tab = P = None
-            c_grid, y_tab, P = input_tables(step, K, c_last)
+            step0 = step
+            P = None  # never hold two blocks' tables at once
+            P, c_last = input_tables(step, min(INPUT_BLOCK, n_steps + 1 - step), c_last)
 
         if step % cfg.decimation == 0:
             i = step // cfg.decimation

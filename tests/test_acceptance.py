@@ -237,7 +237,7 @@ def test_criterion_11_cooperative_demo():
         c = cfg.generator.evaluate(i, 0.0)
         y = c @ cfg.theta
         th = np.zeros(cfg.n)
-        field = lambda t, s: centralized_ge_derivative(s, c, y, cfg.gamma_ge)
+        field = lambda t, s: centralized_ge_derivative(s, c.T @ c, c.T @ y, cfg.gamma_ge)
         for step in range(int(cfg.t_end / cfg.h)):
             th = rk4_step(field, th, step * cfg.h, cfg.h)
         err = np.linalg.norm(th - cfg.theta)

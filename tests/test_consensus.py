@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiera_est.consensus import (
+    ConsensusOutput,
     average_reference,
     consensus_error,
     consensus_outputs,
@@ -14,7 +15,6 @@ from hiera_est.consensus import (
     effective_laplacian,
     pack,
     residual,
-    spectral_norms,
     split,
 )
 from hiera_est.graph import topology_from_edges
@@ -135,9 +135,24 @@ class TestEffectiveLaplacian:
 
 
 class TestErrorsAndResidual:
-    def test_spectral_norms(self):
-        mats = np.stack([np.diag([3.0, 1.0]), np.diag([0.5, 2.0])])
-        np.testing.assert_allclose(spectral_norms(mats), [3.0, 2.0])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        n_agents=st.integers(1, 6),
+        scale=st.floats(-3.0, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spectral_norms(self, n, n_agents, scale, seed):
+        # The matrix error of a symmetric stack is its induced 2-norm, the
+        # largest singular value.
+        rng = np.random.default_rng(seed)
+        a = 10.0**scale * rng.normal(size=(n_agents + 1, n, n))
+        sym = a + np.swapaxes(a, -1, -2)
+        chat, cbar = sym[1:], sym[0]
+        out = ConsensusOutput(pack(chat, np.zeros((n_agents, n))))
+        cerr, _ = consensus_error(out, cbar, np.zeros(n))
+        reference = np.linalg.svd(chat - cbar, compute_uv=False)[:, 0]
+        np.testing.assert_allclose(cerr, reference, rtol=1e-13, atol=0.0)
 
     def test_zero_error_at_average(self, data):
         cp, yp, _ = data
@@ -151,6 +166,14 @@ class TestErrorsAndResidual:
         cp, yp, theta = data
         out = outputs(cp, yp, *zeros())
         np.testing.assert_allclose(residual(out, theta), 0.0, atol=1e-10)
+
+    def test_residual_per_agent_theta(self, data):
+        # One theta row per agent gives each agent's own residual.
+        cp, yp, theta = data
+        out = outputs(cp, yp, *zeros())
+        thetas = theta + np.arange(4.0)[:, None]
+        for i in range(4):
+            np.testing.assert_array_equal(residual(out, thetas)[i], residual(out, thetas[i])[i])
 
     def test_residual_detects_wrong_theta(self, data):
         cp, yp, theta = data

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiera_est.consensus import ConsensusOutput, pack
+from hiera_est.consensus import ConsensusOutput, pack, split
 from hiera_est.estimators import (
     DremFilterBank,
     adjugate,
@@ -17,6 +17,7 @@ from hiera_est.estimators import (
     ge_derivative,
     l2_divergence_monitor,
 )
+from hiera_est.signals import sample_coefficients, surrogate_all
 
 
 # Entries of adj(G) are sums of (n-1)-fold products of entries of G and det(G)
@@ -85,15 +86,34 @@ class TestGe:
         d = ge_derivative(np.tile(theta, (3, 1)), out, np.eye(2))
         np.testing.assert_allclose(d, 0.0, atol=1e-12)
 
-    def test_centralized_matches_definition(self):
-        rng = np.random.default_rng(2)
-        C = rng.normal(size=(7, 3))
-        y = rng.normal(size=7)
-        th = rng.normal(size=3)
-        gain = 2.0 * np.eye(3)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        rows=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_centralized_matches_definition(self, n, rows, seed):
+        # gain (sum C_i^T y_i - sum C_i^T C_i theta) is gain C^T (y - C theta)
+        # of the stacked real rows; zero padding rows change neither sum.
+        rng = np.random.default_rng(seed)
+        gen = sample_coefficients(n, len(rows), rows, [-2, 2], [0, 3], seed=seed)
+        c_all = gen.evaluate_all(rng.uniform(0, 10))
+        y_all = np.zeros(c_all.shape[0] * c_all.shape[1])
+        y_all[gen.real_rows] = rng.normal(size=len(gen.real_rows))
+        y_all = y_all.reshape(c_all.shape[:2])
+        th = rng.normal(size=n)
+        a = rng.normal(size=(n, n))
+        gain = a @ a.T
+        M, v = split(pack(*surrogate_all(c_all, y_all)).sum(axis=0))
+        C = c_all.reshape(-1, n)[gen.real_rows]
+        y = y_all.reshape(-1)[gen.real_rows]
+        nc = np.linalg.norm(C)
+        scale = np.linalg.norm(gain) * nc * (nc * np.linalg.norm(th) + np.linalg.norm(y))
         np.testing.assert_allclose(
-            centralized_ge_derivative(th, C, y, gain),
+            centralized_ge_derivative(th, M, v, gain),
             gain @ C.T @ (y - C @ th),
+            rtol=0,
+            atol=1e-13 * scale,
         )
 
 
@@ -118,25 +138,50 @@ class TestFilterBank:
         # z' = -beta z + alpha u with constant u converges to (alpha/beta) u
         bank = DremFilterBank(alphas=np.array([2.0]), betas=np.array([4.0]))
         out = ConsensusOutput(pack(np.full((1, 1, 1), 3.0), np.full((1, 1), 5.0)))
-        zC, zy = np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1))
+        z = np.zeros((1, 1, 2))
         h = 1e-3
         for _ in range(5000):
-            dzC, dzy = drem_filter_derivative(bank, zC, zy, out)
-            zC, zy = zC + h * dzC, zy + h * dzy
+            z = z + h * drem_filter_derivative(bank, z, out)
+        zC, zy = split(z)
         np.testing.assert_allclose(zC[0, 0, 0, 0], 2.0 / 4.0 * 3.0, rtol=1e-3)
         np.testing.assert_allclose(zy[0, 0, 0], 2.0 / 4.0 * 5.0, rtol=1e-3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        n_agents=st.integers(1, 5),
+        r=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_packed_filter_is_both_channel_filters(self, n, n_agents, r, seed):
+        # One filter equation on the packed rows gives, bit for bit, the
+        # matrix channel's -beta zC + alpha Chat and the vector channel's
+        # -beta zy + alpha yhat.
+        rng = np.random.default_rng(seed)
+        bank = DremFilterBank(alphas=rng.uniform(0.5, 2.0, r), betas=rng.uniform(0.5, 5.0, r))
+        out = make_output(rng, n_agents, n)
+        z = 10.0 ** rng.uniform(-3, 5) * rng.normal(size=(n_agents, r, n * n + n))
+        zC, zy = split(z)
+        a, b = bank.alphas, bank.betas
+        dzC, dzy = split(drem_filter_derivative(bank, z, out))
+        np.testing.assert_array_equal(
+            dzC, -b[:, None, None] * zC + a[:, None, None] * out.Chat[:, None]
+        )
+        np.testing.assert_array_equal(dzy, -b[:, None] * zy + a[:, None] * out.yhat[:, None])
 
     def test_extend_shapes_and_content(self):
         rng = np.random.default_rng(3)
         out = make_output(rng, n_agents=2, n=3)
         bank = default_filter_bank(3)
-        zC = rng.normal(size=(2, bank.r, 3, 3))
-        zy = rng.normal(size=(2, bank.r, 3))
-        cf, yf = drem_extend(out, zC, zy)
+        z = rng.normal(size=(2, bank.r, 12))
+        zC, zy = split(z)
+        cf, yf = drem_extend(out, z)
         assert cf.shape == (2, 9, 3) and yf.shape == (2, 9)
         np.testing.assert_array_equal(cf[:, :3], out.Chat)
         np.testing.assert_array_equal(cf[:, 3:6], zC[:, 0])
+        np.testing.assert_array_equal(cf[:, 6:], zC[:, 1])
         np.testing.assert_array_equal(yf[:, :3], out.yhat)
+        np.testing.assert_array_equal(yf[:, 3:], zy.reshape(2, -1))
 
 
 class TestAdjugate:

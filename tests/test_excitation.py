@@ -12,7 +12,6 @@ from hiera_est.excitation import (
     gain_margins,
     pe_level,
     quantized_bounds,
-    switched_feasibility,
 )
 from hiera_est.graph import constant_schedule, topology_from_edges
 from hiera_est.signals import RegressorGenerator, sample_coefficients
@@ -190,10 +189,14 @@ class TestQuantizedBounds:
         np.testing.assert_allclose(qb.margin, lhs - rhs, rtol=1e-12)
 
     def test_switched_uses_worst_case(self):
+        # The switched entry is the feasibility and margin at the family's
+        # extremes, lambda_g_min and lambda_max_family; theta only enters r_eps.
         c = self.consts()
-        f1, m1 = switched_feasibility(c, 2.806, 0.367, 4.0, 0.01)
+        report = {"constants": c, "lambda_g_min": 0.367, "lambda_max_family": 4.0}
+        margins = gain_margins(report, 2.806, 0.01, theta_norm=3.0)
         qb = quantized_bounds(c, 2.806, 0.367, 4.0, 0.01, 0.0)
-        assert (f1, m1) == (qb.feasible, qb.margin)
+        assert margins["switched"] == {"feasible": qb.feasible, "margin": qb.margin}
+        assert margins["quantized"]["margin"] == qb.margin
 
 
 def test_analyze_scenario_report():

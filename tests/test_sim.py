@@ -267,6 +267,35 @@ class TestRunScenario:
         assert (e.block, e.agent, e.entry, e.t) == ("ge.theta", 2, (1,), 0.001)
         assert e.value > 1e12
 
+    @pytest.mark.parametrize(
+        "column, name, block, entry",
+        [
+            (5, r"drem\.zC\[2, 1, 1, 2\]", "drem.zC", (1, 1, 2)),
+            (10, r"drem\.zy\[2, 1, 1\]", "drem.zy", (1, 1)),
+        ],
+    )
+    def test_divergent_filter_entry_named_by_its_channel(
+        self, monkeypatch, column, name, block, entry
+    ):
+        # n = 3: each filter's packed row is [vec(zC) | zy], 9 + 3 entries;
+        # filter 1 of agent 2 blows up in one of them. A tiny gamma_drem
+        # keeps theta from outgrowing that entry through the blown-up Gram.
+        drem_filter_derivative = estimators.drem_filter_derivative
+
+        def blown(bank, z, out):
+            d = drem_filter_derivative(bank, z, out)
+            d[2, 1, column] += 1e18
+            return d
+
+        monkeypatch.setattr(estimators, "drem_filter_derivative", blown)
+        doc = small_doc(
+            n=3, theta=[1.0, -2.0, 0.5], estimators=["drem"], gamma_drem=1e-300, t_end=0.01
+        )
+        with pytest.raises(SimulationDiverged, match=rf"'{name}' diverged at t=0\.001 ") as err:
+            run_scenario(load_config(doc))
+        e = err.value
+        assert (e.block, e.agent, e.entry, e.t) == (block, 2, entry, 0.001)
+
     def test_centralized_baseline(self):
         tr = run_scenario(
             load_config(small_doc(estimators=["centralized"], gamma_centralized=0.5))

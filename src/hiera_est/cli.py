@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import excitation as exc
-from .config import ConfigError, apply_overrides, load_config
+from .config import ConfigError, apply_overrides, load_config, number
 from .graph import GraphError
 from .sim import (
     InvariantViolation,
@@ -58,8 +58,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, exc.ExcitationConstants):
-        return dataclasses.asdict(obj)
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -111,7 +109,6 @@ def cmd_analyze(args) -> int:
     report = analysis_report(cfg)
     if cfg.k != "auto":
         _add_gain_margins(report, cfg, float(cfg.k))
-    report.pop("constants", None)
     print(json.dumps(_jsonable(report), indent=2))
     return EXIT_OK
 
@@ -227,6 +224,11 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def finite(text: str) -> float:
+    """argparse type of a float constant: a scenario number's finite check."""
+    return number(float(text), "value")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hiera-est",
@@ -234,48 +236,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="integrate one scenario and write artifacts")
-    p_run.add_argument("-c", "--config", required=True, help="scenario JSON file")
-    p_run.add_argument("-o", "--output", required=True, help="output directory")
-    p_run.add_argument(
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("-c", "--config", required=True, help="scenario JSON file")
+    scenario.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
         help="override a (dotted) config key",
     )
+    constants = argparse.ArgumentParser(add_help=False)
+    constants.add_argument("--n", type=int, required=True)
+    constants.add_argument("--N", type=int, required=True)
+    for name in ("--beta", "--gamma", "--T", "--alpha"):
+        constants.add_argument(name, type=finite, required=True)
+    constants.add_argument("--lambda-g", type=finite, required=True, dest="lambda_g")
+
+    p_run = sub.add_parser(
+        "run", parents=[scenario], help="integrate one scenario and write artifacts"
+    )
+    p_run.add_argument("-o", "--output", required=True, help="output directory")
     p_run.set_defaults(func=cmd_run)
 
-    p_an = sub.add_parser("analyze", help="excitation/feasibility report (no run)")
-    p_an.add_argument("-c", "--config", required=True)
-    p_an.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    p_an = sub.add_parser(
+        "analyze", parents=[scenario], help="excitation/feasibility report (no run)"
+    )
     p_an.set_defaults(func=cmd_analyze)
 
-    p_gb = sub.add_parser("gain-bound", help="minimum consensus gain from constants")
-    p_gb.add_argument("--n", type=int, required=True)
-    p_gb.add_argument("--N", type=int, required=True)
-    p_gb.add_argument("--beta", type=float, required=True)
-    p_gb.add_argument("--gamma", type=float, required=True)
-    p_gb.add_argument("--T", type=float, required=True)
-    p_gb.add_argument("--alpha", type=float, required=True)
-    p_gb.add_argument("--lambda-g", type=float, required=True, dest="lambda_g")
+    p_gb = sub.add_parser(
+        "gain-bound", parents=[constants], help="minimum consensus gain from constants"
+    )
     p_gb.set_defaults(func=cmd_gain_bound)
 
     p_fs = sub.add_parser(
-        "feasibility", help="quantized/switched excitation feasibility check"
+        "feasibility", parents=[constants], help="quantized/switched excitation feasibility check"
     )
-    p_fs.add_argument("--n", type=int, required=True)
-    p_fs.add_argument("--N", type=int, required=True)
-    p_fs.add_argument("--beta", type=float, required=True)
-    p_fs.add_argument("--gamma", type=float, required=True)
-    p_fs.add_argument("--T", type=float, required=True)
-    p_fs.add_argument("--alpha", type=float, required=True)
-    p_fs.add_argument("--k", type=float, required=True)
-    p_fs.add_argument("--lambda-g", type=float, required=True, dest="lambda_g")
-    p_fs.add_argument("--lambda-max", type=float, required=True, dest="lambda_max")
-    p_fs.add_argument("--epsilon", type=float, default=0.0)
-    p_fs.add_argument("--theta-norm", type=float, default=0.0, dest="theta_norm")
+    p_fs.add_argument("--k", type=finite, required=True)
+    p_fs.add_argument("--lambda-max", type=finite, required=True, dest="lambda_max")
+    p_fs.add_argument("--epsilon", type=finite, default=0.0)
+    p_fs.add_argument("--theta-norm", type=finite, default=0.0, dest="theta_norm")
     p_fs.set_defaults(func=cmd_feasibility)
 
-    p_sw = sub.add_parser("sweep", help="run a scenario over a list of values")
-    p_sw.add_argument("-c", "--config", required=True)
+    p_sw = sub.add_parser(
+        "sweep", parents=[scenario], help="run a scenario over a list of values"
+    )
     p_sw.add_argument("-o", "--output", required=True)
     p_sw.add_argument("--axis", required=True, help="dotted config key to vary")
     p_sw.add_argument("--values", required=True, help="comma-separated values")
@@ -283,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="parallel workers (at most one per value and per CPU)",
     )
-    p_sw.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p_sw.set_defaults(func=cmd_sweep)
 
     return parser

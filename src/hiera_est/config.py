@@ -3,23 +3,22 @@
 A scenario is a single JSON document; unknown keys are rejected so typos
 fail loudly before any computation. Either a fixed "topology" or a
 "schedule" must be given, and regressor coefficients come either from
-sampling ranges (with the scenario seed) or from explicit tables.
+sampling ranges (with the scenario seed) or from explicit tables. Each
+number in the document is read through `number`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+import copy
+import json
+from dataclasses import dataclass, field, fields
+from sys import float_info
 
 import numpy as np
 
 from .estimators import DremFilterBank, default_filter_bank
-from .graph import (
-    SwitchingSchedule,
-    Topology,
-    constant_schedule,
-    topology_from_edges,
-)
+from .excitation import DEFAULT_ALPHA_THRESHOLD, DEFAULT_SUP_INFLATION
+from .graph import SwitchingSchedule, constant_schedule, topology_from_edges
 from .signals import RegressorGenerator, sample_coefficients
 
 
@@ -27,18 +26,8 @@ class ConfigError(ValueError):
     """Scenario configuration failed validation."""
 
 
-_TOP_KEYS = {
-    "n", "n_agents", "rows_per_agent", "theta",
-    "coeff_range", "freq_range", "coeff_tables", "seed",
-    "noise_sd", "epsilon", "p_loss", "loss_resample_dt",
-    "topology", "schedule",
-    "k", "gain_safety_factor",
-    "gamma_ge", "gamma_drem", "gamma_centralized",
-    "estimators", "drem_filters",
-    "h", "t_end", "decimation", "transient_fraction",
-    "analysis",
-}
-_ANALYSIS_KEYS = {"T_grid", "horizon", "grid_step", "alpha_threshold", "inflation"}
+# The number types a document may hold: JSON's, and numpy's from Python callers.
+_REALS = (int, float, np.integer, np.floating)
 
 
 def _require(cond: bool, msg: str):
@@ -47,8 +36,25 @@ def _require(cond: bool, msg: str):
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
+    _require(isinstance(d, dict), f"{where} must be a JSON object")
     unknown = set(d) - allowed
     _require(not unknown, f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def number(value, key: str, integer: bool = False) -> float | int:
+    """One number of a scenario: finite, not a boolean, integral when `integer`."""
+    # abs(value) <= max compares an int of any size exactly and is false for NaN.
+    if isinstance(value, bool) or not (isinstance(value, _REALS) and abs(value) <= float_info.max):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if integer and not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _array(value, key: str) -> np.ndarray:
+    """A number or a rectangular (nested) list of numbers, each read by `number`."""
+    a = np.asarray(value, dtype=object)  # a ragged list leaves lists as entries
+    return np.array([number(x, key) for x in a.flat], dtype=float).reshape(a.shape)
 
 
 @dataclass
@@ -58,51 +64,62 @@ class AnalysisConfig:
     T_grid: tuple[float, ...] = (0.04, 0.08, 0.16, 0.32, 0.64)
     horizon: float = 5.0
     grid_step: float = 2e-3
-    alpha_threshold: float = 1e-3
-    inflation: float = 1.05
+    alpha_threshold: float = DEFAULT_ALPHA_THRESHOLD
+    inflation: float = DEFAULT_SUP_INFLATION
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisConfig":
-        _reject_unknown(d, _ANALYSIS_KEYS, "analysis")
-        kwargs: dict[str, Any] = {}
+        _reject_unknown(d, {f.name for f in fields(cls)}, "analysis")
+        kwargs = {key: number(v, f"analysis.{key}") for key, v in d.items() if key != "T_grid"}
         if "T_grid" in d:
-            kwargs["T_grid"] = tuple(float(x) for x in d["T_grid"])
-        for key in ("horizon", "grid_step", "alpha_threshold", "inflation"):
-            if key in d:
-                kwargs[key] = float(d[key])
+            grid = _array(d["T_grid"], "analysis.T_grid")
+            _require(grid.ndim == 1 and grid.size > 0, "analysis.T_grid must be a nonempty list")
+            kwargs["T_grid"] = tuple(grid.tolist())
         cfg = cls(**kwargs)
         _require(cfg.horizon > 0 and cfg.grid_step > 0, "analysis times must be positive")
-        _require(len(cfg.T_grid) > 0, "analysis T_grid must be nonempty")
         return cfg
+
+
+# The range of a scalar key: the rule as its error message states it, and its test.
+_POSITIVE = ("> 0", lambda x: x > 0)
+_NONNEGATIVE = (">= 0", lambda x: x >= 0)
+_AT_LEAST_ONE = (">= 1", lambda x: x >= 1)
+_FRACTION = ("in [0, 1)", lambda x: 0 <= x < 1)
+
+
+def _scalar(default, valid: tuple):
+    """The schema of a scalar key: its default (None when required) and range.
+    The field's annotation, int or float, is the key's type."""
+    return field(metadata={"default": default, "valid": valid})
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated description of one simulation run."""
+    """Validated description of one simulation run; `_scalar` fields are the schema."""
 
-    n: int
-    n_agents: int
+    n: int = _scalar(None, _AT_LEAST_ONE)
+    n_agents: int = _scalar(None, _AT_LEAST_ONE)
     theta: np.ndarray
     schedule: SwitchingSchedule
     generator: RegressorGenerator
-    seed: int
+    seed: int = _scalar(0, _NONNEGATIVE)
     k: float | str  # positive gain or "auto"
-    gain_safety_factor: float = 1.01
-    gamma_ge: np.ndarray = None
-    gamma_drem: np.ndarray = None
-    gamma_centralized: np.ndarray = None
-    estimators: tuple[str, ...] = ("ge", "drem")
-    drem_filters: DremFilterBank = None
-    noise_sd: float = 0.0
-    epsilon: float = 0.0
-    p_loss: float = 0.0
-    loss_resample_dt: float = 0.1
-    h: float = 1e-3
-    t_end: float = 20.0
-    decimation: int = 10
-    transient_fraction: float = 0.3
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
-    raw: dict = field(default_factory=dict, repr=False)
+    gain_safety_factor: float = _scalar(1.01, _AT_LEAST_ONE)
+    gamma_ge: np.ndarray
+    gamma_drem: np.ndarray
+    gamma_centralized: np.ndarray
+    estimators: tuple[str, ...]
+    drem_filters: DremFilterBank
+    noise_sd: float = _scalar(0.0, _NONNEGATIVE)
+    epsilon: float = _scalar(0.0, _NONNEGATIVE)
+    p_loss: float = _scalar(0.0, _FRACTION)
+    loss_resample_dt: float = _scalar(0.1, _POSITIVE)
+    h: float = _scalar(1e-3, _POSITIVE)
+    t_end: float = _scalar(20.0, _POSITIVE)
+    decimation: int = _scalar(10, _AT_LEAST_ONE)
+    transient_fraction: float = _scalar(0.3, _FRACTION)
+    analysis: AnalysisConfig
+    raw: dict = field(repr=False)
 
     def echo(self) -> dict:
         """The original JSON document plus the sampled coefficient tables."""
@@ -111,13 +128,32 @@ class ScenarioConfig:
         return out
 
 
+SCALAR_FIELDS = tuple(f for f in fields(ScenarioConfig) if "valid" in f.metadata)
+# Document keys that are not fields: the sources of `schedule` and `generator`.
+_SOURCE_KEYS = {"topology", "rows_per_agent", "coeff_range", "freq_range", "coeff_tables"}
+_KEYS = {f.name for f in fields(ScenarioConfig)} - {"generator", "raw"} | _SOURCE_KEYS
+
+
+def _scalars(d: dict) -> dict:
+    """Every scalar key of a document, read by `number` and checked against its range."""
+    out = {}
+    for f in SCALAR_FIELDS:
+        default, (rule, ok) = f.metadata["default"], f.metadata["valid"]
+        _require(f.name in d or default is not None, f"missing required key: {f.name}")
+        x = out[f.name] = number(d.get(f.name, default), f.name, integer=f.type == "int")
+        if not ok(x):
+            raise ConfigError(f"{f.name} must be {rule}, got {x!r}")
+    _require(out["t_end"] >= 10 * out["h"], "t_end must cover at least 10 steps of h")
+    return out
+
+
 def _parse_gain_matrix(value, n: int, name: str) -> np.ndarray:
     """Scalar -> gamma*I; nested list -> symmetric positive-definite matrix."""
-    if np.isscalar(value):
-        g = float(value)
+    if not isinstance(value, list):
+        g = number(value, name)
         _require(g > 0, f"{name} must be positive")
         return g * np.eye(n)
-    m = np.asarray(value, dtype=float)
+    m = _array(value, name)
     _require(m.shape == (n, n), f"{name} must be scalar or {n}x{n}")
     _require(np.allclose(m, m.T), f"{name} must be symmetric")
     _require(np.linalg.eigvalsh(m)[0] > 0, f"{name} must be positive definite")
@@ -126,11 +162,11 @@ def _parse_gain_matrix(value, n: int, name: str) -> np.ndarray:
 
 def _parse_gain_diag(value, n: int, name: str) -> np.ndarray:
     """Scalar or length-n list of positive diagonal gains."""
-    if np.isscalar(value):
-        g = float(value)
+    if not isinstance(value, list):
+        g = number(value, name)
         _require(g > 0, f"{name} must be positive")
         return np.full(n, g)
-    v = np.asarray(value, dtype=float)
+    v = _array(value, name)
     _require(v.shape == (n,), f"{name} must be scalar or length {n}")
     _require(np.all(v > 0), f"{name} entries must be positive")
     return v
@@ -145,16 +181,14 @@ def _build_schedule(d: dict, n_agents: int) -> SwitchingSchedule:
     _require("schedule" in d, "scenario needs a topology or a schedule")
     sch = d["schedule"]
     _reject_unknown(sch, {"graphs", "segments", "dwell_min"}, "schedule")
-    topos = tuple(
-        topology_from_edges(n_agents, g["edges"]) for g in sch["graphs"]
-    )
-    segments = tuple((float(s), int(i)) for s, i in sch["segments"])
-    return SwitchingSchedule(
-        topologies=topos, segments=segments, dwell_min=float(sch["dwell_min"])
-    )
+    topos = tuple(topology_from_edges(n_agents, g["edges"]) for g in sch["graphs"])
+    key = "schedule.segments"
+    segments = tuple((number(s, key), number(i, key, integer=True)) for s, i in sch["segments"])
+    dwell_min = number(sch["dwell_min"], "schedule.dwell_min")
+    return SwitchingSchedule(topologies=topos, segments=segments, dwell_min=dwell_min)
 
 
-def _build_generator(d: dict, n: int, n_agents: int, rows, seed: int) -> RegressorGenerator:
+def _build_generator(d: dict, n: int, n_agents: int, seed: int) -> RegressorGenerator:
     if "coeff_tables" in d:
         _require(
             "coeff_range" not in d and "freq_range" not in d,
@@ -170,34 +204,27 @@ def _build_generator(d: dict, n: int, n_agents: int, rows, seed: int) -> Regress
         return gen
     coeff_range = d.get("coeff_range", [0.0, 20.0])
     freq_range = d.get("freq_range", [0.0, 3.0])
+    rows = d.get("rows_per_agent", 1)
     return sample_coefficients(n, n_agents, rows, coeff_range, freq_range, seed)
 
 
 def load_config(d: dict) -> ScenarioConfig:
     """Validate a scenario JSON document and build the runtime objects."""
-    _require(isinstance(d, dict), "scenario must be a JSON object")
-    _reject_unknown(d, _TOP_KEYS, "scenario")
-    try:
-        n = int(d["n"])
-        n_agents = int(d["n_agents"])
-        theta = np.asarray(d["theta"], dtype=float)
-        seed = int(d.get("seed", 0))
-    except KeyError as e:
-        raise ConfigError(f"missing required key: {e.args[0]}") from None
-    _require(n >= 1 and n_agents >= 1, "dimensions must be positive")
+    _reject_unknown(d, _KEYS, "scenario")
+    s = _scalars(d)
+    n, n_agents = s["n"], s["n_agents"]
+    _require("theta" in d, "missing required key: theta")
+    theta = _array(d["theta"], "theta")
     _require(theta.shape == (n,), f"theta must have length n={n}")
-
-    rows = d.get("rows_per_agent", 1)
     schedule = _build_schedule(d, n_agents)
-
     try:
-        generator = _build_generator(d, n, n_agents, rows, seed)
+        generator = _build_generator(d, n, n_agents, s["seed"])
     except (ValueError, KeyError) as e:
         raise ConfigError(f"bad regressor settings: {e}") from None
 
     k = d.get("k", "auto")
     if k != "auto":
-        k = float(k)
+        k = number(k, 'k (a number or "auto")')
         _require(k > 0, "consensus gain k must be positive")
 
     from .sim import ESTIMATORS  # the kinds are declared with the runner
@@ -208,81 +235,31 @@ def load_config(d: dict) -> ScenarioConfig:
         _require(e in ESTIMATORS, f"unknown estimator kind {e!r}")
     _require(len(set(estimators)) == len(estimators), "duplicate estimator kinds")
 
-    gamma_ge = _parse_gain_matrix(d.get("gamma_ge", 1.0), n, "gamma_ge")
-    gamma_drem = _parse_gain_diag(d.get("gamma_drem", 1.0), n, "gamma_drem")
-    gamma_centralized = _parse_gain_matrix(
-        d.get("gamma_centralized", 1.0), n, "gamma_centralized"
-    )
-
     if "drem_filters" in d:
         f = d["drem_filters"]
         _reject_unknown(f, {"alphas", "betas"}, "drem_filters")
+        alphas, betas = (_array(f.get(key), f"drem_filters.{key}") for key in ("alphas", "betas"))
         try:
-            bank = DremFilterBank(
-                alphas=np.asarray(f["alphas"], dtype=float),
-                betas=np.asarray(f["betas"], dtype=float),
-            )
+            bank = DremFilterBank(alphas=alphas, betas=betas)
         except ValueError as e:
             raise ConfigError(f"bad drem_filters: {e}") from None
     else:
         bank = default_filter_bank(n)
 
-    h = float(d.get("h", 1e-3))
-    t_end = float(d.get("t_end", 20.0))
-    _require(h > 0, "integrator step h must be positive")
-    _require(t_end >= 10 * h, "horizon must cover at least 10 steps")
-    decimation = int(d.get("decimation", 10))
-    _require(decimation >= 1, "decimation must be >= 1")
-
-    noise_sd = float(d.get("noise_sd", 0.0))
-    epsilon = float(d.get("epsilon", 0.0))
-    p_loss = float(d.get("p_loss", 0.0))
-    loss_resample_dt = float(d.get("loss_resample_dt", 0.1))
-    _require(noise_sd >= 0, "noise_sd must be nonnegative")
-    _require(epsilon >= 0, "epsilon must be nonnegative")
-    _require(0 <= p_loss < 1, "p_loss must be in [0, 1)")
-    _require(loss_resample_dt > 0, "loss_resample_dt must be positive")
-
-    transient_fraction = float(d.get("transient_fraction", 0.3))
-    _require(0 <= transient_fraction < 1, "transient_fraction must be in [0, 1)")
-
-    gain_safety_factor = float(d.get("gain_safety_factor", 1.01))
-    _require(gain_safety_factor >= 1.0, "gain_safety_factor must be >= 1")
-
-    analysis = AnalysisConfig.from_dict(d.get("analysis", {}))
-
     return ScenarioConfig(
-        n=n,
-        n_agents=n_agents,
-        theta=theta,
-        schedule=schedule,
-        generator=generator,
-        seed=seed,
-        k=k,
-        gain_safety_factor=gain_safety_factor,
-        gamma_ge=gamma_ge,
-        gamma_drem=gamma_drem,
-        gamma_centralized=gamma_centralized,
-        estimators=estimators,
-        drem_filters=bank,
-        noise_sd=noise_sd,
-        epsilon=epsilon,
-        p_loss=p_loss,
-        loss_resample_dt=loss_resample_dt,
-        h=h,
-        t_end=t_end,
-        decimation=decimation,
-        transient_fraction=transient_fraction,
-        analysis=analysis,
-        raw=d,
+        **s, theta=theta, schedule=schedule, generator=generator, k=k,
+        gamma_ge=_parse_gain_matrix(d.get("gamma_ge", 1.0), n, "gamma_ge"),
+        gamma_drem=_parse_gain_diag(d.get("gamma_drem", 1.0), n, "gamma_drem"),
+        gamma_centralized=_parse_gain_matrix(
+            d.get("gamma_centralized", 1.0), n, "gamma_centralized"
+        ),
+        estimators=estimators, drem_filters=bank,
+        analysis=AnalysisConfig.from_dict(d.get("analysis", {})), raw=d,
     )
 
 
 def apply_overrides(doc: dict, overrides: list[str]) -> dict:
     """Apply "dotted.key=value" override strings onto a JSON document copy."""
-    import copy
-    import json
-
     out = copy.deepcopy(doc)
     for item in overrides:
         if "=" not in item:

@@ -9,7 +9,7 @@ safety factor because a finite grid can only underestimate a supremum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -18,6 +18,7 @@ from .graph import SwitchingSchedule
 from .signals import RegressorGenerator
 
 DEFAULT_SUP_INFLATION = 1.05
+DEFAULT_ALPHA_THRESHOLD = 1e-3
 # Grid times per batched regressor evaluation in the analysis: enough to
 # amortise numpy's per-call cost, few enough that the (block, N, p_max, n)
 # temporaries stay small next to the run itself.
@@ -225,7 +226,7 @@ def analyze_scenario(
     T_grid,
     horizon: float,
     grid_step: float,
-    alpha_threshold: float = 1e-3,
+    alpha_threshold: float = DEFAULT_ALPHA_THRESHOLD,
     inflation: float = DEFAULT_SUP_INFLATION,
 ) -> dict:
     """Constants report for a scenario: alpha(T) curve, bounds, gain bound.
@@ -259,16 +260,10 @@ def analyze_scenario(
         return report
 
     T, alpha = chosen
-    consts = ExcitationConstants(
-        beta=beta, gamma=gamma, alpha=alpha, T=T, n=gen.n_params, n_agents=gen.n_agents
-    )
     report["pe"] = True
     report["T"] = T
     report["alpha"] = alpha
-    report["k_min"] = gain_bound(
-        consts.n, consts.n_agents, beta, gamma, T, alpha, lam_m
-    )
-    report["constants"] = consts
+    report["k_min"] = gain_bound(gen.n_params, gen.n_agents, beta, gamma, T, alpha, lam_m)
     return report
 
 
@@ -279,7 +274,7 @@ def gain_margins(report: dict, k: float, epsilon: float, theta_norm: float) -> d
     and the largest Laplacian eigenvalue, so the switched entry is the
     quantized one's feasibility and margin (theta only enters r_eps).
     """
-    consts = report["constants"]
+    consts = ExcitationConstants(**{f.name: report[f.name] for f in fields(ExcitationConstants)})
     lam_m, lam_max = report["lambda_g_min"], report["lambda_max_family"]
     qb = quantized_bounds(consts, k, lam_m, lam_max, epsilon, theta_norm)
     return {

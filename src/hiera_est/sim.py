@@ -37,7 +37,6 @@ from .signals import quantize  # noqa: F401  (perfbench patches sim.quantize)
 DIVERGENCE_LIMIT = 1e12
 CONSERVATION_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
-GAIN_FLOOR = 1e-6
 # RK4 is stable on the negative real axis for h*|lambda| up to this value.
 RK4_STABILITY_LIMIT = 2.785293563405282
 # compute_metrics: tail window, fewest samples for a decay fit, error floor.
@@ -325,7 +324,12 @@ def resolve_gain(cfg: ScenarioConfig, report: dict | None = None) -> float:
             "auto gain failed: stacked regressor is not persistently exciting "
             "on the analysis horizon (excitation level never exceeded the threshold)"
         )
-    return max(cfg.gain_safety_factor * report["k_min"], GAIN_FLOOR)
+    if report["k_min"] == 0:
+        raise ConfigError(
+            "auto gain failed: the bound gives k_min = 0 because gamma = 0 (the "
+            "regressors are constant), so it asks for no gain; set an explicit k"
+        )
+    return cfg.gain_safety_factor * report["k_min"]
 
 
 def run_scenario(cfg: ScenarioConfig) -> TraceSet:
@@ -563,7 +567,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
 def fit_decay_rate(
     t: np.ndarray,
     err: np.ndarray,
-    min_samples: int = 50,
+    min_samples: int = MIN_FIT_SAMPLES,
     floor: float = 0.0,
 ) -> float:
     """Least-squares slope of log(err) vs t; the empirical exponential rate.

@@ -102,6 +102,37 @@ class TestRun:
         assert "too stiff" in err and "lambda_max=3" in err and "h=0.001" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "override, key", [("t_end=inf", "t_end"), ("theta=[NaN,1,2]", "theta")]
+    )
+    def test_non_finite_value_rejected_before_analysis(
+        self, tmp_path, monkeypatch, capsys, override, key
+    ):
+        def never(*args):
+            raise AssertionError("analysed or integrated a refused scenario")
+
+        monkeypatch.setattr(cli, "analysis_report", never)
+        monkeypatch.setattr(cli, "run_scenario", never)
+        out = tmp_path / "bad"
+        scenario = ROOT / "scenarios" / "nominal_switched.json"
+        code = main(["run", "-c", str(scenario), "-o", str(out), "--set", override])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {key} must be a finite number")
+        assert not out.exists()
+
+    def test_auto_gain_without_positive_bound_is_rejected(self, tmp_path, capsys):
+        # Constant regressors give gamma = 0, so the bound asks for k_min = 0:
+        # no auto gain, and the message says to give k.
+        out = tmp_path / "rank1"
+        scenario = ROOT / "scenarios" / "cooperative_rank1.json"
+        code = main(
+            ["run", "-c", str(scenario), "-o", str(out), "--set", "k=auto", "--set", "t_end=1"]
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "gamma = 0" in err and "explicit k" in err
+        assert not out.exists()
+
     def test_validation_exit(self, scenario_file, tmp_path, capsys):
         code = main(
             ["run", "-c", str(scenario_file), "-o", str(tmp_path / "x"),
@@ -189,6 +220,23 @@ class TestGainBound:
             ]
         )
         assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gain-bound", "--n", "3", "--N", "10", "--beta", "1", "--gamma", "1",
+         "--T", "0.1", "--alpha", "nan", "--lambda-g", "1"],
+        ["feasibility", "--n", "3", "--N", "10", "--beta", "inf", "--gamma", "1",
+         "--T", "0.1", "--alpha", "1", "--k", "1", "--lambda-g", "1", "--lambda-max", "2"],
+    ],
+    ids=["gain-bound-alpha-nan", "feasibility-beta-inf"],
+)
+def test_non_finite_constant_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
 
 
 class TestFeasibility:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hiera_est.config import ConfigError, apply_overrides, load_config
+from hiera_est.config import SCALAR_FIELDS, ConfigError, apply_overrides, load_config
 
 
 def base_doc():
@@ -19,10 +19,16 @@ def base_doc():
 
 class TestLoadConfig:
     def test_defaults(self):
-        cfg = load_config(base_doc())
+        doc = base_doc()
+        del doc["seed"]
+        cfg = load_config(doc)
+        assert (cfg.n, cfg.n_agents, cfg.seed) == (2, 3, 0)
         assert cfg.h == 1e-3 and cfg.t_end == 20.0 and cfg.decimation == 10
-        assert cfg.estimators == ("ge", "drem")
+        assert cfg.gain_safety_factor == 1.01 and cfg.transient_fraction == 0.3
+        assert cfg.noise_sd == 0.0 and cfg.loss_resample_dt == 0.1
         assert cfg.epsilon == 0.0 and cfg.p_loss == 0.0
+        assert all(type(getattr(cfg, f.name)).__name__ == f.type for f in SCALAR_FIELDS)
+        assert cfg.estimators == ("ge", "drem")
         np.testing.assert_array_equal(cfg.gamma_ge, np.eye(2))
         np.testing.assert_array_equal(cfg.gamma_drem, np.ones(2))
         assert cfg.drem_filters.r == 1
@@ -140,6 +146,70 @@ class TestLoadConfig:
         echo = cfg.echo()
         assert "coeff_tables_resolved" in echo
         assert echo["k"] == 5.0
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            (f.name, v)
+            for f in SCALAR_FIELDS
+            for v in [float("nan"), float("inf"), -float("inf"), True, "1", -1]
+            + ([2.5] if f.type == "int" else [])
+        ],
+    )
+    def test_bad_scalar_rejected_by_name(self, key, value):
+        # Every scalar key of the schema refuses a non-finite, boolean,
+        # string or out-of-range value, and an integer key refuses 2.5.
+        doc = base_doc()
+        doc[key] = value
+        with pytest.raises(ConfigError) as e:
+            load_config(doc)
+        assert str(e.value).startswith(f"{key} must be"), str(e.value)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("k", float("nan")),
+            ("k", float("inf")),
+            ("k", True),
+            ("k", "fast"),
+            ("theta", [float("nan"), 1.0]),
+            ("theta", [1.0, True]),
+            ("gamma_ge", float("inf")),
+            ("gamma_ge", [[1.0, 0.0], [0.0, float("nan")]]),
+            ("gamma_drem", [1.0, float("inf")]),
+            ("gamma_centralized", False),
+            ("drem_filters.betas", [float("inf")]),
+            ("drem_filters.alphas", ["1"]),
+            ("analysis.horizon", float("nan")),
+            ("analysis.alpha_threshold", True),
+            ("analysis.T_grid", [0.1, float("inf")]),
+            ("schedule.dwell_min", float("nan")),
+            ("schedule.segments", [[0.0, 0.5]]),
+        ],
+    )
+    def test_bad_structured_number_rejected_by_name(self, path, value):
+        doc = base_doc()
+        doc["drem_filters"] = {"alphas": [1.0], "betas": [1.0]}
+        if path.startswith("schedule"):
+            del doc["topology"]
+            doc["schedule"] = {
+                "graphs": [{"edges": [[0, 1], [1, 2]]}],
+                "segments": [[0.0, 0]],
+                "dwell_min": 1.0,
+            }
+        *parents, key = path.split(".")
+        node = doc
+        for p in parents:
+            node = node.setdefault(p, {})
+        node[key] = value
+        with pytest.raises(ConfigError) as e:
+            load_config(doc)
+        assert str(e.value).startswith(f"{path} "), str(e.value)
+
+    def test_integral_float_accepted_for_integer_key(self):
+        doc = base_doc()
+        doc["decimation"] = 5.0
+        assert load_config(doc).decimation == 5
 
     def test_analysis_block(self):
         doc = base_doc()

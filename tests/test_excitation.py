@@ -192,7 +192,10 @@ class TestQuantizedBounds:
         # The switched entry is the feasibility and margin at the family's
         # extremes, lambda_g_min and lambda_max_family; theta only enters r_eps.
         c = self.consts()
-        report = {"constants": c, "lambda_g_min": 0.367, "lambda_max_family": 4.0}
+        report = {
+            "beta": c.beta, "gamma": c.gamma, "alpha": c.alpha, "T": c.T, "n": c.n,
+            "n_agents": c.n_agents, "lambda_g_min": 0.367, "lambda_max_family": 4.0,
+        }
         margins = gain_margins(report, 2.806, 0.01, theta_norm=3.0)
         qb = quantized_bounds(c, 2.806, 0.367, 4.0, 0.01, 0.0)
         assert margins["switched"] == {"feasible": qb.feasible, "margin": qb.margin}

@@ -196,8 +196,11 @@ def _build_generator(d: dict, n: int, n_agents: int, seed: int) -> RegressorGene
         )
         t = d["coeff_tables"]
         _reject_unknown(t, {"offset", "sin_amp", "cos_amp", "freq"}, "coeff_tables")
+        # The tables are ragged across agents, so each agent's is read apart.
         gen = RegressorGenerator.from_tables(
-            t["offset"], t["sin_amp"], t["cos_amp"], t["freq"], seed=seed
+            *([_array(a, f"coeff_tables.{key}") for a in t[key]]
+              for key in ("offset", "sin_amp", "cos_amp", "freq")),
+            seed=seed,
         )
         _require(gen.n_params == n, "coeff_tables columns disagree with n")
         _require(gen.n_agents == n_agents, "coeff_tables disagree with n_agents")
@@ -205,6 +208,8 @@ def _build_generator(d: dict, n: int, n_agents: int, seed: int) -> RegressorGene
     coeff_range = d.get("coeff_range", [0.0, 20.0])
     freq_range = d.get("freq_range", [0.0, 3.0])
     rows = d.get("rows_per_agent", 1)
+    rows = [number(p, "rows_per_agent", integer=True)
+            for p in (rows if isinstance(rows, list) else [rows] * n_agents)]
     return sample_coefficients(n, n_agents, rows, coeff_range, freq_range, seed)
 
 
@@ -219,6 +224,8 @@ def load_config(d: dict) -> ScenarioConfig:
     schedule = _build_schedule(d, n_agents)
     try:
         generator = _build_generator(d, n, n_agents, s["seed"])
+    except ConfigError:
+        raise
     except (ValueError, KeyError) as e:
         raise ConfigError(f"bad regressor settings: {e}") from None
 

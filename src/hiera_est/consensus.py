@@ -34,18 +34,14 @@ def pack(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 class ConsensusOutput:
     """Consensus outputs per agent, packed: Z = P - S, and the views
-    Chat = Cp - X (N, n, n) and yhat = yp - x (N, n) into its rows."""
+    Chat = Cp - X (N, n, n) and yhat = yp - x (N, n) into its rows. The
+    views are built once; refilling Z in place updates them."""
 
     __slots__ = ("Z", "Chat", "yhat")
 
     def __init__(self, Z: np.ndarray):
         self.Z = Z
         self.Chat, self.yhat = split(Z)
-
-
-def consensus_outputs(P: np.ndarray, S: np.ndarray) -> ConsensusOutput:
-    """Outputs of the consensus block from its packed inputs and states."""
-    return ConsensusOutput(P - S)
 
 
 def effective_laplacian(topo: Topology, loss_mask: np.ndarray | None = None) -> np.ndarray:

@@ -1,20 +1,23 @@
 """Local parameter estimators: gradient flow and regressor-extension variants.
 
 All operations are batched over agents (leading axis N). The extension
-estimator augments the consensus outputs with first-order filtered copies,
-forms the square Gram of the stacked regressor, and multiplies by its
-adjugate to obtain one decoupled scalar regression per parameter.
+estimator stacks the consensus output atop its first-order filtered copies
+into one extended regression A = [Cf | yf], and scalarizes it with two
+products: Cf^T A = [G | Cf^T yf] gives the Gram G and the right-hand side
+at once, and adj(G) [G | Cf^T yf] = [phi I | Y] gives the mixing factor
+phi = det(G) and the decoupled regression Y = phi theta. The filterless
+variant scalarizes [Chat | yhat] the same way.
 
 The adjugate has a closed form for n = 1 and n = 3 and takes one batched
-determinant over all n^2 minors for every other n. The mixing factor
-phi = det(Gram) is read off the adjugate (row 0 of adj(Gram) dotted with
-column 0 of Gram), so for n = 1 and n = 3 the scalarization makes no
+determinant over all n^2 minors for every other n; phi is read off the
+second product, so for n = 1 and n = 3 the scalarization makes no
 determinant call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -29,16 +32,16 @@ def _cross_gather() -> np.ndarray:
     row i of adj(G) is the cross product of columns i+1 and i+2 of G.
     """
     i, j = np.ogrid[:3, :3]
-    factors = [
-        ((j + 1) % 3, (i + 1) % 3),
-        ((j + 2) % 3, (i + 2) % 3),
-        ((j + 2) % 3, (i + 1) % 3),
-        ((j + 1) % 3, (i + 2) % 3),
-    ]
-    return np.stack([3 * row + col for row, col in factors])
+    return np.stack([3 * ((j + a) % 3) + (i + b) % 3 for a, b in ((1, 1), (2, 2), (2, 1), (1, 2))])
 
 
 _ADJ3_FLAT = _cross_gather()
+
+
+@cache
+def _augmented(n: int) -> np.ndarray:
+    """Indices into a packed row [vec(M) | v] of the augmented matrix [M | v]."""
+    return np.column_stack([np.arange(n * n).reshape(n, n), n * n + np.arange(n)])
 
 
 def ge_derivative(
@@ -112,14 +115,15 @@ def drem_filter_derivative(
     return -bank.betas[:, None] * z + bank.alphas[:, None] * out.Z[:, None]
 
 
-def drem_extend(out: ConsensusOutput, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the raw consensus output atop the filtered copies.
+def drem_extend(out: ConsensusOutput, z: np.ndarray) -> np.ndarray:
+    """The extended regression A = [Cf | yf], shape (N, (r+1)n, n+1).
 
-    Returns Cf of shape (N, (r+1)n, n) and yf of shape (N, (r+1)n).
+    Row block 0 is [Chat | yhat], block j the j-th filtered copy [zC | zy]:
+    one gather of the augmented rows from the packed rows of out and z.
     """
     n_agents, n = out.yhat.shape
-    blocks_c, blocks_y = cns.split(np.concatenate([out.Z[:, None], z], axis=1))
-    return blocks_c.reshape(n_agents, -1, n), blocks_y.reshape(n_agents, -1)
+    rows = np.concatenate([out.Z[:, None], z], axis=1)
+    return rows.take(_augmented(n), axis=-1).reshape(n_agents, -1, n + 1)
 
 
 def adjugate(G: np.ndarray) -> np.ndarray:
@@ -139,7 +143,7 @@ def adjugate(G: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.ones_like(g)
     if n == 3:
-        t = g.reshape(*batch, 9)[..., _ADJ3_FLAT]
+        t = g.reshape(*batch, 9).take(_ADJ3_FLAT, axis=-1)
         return t[..., 0, :, :] * t[..., 1, :, :] - t[..., 2, :, :] * t[..., 3, :, :]
 
     idx = np.arange(n)
@@ -159,28 +163,26 @@ class DremScalar:
     Y: np.ndarray  # (N, n)
 
 
-def _mix(G: np.ndarray, rhs: np.ndarray) -> DremScalar:
-    """phi = det(G) from row 0 of adj(G) and column 0 of G; Y = adj(G) rhs."""
-    adj = adjugate(G)
-    phi = np.einsum("ai,ai->a", adj[:, 0], G[:, :, 0])
-    return DremScalar(phi=phi, Y=(adj @ rhs[..., None])[..., 0])
+def _mix(B: np.ndarray) -> DremScalar:
+    """adj(G) B = [phi I | Y] for B = [G | rhs]: phi = det(G) is entry (0, 0), Y column n."""
+    n = B.shape[-2]
+    M = adjugate(B[..., :n]) @ B
+    return DremScalar(phi=M[..., 0, 0], Y=M[..., n])
 
 
-def drem_scalarize(Cf: np.ndarray, yf: np.ndarray) -> DremScalar:
-    """Scalarize the extended regression through the Gram adjugate.
+def drem_scalarize(A: np.ndarray) -> DremScalar:
+    """Scalarize the extended regression A = [Cf | yf] through the Gram adjugate.
 
-    phi = det(Cf^T Cf), Y = adj(Cf^T Cf) (Cf^T yf); well-defined (phi = 0)
-    when the Gram is singular.
+    [G | Cf^T yf] = Cf^T A in one product, then phi = det(G) and
+    Y = adj(G) Cf^T yf; well-defined (phi = 0) when G is singular.
     """
-    cft = np.swapaxes(Cf, -1, -2)
-    gram = cft @ Cf
-    rhs = (cft @ yf[..., None])[..., 0]
-    return _mix(gram, rhs)
+    n = A.shape[-1] - 1
+    return _mix(A[..., :n].swapaxes(-1, -2) @ A)
 
 
 def drem_simple_scalarize(out: ConsensusOutput) -> DremScalar:
-    """Filterless scalarization using the square consensus output directly."""
-    return _mix(out.Chat, out.yhat)
+    """Filterless scalarization using the square consensus output [Chat | yhat] directly."""
+    return _mix(out.Z.take(_augmented(out.yhat.shape[-1]), axis=-1))
 
 
 def drem_derivative(

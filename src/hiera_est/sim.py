@@ -20,7 +20,7 @@ written by RK4's first stage, the field evaluation at the step's own state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -122,12 +122,10 @@ class _Layout:
                 views[part] = rows[..., cols].reshape(*shape[:-1], *part_shape)
         return views
 
-    def check_mask(self) -> np.ndarray:
-        mask = np.zeros(self.size, dtype=bool)
-        for _, _, sl, check, _, _ in self._specs:
-            if check:
-                mask[sl] = True
-        return mask
+    def checked(self) -> np.ndarray:
+        """Flat indices of the blocks the divergence guard checks."""
+        blocks = [sl for _, _, sl, check, _, _ in self._specs if check]
+        return np.concatenate([np.arange(sl.start, sl.stop) for sl in blocks])
 
     def locate(self, flat_index: int) -> tuple[str, int | None, tuple[int, ...]]:
         """The block (or part), agent and entry of a flat index."""
@@ -217,12 +215,7 @@ class Metrics:
     transient_end: float | None = None
 
     def to_jsonable(self) -> dict:
-        return {
-            "per_estimator": self.per_estimator,
-            "tail_sup_cons_err": self.tail_sup_cons_err,
-            "tail_sup_resid": self.tail_sup_resid,
-            "transient_end": self.transient_end,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -260,7 +253,7 @@ def _mixing(cfg, v, scal) -> tuple[list, dict]:
 
 def _drem_field(cfg, v, out, rows) -> tuple[list, dict]:
     dz = est.drem_filter_derivative(cfg.drem_filters, v["z"], out)
-    derivs, sample = _mixing(cfg, v, est.drem_scalarize(*est.drem_extend(out, v["z"])))
+    derivs, sample = _mixing(cfg, v, est.drem_scalarize(est.drem_extend(out, v["z"])))
     return [dz, *derivs], sample
 
 
@@ -376,13 +369,14 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     records: dict[str, dict[str, np.ndarray]] = {kind: {} for kind in kinds}
 
     state = np.zeros(layout.size)
-    check_idx = np.nonzero(layout.check_mask())[0]
-    # The field copies each stage's state into `stage` and writes its
-    # derivative into `d_stage`, so the named views of both are built once.
+    check_idx = layout.checked()
+    # The field copies each stage's state into `stage`, refills the outputs `out`
+    # in place and writes its derivative into `d_stage`: views are built once.
     stage = np.empty(layout.size)
     d_stage = np.zeros(layout.size)
     stage_views = layout.unpack(stage)
     dv = layout.unpack(d_stage)
+    out = cns.ConsensusOutput(np.empty((N, n * n + n)))
     field_kinds = [
         (spec, kind_views(stage_views, kind), list(kind_views(dv, kind).values()), records[kind])
         for kind, spec in kinds.items()
@@ -475,7 +469,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         # lap, step, step0 and P are the current step's and block's.
         stage[:] = flat
         rows = P[step - step0, round(t / half_h) - 2 * step]
-        out = cns.consensus_outputs(rows, stage_views["consensus"])
+        np.subtract(rows, stage_views["consensus"], out=out.Z)
         dv["consensus"][:] = cns.dac_derivative(out, lap, k, cfg.epsilon)
         kind_samples = []
         for spec, v, d, rec in field_kinds:

@@ -198,6 +198,27 @@ class TestAnalyze:
         assert report["k_min"] > 0
         assert "quantized" in report  # k is explicit in the scenario
 
+    @pytest.mark.parametrize(
+        "scenario, override, message",
+        [
+            ("nominal_switched", "rows_per_agent=1.5", "rows_per_agent must be an integer"),
+            ("nominal_switched", "rows_per_agent=[1,1,1,1,1,1,1,1,1,2.7]",
+             "rows_per_agent must be an integer"),
+            ("cooperative_rank1", "coeff_tables.freq=[[[NaN,0,0]],[[0,0,0]],[[0,0,0]],[[0,0,0]]]",
+             "coeff_tables.freq must be a finite number"),
+        ],
+    )
+    def test_bad_regressor_source_rejected_by_name(
+        self, monkeypatch, capsys, scenario, override, message
+    ):
+        def never(*args):
+            raise AssertionError("analysed a refused scenario")
+
+        monkeypatch.setattr(cli, "analysis_report", never)
+        path = ROOT / "scenarios" / f"{scenario}.json"
+        assert main(["analyze", "-c", str(path), "--set", override]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
 
 class TestGainBound:
     def test_reference_constants(self, capsys):

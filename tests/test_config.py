@@ -141,6 +141,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(doc)
 
+    @pytest.mark.parametrize("key", ["offset", "sin_amp", "cos_amp", "freq"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True])
+    def test_coeff_tables_entries_read_by_name(self, key, bad):
+        # Ragged tables (agent 1 has two rows) are read one agent at a time;
+        # a bad entry in the last agent's table is refused by its key.
+        doc = base_doc()
+        del doc["coeff_range"], doc["freq_range"]
+        rows = [[[1.0, 0.5]], [[0.0, 1.0], [1.0, 1.0]], [[2.0, 0.0]]]
+        doc["coeff_tables"] = {k: rows for k in ("offset", "sin_amp", "cos_amp", "freq")}
+        assert load_config(doc).generator.rows_per_agent == (1, 2, 1)
+        doc["coeff_tables"][key] = rows[:2] + [[[2.0, bad]]]
+        with pytest.raises(ConfigError) as e:
+            load_config(doc)
+        assert str(e.value).startswith(f"coeff_tables.{key} must be a finite number")
+
     def test_echo_includes_resolved_tables(self):
         cfg = load_config(base_doc())
         echo = cfg.echo()
@@ -185,6 +200,10 @@ class TestLoadConfig:
             ("analysis.T_grid", [0.1, float("inf")]),
             ("schedule.dwell_min", float("nan")),
             ("schedule.segments", [[0.0, 0.5]]),
+            ("rows_per_agent", 1.5),
+            ("rows_per_agent", [1, 1, 2.7]),
+            ("rows_per_agent", [1, float("nan"), 1]),
+            ("rows_per_agent", True),
         ],
     )
     def test_bad_structured_number_rejected_by_name(self, path, value):

@@ -10,7 +10,6 @@ from hiera_est.consensus import (
     ConsensusOutput,
     average_reference,
     consensus_error,
-    consensus_outputs,
     dac_derivative,
     effective_laplacian,
     pack,
@@ -47,7 +46,7 @@ def zeros(n_agents=4, n=3):
 
 def outputs(cp, yp, X, x):
     """Consensus outputs of unpacked surrogates and states."""
-    return consensus_outputs(pack(cp, yp), pack(X, x))
+    return ConsensusOutput(pack(cp, yp) - pack(X, x))
 
 
 def derivative(out, lap, k, eps=0.0):
@@ -198,7 +197,7 @@ class TestPackedChannel:
         np.testing.assert_array_equal(M, X)
         np.testing.assert_array_equal(v, x)
         assert np.shares_memory(M, rows) and np.shares_memory(v, rows)
-        out = consensus_outputs(rows, np.zeros_like(rows))
+        out = ConsensusOutput(rows - np.zeros_like(rows))
         assert np.shares_memory(out.Chat, out.Z) and np.shares_memory(out.yhat, out.Z)
 
     @settings(max_examples=200, deadline=None)

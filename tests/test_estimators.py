@@ -175,8 +175,9 @@ class TestFilterBank:
         bank = default_filter_bank(3)
         z = rng.normal(size=(2, bank.r, 12))
         zC, zy = split(z)
-        cf, yf = drem_extend(out, z)
-        assert cf.shape == (2, 9, 3) and yf.shape == (2, 9)
+        a = drem_extend(out, z)
+        assert a.shape == (2, 9, 4)
+        cf, yf = a[..., :3], a[..., 3]
         np.testing.assert_array_equal(cf[:, :3], out.Chat)
         np.testing.assert_array_equal(cf[:, 3:6], zC[:, 0])
         np.testing.assert_array_equal(cf[:, 6:], zC[:, 1])
@@ -255,7 +256,7 @@ class TestScalarize:
         theta = np.array([1.5, -2.0])
         cf = rng.normal(size=(3, 5, 2))
         yf = np.einsum("ami,i->am", cf, theta)
-        d = drem_scalarize(cf, yf)
+        d = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1))
         np.testing.assert_allclose(
             d.Y, d.phi[:, None] * theta, rtol=1e-9, atol=1e-9
         )
@@ -281,7 +282,40 @@ class TestScalarize:
         yf = rng.normal(size=(n_agents, rows))
         gram = np.einsum("ami,amj->aij", cf, cf)
         tol = SCALED_TOL * frobenius(gram) ** n
-        assert np.all(np.abs(drem_scalarize(cf, yf).phi - np.linalg.det(gram)) <= tol)
+        phi = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1)).phi
+        assert np.all(np.abs(phi - np.linalg.det(gram)) <= tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 4), r=st.integers(0, 3), n_agents=st.integers(1, 5),
+        log_scales=st.tuples(st.floats(-3.0, 4.0), st.floats(-3.0, 4.0)),
+        deficient=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scalarize_matches_gram_references(
+        self, n, r, n_agents, log_scales, deficient, seed
+    ):
+        # The fused products against the unfused definitions: phi against
+        # det(Cf^T Cf), Y against the cofactor adjugate of the Gram times
+        # Cf^T yf. n = 1 and 3 take the closed-form adjugate, n = 2 and 4
+        # the det path; a deficient Cf has rank n - 1, so phi is ~0.
+        rng = np.random.default_rng(seed)
+        rows = (r + 1) * n
+        cf = rng.normal(size=(n_agents, rows, n))
+        if deficient and n > 1:
+            cf = cf[..., :-1] @ rng.normal(size=(n_agents, n - 1, n))
+        cf *= 10.0 ** log_scales[0]
+        yf = 10.0 ** log_scales[1] * rng.normal(size=(n_agents, rows))
+        d = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1))
+        assert d.phi.shape == (n_agents,) and d.Y.shape == (n_agents, n)
+        gram = np.einsum("ami,amj->aij", cf, cf)
+        rhs = np.einsum("ami,am->ai", cf, yf)
+        g = frobenius(gram)
+        assert np.all(np.abs(d.phi - np.linalg.det(gram)) <= 1e-10 * g**n)
+        # Entries of Y are sums of adj(G) entries times entries of Cf^T yf,
+        # which |Cf|_F |yf| bounds.
+        y_scale = g ** (n - 1) * frobenius(cf) * np.linalg.norm(yf, axis=-1)
+        y_ref = (cofactor_adjugate(gram) @ rhs[..., None])[..., 0]
+        assert np.all(np.abs(d.Y - y_ref) <= 1e-10 * y_scale[:, None])
 
     @settings(max_examples=300, deadline=None)
     @given(square_batches(min_axes=1, max_axes=1))

@@ -53,18 +53,6 @@ def _add_gain_margins(report: dict, cfg, k: float):
         report.update(exc.gain_margins(report, k, cfg.epsilon, theta_norm))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
 def _run_one(doc: dict, outdir: str) -> dict:
     """Run a scenario document and write the standard artifact directory."""
     cfg = load_config(doc)
@@ -81,10 +69,7 @@ def _run_one(doc: dict, outdir: str) -> dict:
     constants = dict(report)
     constants["k"] = k
     constants["consensus_error_ceiling"] = ceiling
-    try:
-        write_run_dir(outdir, cfg, trace, metrics, _jsonable(constants))
-    except OSError as e:
-        raise _OutputError(str(e)) from None
+    write_run_dir(outdir, cfg, trace, metrics, constants)
     return {
         "outdir": str(outdir),
         "k": k,
@@ -92,14 +77,10 @@ def _run_one(doc: dict, outdir: str) -> dict:
     }
 
 
-class _OutputError(RuntimeError):
-    pass
-
-
 def cmd_run(args) -> int:
     doc = _load_doc(args.config, args.set)
     summary = _run_one(doc, args.output)
-    print(json.dumps(_jsonable(summary), indent=2))
+    print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
@@ -109,7 +90,7 @@ def cmd_analyze(args) -> int:
     report = analysis_report(cfg)
     if cfg.k != "auto":
         _add_gain_margins(report, cfg, float(cfg.k))
-    print(json.dumps(_jsonable(report), indent=2))
+    print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
@@ -122,32 +103,12 @@ def cmd_gain_bound(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    consts = exc.ExcitationConstants(
-        beta=args.beta,
-        gamma=args.gamma,
-        alpha=args.alpha,
-        T=args.T,
-        n=args.n,
-        n_agents=args.N,
-    )
+    # Each constant but N has its report key as its argument name.
+    consts = dict(vars(args), n_agents=args.N)
     qb = exc.quantized_bounds(
-        consts,
-        k=args.k,
-        lambda_g=args.lambda_g,
-        lambda_max=args.lambda_max,
-        epsilon=args.epsilon,
-        theta_norm=args.theta_norm,
+        consts, args.k, args.lambda_g, args.lambda_max, args.epsilon, args.theta_norm
     )
-    print(
-        json.dumps(
-            {
-                "feasible": qb.feasible,
-                "margin": qb.margin,
-                "b_eps": qb.b_eps,
-                "r_eps": qb.r_eps,
-            }
-        )
-    )
+    print(json.dumps(qb))
     return EXIT_OK
 
 
@@ -156,11 +117,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _sweep_worker(payload):
-    doc, outdir = payload
-    return _run_one(doc, outdir)
 
 
 def cmd_sweep(args) -> int:
@@ -181,19 +137,18 @@ def cmd_sweep(args) -> int:
     if clashes:
         raise ConfigError(f"sweep values share an output directory: {clashes}")
 
-    jobs = []
     base = Path(args.output)
-    for v, name in zip(values, names):
-        v_doc = apply_overrides(doc, [f"{args.axis}={v}"])
+    docs = [apply_overrides(doc, [f"{args.axis}={v}"]) for v in values]
+    for v_doc in docs:
         load_config(v_doc)  # validate before fanning out
-        jobs.append((v_doc, str(base / name)))
+    outdirs = [str(base / name) for name in names]
 
-    workers = min(args.jobs, len(jobs), _usable_cpus())
+    workers = min(args.jobs, len(docs), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+            results = list(pool.map(_run_one, docs, outdirs))
     else:
-        results = [_sweep_worker(j) for j in jobs]
+        results = list(map(_run_one, docs, outdirs))
 
     rows = []
     for v, res in zip(values, results):
@@ -210,17 +165,14 @@ def cmd_sweep(args) -> int:
             row[f"{name}_max_final_err"] = max(m["final_err"])
         rows.append(row)
 
-    try:
-        base.mkdir(parents=True, exist_ok=True)
-        cols = list(rows[0].keys())
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(str(row[c]) for c in cols))
-        (base / "sweep.csv").write_text("\n".join(lines) + "\n")
-    except OSError as e:
-        raise _OutputError(str(e)) from None
+    base.mkdir(parents=True, exist_ok=True)
+    cols = list(rows[0].keys())
+    lines = [",".join(cols)]
+    for row in rows:
+        lines.append(",".join(str(row[c]) for c in cols))
+    (base / "sweep.csv").write_text("\n".join(lines) + "\n")
 
-    print(json.dumps(_jsonable({"axis": args.axis, "runs": rows}), indent=2))
+    print(json.dumps({"axis": args.axis, "runs": rows}, indent=2))
     return EXIT_OK
 
 
@@ -300,7 +252,7 @@ def main(argv=None) -> int:
     except (SimulationDiverged, InvariantViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (_OutputError, OSError) as e:
+    except OSError as e:
         print(f"error: cannot write output: {e}", file=sys.stderr)
         return EXIT_OUTPUT
 

@@ -57,27 +57,12 @@ def _array(value, key: str) -> np.ndarray:
     return np.array([number(x, key) for x in a.flat], dtype=float).reshape(a.shape)
 
 
-@dataclass
-class AnalysisConfig:
-    """Excitation-analysis settings (used by 'auto' gain mode and `analyze`)."""
-
-    T_grid: tuple[float, ...] = (0.04, 0.08, 0.16, 0.32, 0.64)
-    horizon: float = 5.0
-    grid_step: float = 2e-3
-    alpha_threshold: float = DEFAULT_ALPHA_THRESHOLD
-    inflation: float = DEFAULT_SUP_INFLATION
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnalysisConfig":
-        _reject_unknown(d, {f.name for f in fields(cls)}, "analysis")
-        kwargs = {key: number(v, f"analysis.{key}") for key, v in d.items() if key != "T_grid"}
-        if "T_grid" in d:
-            grid = _array(d["T_grid"], "analysis.T_grid")
-            _require(grid.ndim == 1 and grid.size > 0, "analysis.T_grid must be a nonempty list")
-            kwargs["T_grid"] = tuple(grid.tolist())
-        cfg = cls(**kwargs)
-        _require(cfg.horizon > 0 and cfg.grid_step > 0, "analysis times must be positive")
-        return cfg
+def _list(value, key: str, length: int | None = None) -> list:
+    """A JSON list, of exactly `length` entries when given (a missing key reads None)."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        what = "a list" if length is None else f"a list of {length} entries"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 # The range of a scalar key: the rule as its error message states it, and its test.
@@ -91,6 +76,40 @@ def _scalar(default, valid: tuple):
     """The schema of a scalar key: its default (None when required) and range.
     The field's annotation, int or float, is the key's type."""
     return field(metadata={"default": default, "valid": valid})
+
+
+def _scalars(d: dict, cls, where: str = "") -> dict:
+    """Every scalar key of `cls` in a document, read by `number` and checked
+    against its range; `where` prefixes the key in messages."""
+    out = {}
+    for f in fields(cls):
+        if "valid" not in f.metadata:
+            continue
+        key, default, (rule, ok) = where + f.name, f.metadata["default"], f.metadata["valid"]
+        _require(f.name in d or default is not None, f"missing required key: {key}")
+        x = out[f.name] = number(d[f.name], key, f.type == "int") if f.name in d else default
+        if not ok(x):
+            raise ConfigError(f"{key} must be {rule}, got {x!r}")
+    return out
+
+
+@dataclass
+class AnalysisConfig:
+    """Excitation-analysis settings (used by 'auto' gain mode and `analyze`)."""
+
+    horizon: float = _scalar(5.0, _POSITIVE)
+    grid_step: float = _scalar(2e-3, _POSITIVE)
+    alpha_threshold: float = _scalar(DEFAULT_ALPHA_THRESHOLD, _NONNEGATIVE)
+    # A grid maximum can only underestimate a supremum, so never shrink it.
+    inflation: float = _scalar(DEFAULT_SUP_INFLATION, _AT_LEAST_ONE)
+    T_grid: tuple[float, ...] = (0.04, 0.08, 0.16, 0.32, 0.64)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "AnalysisConfig":
+        _reject_unknown(d, {f.name for f in fields(cls)}, "analysis")
+        grid = _array(d["T_grid"], "analysis.T_grid") if "T_grid" in d else np.array(cls.T_grid)
+        _require(grid.ndim == 1 and grid.size > 0, "analysis.T_grid must be a nonempty list")
+        return cls(**_scalars(d, cls, "analysis."), T_grid=tuple(grid.tolist()))
 
 
 @dataclass
@@ -134,19 +153,6 @@ _SOURCE_KEYS = {"topology", "rows_per_agent", "coeff_range", "freq_range", "coef
 _KEYS = {f.name for f in fields(ScenarioConfig)} - {"generator", "raw"} | _SOURCE_KEYS
 
 
-def _scalars(d: dict) -> dict:
-    """Every scalar key of a document, read by `number` and checked against its range."""
-    out = {}
-    for f in SCALAR_FIELDS:
-        default, (rule, ok) = f.metadata["default"], f.metadata["valid"]
-        _require(f.name in d or default is not None, f"missing required key: {f.name}")
-        x = out[f.name] = number(d.get(f.name, default), f.name, integer=f.type == "int")
-        if not ok(x):
-            raise ConfigError(f"{f.name} must be {rule}, got {x!r}")
-    _require(out["t_end"] >= 10 * out["h"], "t_end must cover at least 10 steps of h")
-    return out
-
-
 def _parse_gain_matrix(value, n: int, name: str) -> np.ndarray:
     """Scalar -> gamma*I; nested list -> symmetric positive-definite matrix."""
     if not isinstance(value, list):
@@ -172,20 +178,38 @@ def _parse_gain_diag(value, n: int, name: str) -> np.ndarray:
     return v
 
 
+def _topology(d, n_agents: int, where: str):
+    """A graph object {"edges": [[i, j], ...]}; each index is read by `number` as an integer."""
+    _reject_unknown(d, {"edges"}, where)
+    key = f"{where}.edges"
+    edges = _list(d.get("edges"), key)
+    # JSON integer pairs pass in one cheap sweep; any other edge is read index by index.
+    if not all(type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in edges):
+        edges = [[number(i, key, integer=True) for i in _list(e, key, 2)] for e in edges]
+    return topology_from_edges(n_agents, edges)
+
+
 def _build_schedule(d: dict, n_agents: int) -> SwitchingSchedule:
     if "topology" in d:
         _require("schedule" not in d, "give either topology or schedule, not both")
-        topo_d = d["topology"]
-        _reject_unknown(topo_d, {"edges"}, "topology")
-        return constant_schedule(topology_from_edges(n_agents, topo_d["edges"]))
+        return constant_schedule(_topology(d["topology"], n_agents, "topology"))
     _require("schedule" in d, "scenario needs a topology or a schedule")
     sch = d["schedule"]
     _reject_unknown(sch, {"graphs", "segments", "dwell_min"}, "schedule")
-    topos = tuple(topology_from_edges(n_agents, g["edges"]) for g in sch["graphs"])
+    graphs = _list(sch.get("graphs"), "schedule.graphs")
+    topos = tuple(_topology(g, n_agents, "schedule.graphs") for g in graphs)
     key = "schedule.segments"
-    segments = tuple((number(s, key), number(i, key, integer=True)) for s, i in sch["segments"])
-    dwell_min = number(sch["dwell_min"], "schedule.dwell_min")
+    pairs = [_list(seg, key, 2) for seg in _list(sch.get("segments"), key)]
+    segments = tuple((number(s, key), number(i, key, integer=True)) for s, i in pairs)
+    dwell_min = number(sch.get("dwell_min"), "schedule.dwell_min")
     return SwitchingSchedule(topologies=topos, segments=segments, dwell_min=dwell_min)
+
+
+def _table(value, key: str) -> np.ndarray:
+    """One agent's coefficient table: a rows x n matrix."""
+    a = _array(value, key)
+    _require(a.ndim == 2, f"{key} must hold one rows x n table per agent, got {value!r}")
+    return a
 
 
 def _build_generator(d: dict, n: int, n_agents: int, seed: int) -> RegressorGenerator:
@@ -198,15 +222,17 @@ def _build_generator(d: dict, n: int, n_agents: int, seed: int) -> RegressorGene
         _reject_unknown(t, {"offset", "sin_amp", "cos_amp", "freq"}, "coeff_tables")
         # The tables are ragged across agents, so each agent's is read apart.
         gen = RegressorGenerator.from_tables(
-            *([_array(a, f"coeff_tables.{key}") for a in t[key]]
+            *([_table(a, f"coeff_tables.{key}")
+               for a in _list(t.get(key), f"coeff_tables.{key}", n_agents)]
               for key in ("offset", "sin_amp", "cos_amp", "freq")),
             seed=seed,
         )
         _require(gen.n_params == n, "coeff_tables columns disagree with n")
-        _require(gen.n_agents == n_agents, "coeff_tables disagree with n_agents")
         return gen
-    coeff_range = d.get("coeff_range", [0.0, 20.0])
-    freq_range = d.get("freq_range", [0.0, 3.0])
+    coeff_range, freq_range = (
+        [number(x, key) for x in _list(d.get(key, default), key, 2)]
+        for key, default in (("coeff_range", [0.0, 20.0]), ("freq_range", [0.0, 3.0]))
+    )
     rows = d.get("rows_per_agent", 1)
     rows = [number(p, "rows_per_agent", integer=True)
             for p in (rows if isinstance(rows, list) else [rows] * n_agents)]
@@ -216,7 +242,8 @@ def _build_generator(d: dict, n: int, n_agents: int, seed: int) -> RegressorGene
 def load_config(d: dict) -> ScenarioConfig:
     """Validate a scenario JSON document and build the runtime objects."""
     _reject_unknown(d, _KEYS, "scenario")
-    s = _scalars(d)
+    s = _scalars(d, ScenarioConfig)
+    _require(s["t_end"] >= 10 * s["h"], "t_end must cover at least 10 steps of h")
     n, n_agents = s["n"], s["n_agents"]
     _require("theta" in d, "missing required key: theta")
     theta = _array(d["theta"], "theta")
@@ -226,7 +253,7 @@ def load_config(d: dict) -> ScenarioConfig:
         generator = _build_generator(d, n, n_agents, s["seed"])
     except ConfigError:
         raise
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         raise ConfigError(f"bad regressor settings: {e}") from None
 
     k = d.get("k", "auto")
@@ -236,10 +263,10 @@ def load_config(d: dict) -> ScenarioConfig:
 
     from .sim import ESTIMATORS  # the kinds are declared with the runner
 
-    estimators = tuple(d.get("estimators", ["ge", "drem"]))
+    estimators = tuple(_list(d.get("estimators", ["ge", "drem"]), "estimators"))
     _require(len(estimators) > 0, "at least one estimator must be enabled")
     for e in estimators:
-        _require(e in ESTIMATORS, f"unknown estimator kind {e!r}")
+        _require(isinstance(e, str) and e in ESTIMATORS, f"unknown estimator kind {e!r}")
     _require(len(set(estimators)) == len(estimators), "duplicate estimator kinds")
 
     if "drem_filters" in d:

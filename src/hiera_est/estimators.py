@@ -192,47 +192,3 @@ def drem_derivative(
     phi = d.phi[:, None]
     return gain_diag[None, :] * phi * (d.Y - phi * theta_hat)
 
-
-def l2_divergence_monitor(
-    times: np.ndarray,
-    phi: np.ndarray,
-    window: float,
-    floor: float = 1e-6,
-    recent: int = 3,
-) -> dict:
-    """Finite-horizon heuristic for non-square-integrability of phi.
-
-    Maintains the cumulative trapezoid integral of phi^2 and its increments
-    over consecutive windows; flags "divergence-consistent" when every one of
-    the most recent windows gained more than the floor. Non-membership in L2
-    is not decidable from a finite trace, so the alternative verdict is
-    "inconclusive", never "convergent".
-    """
-    times = np.asarray(times, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if times.shape != phi.shape or times.ndim != 1 or times.size < 2:
-        raise ValueError("times and phi must be matching 1-D arrays")
-    if window <= 0:
-        raise ValueError("window must be positive")
-    sq = phi**2
-    cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * np.diff(times) * (sq[1:] + sq[:-1]))]
-    )
-    span = times[-1] - times[0]
-    n_windows = int(span / window)
-    edges = times[0] + window * np.arange(n_windows + 1)
-    at_edges = np.interp(edges, times, cum)
-    increments = np.diff(at_edges)
-    tail = increments[-recent:] if increments.size else increments
-    verdict = (
-        "divergence-consistent"
-        if tail.size > 0 and np.all(tail > floor)
-        else "inconclusive"
-    )
-    return {
-        "cumulative": cum,
-        "window_increments": increments,
-        "verdict": verdict,
-        "window": window,
-        "floor": floor,
-    }

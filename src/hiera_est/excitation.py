@@ -4,13 +4,18 @@ All matrix norms here are the induced 2-norm (largest singular value). Window
 Gram integrals use composite trapezoidal quadrature on a uniform grid; the
 sup-norm bounds are sampled maxima over the same grid, inflated by a small
 safety factor because a finite grid can only underestimate a supremum.
+
+A scenario's analysis is one report of plain Python values, printed and written
+as it is: `analyze_scenario` gives alpha(T), beta, gamma and k_min, and
+`gain_margins` adds the quantized and switched entries at a gain from
+`quantized_bounds`, which reads its constants from the report's keys.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -39,25 +44,6 @@ class PEWitness:
     grid_step: float
     horizon: float
     min_eig_trace: np.ndarray
-
-
-@dataclass(frozen=True)
-class ExcitationConstants:
-    """Regularity/excitation constants of a scenario's stacked regressor."""
-
-    beta: float
-    gamma: float
-    alpha: float
-    T: float
-    n: int
-    n_agents: int
-
-
-class QuantizedBounds(NamedTuple):
-    feasible: bool
-    margin: float
-    b_eps: float
-    r_eps: float
 
 
 def _grid_blocks(horizon: float, grid_step: float) -> list[np.ndarray]:
@@ -146,6 +132,16 @@ def estimate_assumption_bounds(
     return inflation * beta, inflation * gamma
 
 
+def _check_constants(n, n_agents, beta, gamma, T, alpha):
+    """Refuse excitation constants outside their ranges (alpha = 0 passes)."""
+    bad = [rule for rule, ok in (
+        ("n >= 1", n >= 1), ("N >= 1", n_agents >= 1), ("beta >= 0", beta >= 0),
+        ("gamma >= 0", gamma >= 0), ("T > 0", T > 0), ("alpha >= 0", alpha >= 0),
+    ) if not ok]
+    if bad:
+        raise ValueError(f"invalid constants: need {', '.join(bad)}")
+
+
 def gain_bound(
     n: int,
     n_agents: int,
@@ -165,8 +161,7 @@ def gain_bound(
         raise ValueError("lambda_g must be positive")
     if alpha <= 0:
         raise ValueError("alpha must be positive (regressor not persistently exciting)")
-    if min(n, n_agents) <= 0 or beta < 0 or gamma < 0 or T <= 0:
-        raise ValueError("invalid constants")
+    _check_constants(n, n_agents, beta, gamma, T, alpha)
     return 2.0 * n * n_agents**2 * beta * gamma * T**2 / (lambda_g * alpha**2)
 
 
@@ -180,16 +175,17 @@ def consensus_error_bound(n: int, gamma: float, k: float, lambda_g: float) -> fl
 
 
 def quantized_bounds(
-    c: ExcitationConstants,
+    c: Mapping,
     k: float,
     lambda_g: float,
     lambda_max: float,
     epsilon: float,
     theta_norm: float,
-) -> QuantizedBounds:
+) -> dict:
     """Feasibility margin and ultimate-bound diagnostics under quantization.
 
-    feasible holds iff alpha^2/(T N^2) exceeds
+    c holds the constants beta, gamma, alpha, T, n and n_agents (an analysis
+    report does). feasible holds iff alpha^2/(T N^2) exceeds
     2 beta T (n gamma/(k lambda_g) + eps n^2 sqrt(N) lambda_max / lambda_g);
     b_eps is the quantized consensus-error ceiling and r_eps the ceiling on
     the regression-identity residual induced by the quantization step.
@@ -198,13 +194,14 @@ def quantized_bounds(
         raise ValueError("lambda_g must be positive")
     if k <= 0 or epsilon < 0 or lambda_max < 0 or theta_norm < 0:
         raise ValueError("invalid constants")
-    n, N = c.n, c.n_agents
-    lhs = c.alpha**2 / (c.T * N**2)
+    n, N, T = c["n"], c["n_agents"], c["T"]
+    _check_constants(n, N, c["beta"], c["gamma"], T, c["alpha"])
+    lhs = c["alpha"] ** 2 / (T * N**2)
     b_eps = (
-        consensus_error_bound(n, c.gamma, k, lambda_g)
+        consensus_error_bound(n, c["gamma"], k, lambda_g)
         + epsilon * n**2 * math.sqrt(N) * lambda_max / lambda_g
     )
-    rhs = 2.0 * c.beta * c.T * b_eps
+    rhs = 2.0 * c["beta"] * T * b_eps
     r_eps = (
         epsilon
         * math.sqrt(n * N)
@@ -212,12 +209,7 @@ def quantized_bounds(
         * (math.sqrt(n) * theta_norm + 1.0)
         / lambda_g
     )
-    return QuantizedBounds(
-        feasible=bool(lhs > rhs),
-        margin=lhs - rhs,
-        b_eps=b_eps,
-        r_eps=r_eps,
-    )
+    return {"feasible": bool(lhs > rhs), "margin": lhs - rhs, "b_eps": b_eps, "r_eps": r_eps}
 
 
 def analyze_scenario(
@@ -274,17 +266,9 @@ def gain_margins(report: dict, k: float, epsilon: float, theta_norm: float) -> d
     and the largest Laplacian eigenvalue, so the switched entry is the
     quantized one's feasibility and margin (theta only enters r_eps).
     """
-    consts = ExcitationConstants(**{f.name: report[f.name] for f in fields(ExcitationConstants)})
     lam_m, lam_max = report["lambda_g_min"], report["lambda_max_family"]
-    qb = quantized_bounds(consts, k, lam_m, lam_max, epsilon, theta_norm)
+    qb = quantized_bounds(report, k, lam_m, lam_max, epsilon, theta_norm)
     return {
-        "quantized": {
-            "k": k,
-            "epsilon": epsilon,
-            "feasible": qb.feasible,
-            "margin": qb.margin,
-            "b_eps": qb.b_eps,
-            "r_eps": qb.r_eps,
-        },
-        "switched": {"feasible": qb.feasible, "margin": qb.margin},
+        "quantized": {"k": k, "epsilon": epsilon, **qb},
+        "switched": {"feasible": qb["feasible"], "margin": qb["margin"]},
     }

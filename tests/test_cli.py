@@ -220,6 +220,40 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+    @pytest.mark.parametrize(
+        "scenario, override, message",
+        [
+            ("cooperative_rank1", "coeff_tables.offset=5", "coeff_tables.offset must be a list"),
+            ("cooperative_rank1", "coeff_tables.offset=[[[1,0,0]]]",
+             "coeff_tables.offset must be a list of 4 entries"),
+            ("cooperative_rank1", "coeff_tables.freq=[1,2,3,4]",
+             "coeff_tables.freq must hold one rows x n table per agent"),
+            ("nominal_switched", "coeff_range=5", "coeff_range must be a list of 2 entries"),
+            ("nominal_switched", "freq_range=[1]", "freq_range must be a list of 2 entries"),
+            ("nominal_switched", "schedule.graphs=5", "schedule.graphs must be a list"),
+            ("nominal_switched", "schedule.segments=[[0,0,1]]",
+             "schedule.segments must be a list of 2 entries"),
+            ("nominal_switched", 'estimators="ge"', "estimators must be a list"),
+            ("cooperative_rank1", "topology.edges=[[0,1.5],[1,2],[2,3],[3,0]]",
+             "topology.edges must be an integer"),
+            ("cooperative_rank1", "topology.edges=[[0,1,2]]",
+             "topology.edges must be a list of 2 entries"),
+            ("cooperative_rank1", "topology.edges=[[0,true],[1,2],[2,3],[3,0]]",
+             "topology.edges must be a finite number"),
+        ],
+    )
+    def test_bad_structured_key_rejected_by_name(
+        self, monkeypatch, capsys, scenario, override, message
+    ):
+        def never(*args):
+            raise AssertionError("analysed a refused scenario")
+
+        monkeypatch.setattr(cli, "analysis_report", never)
+        path = ROOT / "scenarios" / f"{scenario}.json"
+        assert main(["analyze", "-c", str(path), "--set", override]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 class TestGainBound:
     def test_reference_constants(self, capsys):
         code = main(
@@ -274,6 +308,32 @@ class TestFeasibility:
         out = json.loads(capsys.readouterr().out)
         assert set(out) == {"feasible", "margin", "b_eps", "r_eps"}
         assert out["r_eps"] > 0
+
+    REFERENCE = {"--n": "3", "--N": "10", "--beta": "20.769", "--gamma": "8.3966",
+                 "--T": "0.16", "--alpha": "51.326", "--k": "2.806", "--lambda-g": "0.367",
+                 "--lambda-max": "4.0"}
+
+    @pytest.mark.parametrize(
+        "flag, value, rule",
+        [("--n", "0", "n >= 1"), ("--N", "0", "N >= 1"), ("--T", "0", "T > 0"),
+         ("--T", "-0.1", "T > 0"), ("--beta", "-1", "beta >= 0"),
+         ("--gamma", "-1", "gamma >= 0"), ("--alpha", "-1", "alpha >= 0")],
+    )
+    def test_degenerate_constant_refused(self, capsys, flag, value, rule):
+        argv = ["feasibility"]
+        for f, v in {**self.REFERENCE, flag: value}.items():
+            argv += [f, v]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid constants: need {rule}\n"
+
+    def test_zero_alpha_is_infeasible(self, capsys):
+        argv = ["feasibility"]
+        for f, v in {**self.REFERENCE, "--alpha": "0"}.items():
+            argv += [f, v]
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["feasible"] is False
 
 
 class TestSweep:
@@ -355,8 +415,8 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *items):
+                return map(fn, *items)
 
         def fake_run(doc, outdir):
             metrics = {"per_estimator": {}, "tail_sup_cons_err": 0.0, "tail_sup_resid": 0.0}
@@ -381,3 +441,54 @@ class TestSweep:
         )
         assert code == EXIT_OK
         assert started == ([] if expected is None else [expected])
+
+
+PLAIN = (bool, int, float, str, type(None))
+
+
+def leaves(obj):
+    if isinstance(obj, dict):
+        return [leaf for v in obj.values() for leaf in leaves(v)]
+    if isinstance(obj, list):
+        return [leaf for v in obj for leaf in leaves(v)]
+    return [obj]
+
+
+@pytest.mark.parametrize(
+    "command, documents",
+    [
+        (["run", "-o", "{tmp}/run"], 4),  # metrics, constants, config echo, stdout
+        (["analyze"], 1),
+        (["analyze", "--set", "k=auto"], 1),
+        (["analyze", "--set", "coeff_range=[0,0]"], 1),
+        (["sweep", "-o", "{tmp}/sweep", "--axis", "epsilon", "--values", "0,0.018"], 7),
+        (["feasibility", "--n", "3", "--N", "10", "--beta", "20.769", "--gamma", "8.3966",
+          "--T", "0.16", "--alpha", "51.326", "--k", "2.806", "--lambda-g", "0.367",
+          "--lambda-max", "4.0", "--epsilon", "0.036"], 1),
+        (["gain-bound", "--n", "3", "--N", "10", "--beta", "20.769", "--gamma", "8.3966",
+          "--T", "0.16", "--alpha", "51.326", "--lambda-g", "0.367"], 1),
+    ],
+    ids=["run", "analyze", "analyze-auto-k", "analyze-not-pe", "sweep", "feasibility",
+         "gain-bound"],
+)
+def test_every_json_output_holds_plain_values(
+    scenario_file, tmp_path, monkeypatch, command, documents
+):
+    # What reaches json.dumps is already plain: no numpy scalar or array
+    # (np.bool_ and np.int64 would not serialize, np.float64 only by luck).
+    written = []
+    dumps = json.dumps
+
+    def recording(obj, *args, **kwargs):
+        written.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", recording)
+    argv = [a.format(tmp=tmp_path) for a in command]
+    if argv[0] not in ("feasibility", "gain-bound"):
+        argv += ["-c", str(scenario_file)]
+    assert main(argv) == EXIT_OK
+    assert len(written) == documents
+    for doc in written:
+        bad = {type(x).__name__ for x in leaves(doc) if type(x) not in PLAIN}
+        assert not bad, bad

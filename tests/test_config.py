@@ -141,6 +141,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(doc)
 
+    def test_coeff_tables_need_one_table_per_agent(self):
+        doc = base_doc()
+        del doc["coeff_range"], doc["freq_range"]
+        doc["coeff_tables"] = {k: [] for k in ("offset", "sin_amp", "cos_amp", "freq")}
+        with pytest.raises(ConfigError) as e:
+            load_config(doc)
+        assert str(e.value) == "coeff_tables.offset must be a list of 3 entries, got []"
+
     @pytest.mark.parametrize("key", ["offset", "sin_amp", "cos_amp", "freq"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True])
     def test_coeff_tables_entries_read_by_name(self, key, bad):
@@ -229,6 +237,30 @@ class TestLoadConfig:
         doc = base_doc()
         doc["decimation"] = 5.0
         assert load_config(doc).decimation == 5
+
+    def test_integral_float_edge_index_reads_as_int(self):
+        doc = base_doc()
+        reference = load_config(doc).schedule.topologies[0].adjacency
+        doc["topology"] = {"edges": [[0, 1.0], [1, 2]]}
+        np.testing.assert_array_equal(load_config(doc).schedule.topologies[0].adjacency, reference)
+
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [("horizon", 0, "> 0"), ("horizon", -1, "> 0"), ("grid_step", 0, "> 0"),
+         ("inflation", 0, ">= 1"), ("inflation", -1, ">= 1"), ("inflation", 0.99, ">= 1"),
+         ("alpha_threshold", -1e-3, ">= 0")],
+    )
+    def test_analysis_range_refused_by_name(self, key, value, rule):
+        doc = base_doc()
+        doc["analysis"] = {key: value}
+        with pytest.raises(ConfigError) as e:
+            load_config(doc)
+        assert str(e.value) == f"analysis.{key} must be {rule}, got {float(value)!r}"
+
+    def test_analysis_defaults_in_range(self):
+        a = load_config(base_doc()).analysis
+        assert (a.horizon, a.grid_step, a.alpha_threshold, a.inflation) == (5.0, 2e-3, 1e-3, 1.05)
+        assert a.T_grid == (0.04, 0.08, 0.16, 0.32, 0.64)
 
     def test_analysis_block(self):
         doc = base_doc()

@@ -15,7 +15,6 @@ from hiera_est.estimators import (
     drem_scalarize,
     drem_simple_scalarize,
     ge_derivative,
-    l2_divergence_monitor,
 )
 from hiera_est.signals import sample_coefficients, surrogate_all
 
@@ -335,29 +334,3 @@ class TestScalarize:
             expected = gains[mu] * d.phi * (d.Y[:, mu] - d.phi * theta_hat[:, mu])
             np.testing.assert_allclose(dd[:, mu], expected, atol=1e-12)
 
-
-class TestL2Monitor:
-    def test_growing_phi_flags_divergence_consistent(self):
-        t = np.linspace(0, 10, 2001)
-        phi = np.ones_like(t)
-        res = l2_divergence_monitor(t, phi, window=2.0)
-        assert res["verdict"] == "divergence-consistent"
-        np.testing.assert_allclose(res["window_increments"], 2.0, rtol=1e-6)
-
-    def test_decaying_phi_is_inconclusive(self):
-        t = np.linspace(0, 10, 2001)
-        phi = np.exp(-2 * t)
-        res = l2_divergence_monitor(t, phi, window=2.0, floor=1e-4)
-        assert res["verdict"] == "inconclusive"
-
-    def test_never_claims_convergence(self):
-        t = np.linspace(0, 4, 401)
-        for phi in (np.zeros_like(t), np.ones_like(t)):
-            verdict = l2_divergence_monitor(t, phi, window=1.0)["verdict"]
-            assert verdict in ("divergence-consistent", "inconclusive")
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            l2_divergence_monitor(np.arange(3.0), np.arange(4.0), 1.0)
-        with pytest.raises(ValueError):
-            l2_divergence_monitor(np.arange(3.0), np.arange(3.0), 0.0)

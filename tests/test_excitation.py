@@ -4,7 +4,6 @@ from scipy.integrate import quad
 
 from hiera_est.excitation import (
     GRID_BLOCK,
-    ExcitationConstants,
     analyze_scenario,
     consensus_error_bound,
     estimate_assumption_bounds,
@@ -147,18 +146,16 @@ class TestEstimateBounds:
 
 class TestQuantizedBounds:
     def consts(self):
-        return ExcitationConstants(
-            beta=20.769, gamma=8.3966, alpha=51.326, T=0.16, n=3, n_agents=10
-        )
+        return dict(beta=20.769, gamma=8.3966, alpha=51.326, T=0.16, n=3, n_agents=10)
 
     def test_zero_eps_reduces_to_nominal(self):
         qb = quantized_bounds(
             self.consts(), k=2.806, lambda_g=0.367, lambda_max=4.0,
             epsilon=0.0, theta_norm=0.0,
         )
-        assert qb.r_eps == 0.0
+        assert qb["r_eps"] == 0.0
         np.testing.assert_allclose(
-            qb.b_eps, consensus_error_bound(3, 8.3966, 2.806, 0.367)
+            qb["b_eps"], consensus_error_bound(3, 8.3966, 2.806, 0.367)
         )
 
     def test_margin_decreases_with_eps(self):
@@ -168,7 +165,7 @@ class TestQuantizedBounds:
                 self.consts(), k=2.806, lambda_g=0.367, lambda_max=4.0,
                 epsilon=eps, theta_norm=3.74,
             )
-            margins.append(qb.margin)
+            margins.append(qb["margin"])
         assert margins[0] > margins[1] > margins[2]
 
     def test_r_eps_linear_in_eps(self):
@@ -178,28 +175,25 @@ class TestQuantizedBounds:
         qb2 = quantized_bounds(
             self.consts(), 2.806, 0.367, 4.0, 0.036, theta_norm=1.0
         )
-        np.testing.assert_allclose(qb2.r_eps, 2 * qb1.r_eps, rtol=1e-12)
+        np.testing.assert_allclose(qb2["r_eps"], 2 * qb1["r_eps"], rtol=1e-12)
 
     def test_feasibility_formula(self):
         c = self.consts()
         qb = quantized_bounds(c, 2.806, 0.367, 4.0, 0.01, 0.0)
-        lhs = c.alpha**2 / (c.T * c.n_agents**2)
-        rhs = 2 * c.beta * c.T * qb.b_eps
-        assert qb.feasible == (lhs > rhs)
-        np.testing.assert_allclose(qb.margin, lhs - rhs, rtol=1e-12)
+        lhs = c["alpha"] ** 2 / (c["T"] * c["n_agents"] ** 2)
+        rhs = 2 * c["beta"] * c["T"] * qb["b_eps"]
+        assert qb["feasible"] == (lhs > rhs)
+        np.testing.assert_allclose(qb["margin"], lhs - rhs, rtol=1e-12)
 
     def test_switched_uses_worst_case(self):
         # The switched entry is the feasibility and margin at the family's
         # extremes, lambda_g_min and lambda_max_family; theta only enters r_eps.
         c = self.consts()
-        report = {
-            "beta": c.beta, "gamma": c.gamma, "alpha": c.alpha, "T": c.T, "n": c.n,
-            "n_agents": c.n_agents, "lambda_g_min": 0.367, "lambda_max_family": 4.0,
-        }
+        report = {**c, "lambda_g_min": 0.367, "lambda_max_family": 4.0}
         margins = gain_margins(report, 2.806, 0.01, theta_norm=3.0)
         qb = quantized_bounds(c, 2.806, 0.367, 4.0, 0.01, 0.0)
-        assert margins["switched"] == {"feasible": qb.feasible, "margin": qb.margin}
-        assert margins["quantized"]["margin"] == qb.margin
+        assert margins["switched"] == {"feasible": qb["feasible"], "margin": qb["margin"]}
+        assert margins["quantized"]["margin"] == qb["margin"]
 
 
 def test_analyze_scenario_report():

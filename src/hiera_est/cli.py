@@ -66,15 +66,9 @@ def _run_one(doc: dict, outdir: str) -> dict:
             cfg.n, report["gamma"], k, report["lambda_g_min"]
         )
     metrics = compute_metrics(trace, ceiling=ceiling)
-    constants = dict(report)
-    constants["k"] = k
-    constants["consensus_error_ceiling"] = ceiling
+    constants = {**report, "k": k, "consensus_error_ceiling": ceiling}
     write_run_dir(outdir, cfg, trace, metrics, constants)
-    return {
-        "outdir": str(outdir),
-        "k": k,
-        "metrics": metrics.to_jsonable(),
-    }
+    return {"outdir": str(outdir), "k": k, "metrics": metrics}
 
 
 def cmd_run(args) -> int:

@@ -17,7 +17,7 @@ from sys import float_info
 import numpy as np
 
 from .estimators import DremFilterBank, default_filter_bank
-from .excitation import DEFAULT_ALPHA_THRESHOLD, DEFAULT_SUP_INFLATION
+from .excitation import DEFAULT_ALPHA_THRESHOLD, DEFAULT_SUP_INFLATION, check_window
 from .graph import SwitchingSchedule, constant_schedule, topology_from_edges
 from .signals import RegressorGenerator, sample_coefficients
 
@@ -109,7 +109,13 @@ class AnalysisConfig:
         _reject_unknown(d, {f.name for f in fields(cls)}, "analysis")
         grid = _array(d["T_grid"], "analysis.T_grid") if "T_grid" in d else np.array(cls.T_grid)
         _require(grid.ndim == 1 and grid.size > 0, "analysis.T_grid must be a nonempty list")
-        return cls(**_scalars(d, cls, "analysis."), T_grid=tuple(grid.tolist()))
+        s = _scalars(d, cls, "analysis.")
+        for T in grid.tolist():
+            try:
+                check_window(T, s["horizon"], s["grid_step"])
+            except ValueError as e:
+                raise ConfigError(f"analysis.T_grid entry {T:g}: {e}") from None
+        return cls(**s, T_grid=tuple(grid.tolist()))
 
 
 @dataclass
@@ -244,6 +250,13 @@ def load_config(d: dict) -> ScenarioConfig:
     _reject_unknown(d, _KEYS, "scenario")
     s = _scalars(d, ScenarioConfig)
     _require(s["t_end"] >= 10 * s["h"], "t_end must cover at least 10 steps of h")
+    from .sim import ESTIMATORS, in_tail  # the runner's kinds and tail window
+
+    # The last sample is at the last step that decimation divides (see run_scenario).
+    dec = s["decimation"]
+    last_t = int(round(s["t_end"] / s["h"])) // dec * dec * s["h"]
+    _require(in_tail(last_t, s["t_end"]), f"decimation={dec} leaves no sample in the metrics "
+             f"tail window of t_end={s['t_end']:g}: the last sample is at t={last_t:g}")
     n, n_agents = s["n"], s["n_agents"]
     _require("theta" in d, "missing required key: theta")
     theta = _array(d["theta"], "theta")
@@ -251,17 +264,13 @@ def load_config(d: dict) -> ScenarioConfig:
     schedule = _build_schedule(d, n_agents)
     try:
         generator = _build_generator(d, n, n_agents, s["seed"])
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"bad regressor settings: {e}") from None
+    except ValueError as e:  # the generator's messages start with their key
+        raise ConfigError(str(e)) from None
 
     k = d.get("k", "auto")
     if k != "auto":
         k = number(k, 'k (a number or "auto")')
         _require(k > 0, "consensus gain k must be positive")
-
-    from .sim import ESTIMATORS  # the kinds are declared with the runner
 
     estimators = tuple(_list(d.get("estimators", ["ge", "drem"]), "estimators"))
     _require(len(estimators) > 0, "at least one estimator must be enabled")

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .graph import Topology
+from .graph import Topology, laplacian
 from .signals import quantize
 
 
@@ -54,7 +54,7 @@ def effective_laplacian(topo: Topology, loss_mask: np.ndarray | None = None) -> 
     if loss_mask is not None:
         up = np.logical_and(loss_mask, loss_mask.T)
         a = a * up
-    return np.diag(a.sum(axis=1)) - a
+    return laplacian(a)
 
 
 def dac_derivative(

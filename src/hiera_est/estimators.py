@@ -5,13 +5,12 @@ estimator stacks the consensus output atop its first-order filtered copies
 into one extended regression A = [Cf | yf], and scalarizes it with two
 products: Cf^T A = [G | Cf^T yf] gives the Gram G and the right-hand side
 at once, and adj(G) [G | Cf^T yf] = [phi I | Y] gives the mixing factor
-phi = det(G) and the decoupled regression Y = phi theta. The filterless
-variant scalarizes [Chat | yhat] the same way.
+phi = det(G) and the decoupled regression Y = phi theta, returned as the
+pair (phi, Y). The filterless variant scalarizes [Chat | yhat] the same way.
 
-The adjugate has a closed form for n = 1 and n = 3 and takes one batched
+The adjugate has a closed form for n = 3 and takes one batched
 determinant over all n^2 minors for every other n; phi is read off the
-second product, so for n = 1 and n = 3 the scalarization makes no
-determinant call.
+second product, so for n = 3 the scalarization makes no determinant call.
 """
 
 from __future__ import annotations
@@ -129,9 +128,9 @@ def drem_extend(out: ConsensusOutput, z: np.ndarray) -> np.ndarray:
 def adjugate(G: np.ndarray) -> np.ndarray:
     """Classical adjugate, adj(G) G = det(G) I, defined for singular G too.
 
-    Closed form for n = 1 (the 1x1 adjugate is 1) and for n = 3 (row i is
-    the cross product of columns i+1 and i+2). For every other n, one
-    batched determinant of all n^2 minors. No branch depends on the values,
+    Closed form for n = 3 (row i is the cross product of columns i+1 and
+    i+2). For every other n, one batched determinant of all n^2 minors (at
+    n = 1, one 0x0 minor of determinant 1). No branch depends on the values,
     so rank-deficient and badly scaled input takes the same path as any
     other. Supports batched input (..., n, n).
     """
@@ -140,8 +139,6 @@ def adjugate(G: np.ndarray) -> np.ndarray:
     if g.ndim < 2 or g.shape[-2] != n:
         raise ValueError("adjugate needs square matrices")
     batch = g.shape[:-2]
-    if n == 1:
-        return np.ones_like(g)
     if n == 3:
         t = g.reshape(*batch, 9).take(_ADJ3_FLAT, axis=-1)
         return t[..., 0, :, :] * t[..., 1, :, :] - t[..., 2, :, :] * t[..., 3, :, :]
@@ -155,22 +152,14 @@ def adjugate(G: np.ndarray) -> np.ndarray:
     return sign * np.linalg.det(minors)
 
 
-@dataclass
-class DremScalar:
-    """Scalarized regression for one batch of agents: Y = phi * theta ideally."""
-
-    phi: np.ndarray  # (N,)
-    Y: np.ndarray  # (N, n)
-
-
-def _mix(B: np.ndarray) -> DremScalar:
-    """adj(G) B = [phi I | Y] for B = [G | rhs]: phi = det(G) is entry (0, 0), Y column n."""
+def _mix(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """adj(G) B = [phi I | Y] for B = [G | rhs]: (phi, Y), phi = det(G) entry (0, 0), Y column n."""
     n = B.shape[-2]
     M = adjugate(B[..., :n]) @ B
-    return DremScalar(phi=M[..., 0, 0], Y=M[..., n])
+    return M[..., 0, 0], M[..., n]
 
 
-def drem_scalarize(A: np.ndarray) -> DremScalar:
+def drem_scalarize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scalarize the extended regression A = [Cf | yf] through the Gram adjugate.
 
     [G | Cf^T yf] = Cf^T A in one product, then phi = det(G) and
@@ -180,15 +169,15 @@ def drem_scalarize(A: np.ndarray) -> DremScalar:
     return _mix(A[..., :n].swapaxes(-1, -2) @ A)
 
 
-def drem_simple_scalarize(out: ConsensusOutput) -> DremScalar:
+def drem_simple_scalarize(out: ConsensusOutput) -> tuple[np.ndarray, np.ndarray]:
     """Filterless scalarization using the square consensus output [Chat | yhat] directly."""
     return _mix(out.Z.take(_augmented(out.yhat.shape[-1]), axis=-1))
 
 
 def drem_derivative(
-    theta_hat: np.ndarray, d: DremScalar, gain_diag: np.ndarray
+    theta_hat: np.ndarray, phi: np.ndarray, Y: np.ndarray, gain_diag: np.ndarray
 ) -> np.ndarray:
     """Decoupled scalar update: gain * phi * (Y - phi * theta_hat) per component."""
-    phi = d.phi[:, None]
-    return gain_diag[None, :] * phi * (d.Y - phi * theta_hat)
+    phi = phi[:, None]
+    return gain_diag[None, :] * phi * (Y - phi * theta_hat)
 

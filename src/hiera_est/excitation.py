@@ -9,12 +9,14 @@ A scenario's analysis is one report of plain Python values, printed and written
 as it is: `analyze_scenario` gives alpha(T), beta, gamma and k_min, and
 `gain_margins` adds the quantized and switched entries at a gain from
 `quantized_bounds`, which reads its constants from the report's keys.
+`pe_level` gives one signal's alpha as a float. `check_window` is the one
+rule for a window T on the analysis grid; scenario validation applies it to
+analysis.T_grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -30,22 +32,6 @@ DEFAULT_ALPHA_THRESHOLD = 1e-3
 GRID_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class PEWitness:
-    """Result of a sliding-window excitation scan.
-
-    alpha is the minimum over all analyzed windows of the smallest eigenvalue
-    of the window Gram integral, clamped at 0; min_eig_trace holds the
-    per-window minima.
-    """
-
-    alpha: float
-    window: float
-    grid_step: float
-    horizon: float
-    min_eig_trace: np.ndarray
-
-
 def _grid_blocks(horizon: float, grid_step: float) -> list[np.ndarray]:
     """The analysis grid t_k = k * grid_step on [0, horizon], in blocks of GRID_BLOCK times."""
     ts = np.arange(int(math.floor(horizon / grid_step + 1e-9)) + 1) * grid_step
@@ -57,6 +43,19 @@ def _grams(f: np.ndarray) -> np.ndarray:
     return np.swapaxes(f, -1, -2) @ f
 
 
+def check_window(T: float, horizon: float, grid_step: float):
+    """Refuse a window T that the analysis grid on [0, horizon] cannot integrate."""
+    if T <= 0:
+        raise ValueError("window T must be positive")
+    if horizon < T:
+        raise ValueError("horizon must cover at least one window")
+    if grid_step <= 0 or grid_step > T / 10:
+        raise ValueError("grid too coarse: need grid_step <= T/10")
+    # A window of round(T / grid_step) steps can pass the grid's last time.
+    if round(T / grid_step) > horizon / grid_step + 1e-9:
+        raise ValueError("horizon must cover at least one window")
+
+
 def _window_min_eigs(grams_at: Callable, windows, horizon: float, grid_step: float) -> list:
     """Per-window smallest eigenvalues of the sliding Gram integrals, one array per T.
 
@@ -66,15 +65,7 @@ def _window_min_eigs(grams_at: Callable, windows, horizon: float, grid_step: flo
     grid_step, so every window length reads off the same array.
     """
     for T in windows:
-        if T <= 0:
-            raise ValueError("window T must be positive")
-        if horizon < T:
-            raise ValueError("horizon must cover at least one window")
-        if grid_step <= 0 or grid_step > T / 10:
-            raise ValueError("grid too coarse: need grid_step <= T/10")
-        # A window of round(T / grid_step) steps can pass the grid's last time.
-        if round(T / grid_step) > horizon / grid_step + 1e-9:
-            raise ValueError("horizon must cover at least one window")
+        check_window(T, horizon, grid_step)
 
     grams = np.concatenate([grams_at(tb) for tb in _grid_blocks(horizon, grid_step)])
     # Cumulative trapezoid: cum[k] = integral of the Gram from 0 to ts[k].
@@ -89,20 +80,20 @@ def pe_level(
     T: float,
     horizon: float,
     grid_step: float,
-) -> PEWitness:
-    """Sliding-window excitation level of a matrix-valued signal.
+) -> float:
+    """Sliding-window excitation level alpha of a matrix-valued signal.
 
     The window start slides over [0, horizon - T] at grid resolution; each
     window's Gram integral of F(t)^T F(t) is evaluated by composite trapezoid
-    at grid_step and its smallest eigenvalue recorded.
+    at grid_step. alpha is the smallest eigenvalue over all windows, clamped
+    at 0.
     """
 
     def grams_at(ts):
         return _grams(np.stack([np.atleast_2d(np.asarray(signal(t), dtype=float)) for t in ts]))
 
     (min_eigs,) = _window_min_eigs(grams_at, [T], horizon, grid_step)
-    alpha = max(float(min_eigs.min()), 0.0)
-    return PEWitness(alpha, T, grid_step, horizon, min_eig_trace=min_eigs)
+    return max(float(min_eigs.min()), 0.0)
 
 
 def estimate_assumption_bounds(

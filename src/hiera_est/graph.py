@@ -40,19 +40,22 @@ class Topology:
     Attributes:
         n_agents: number of nodes N.
         adjacency: symmetric 0/1 matrix with zero diagonal, shape (N, N).
-        laplacian: L = D - A with D the diagonal degree matrix.
         lambda2: algebraic connectivity (second-smallest Laplacian eigenvalue).
         lambda_max: largest Laplacian eigenvalue.
     """
 
     n_agents: int
     adjacency: np.ndarray
-    laplacian: np.ndarray
     lambda2: float
     lambda_max: float
 
     def neighbors(self, i: int) -> np.ndarray:
         return np.nonzero(self.adjacency[i])[0]
+
+
+def laplacian(adjacency: np.ndarray) -> np.ndarray:
+    """L = D - A, with D the diagonal degree matrix of the adjacency A."""
+    return np.diag(adjacency.sum(axis=1)) - adjacency
 
 
 def build_topology(adjacency) -> Topology:
@@ -76,19 +79,16 @@ def build_topology(adjacency) -> Topology:
     if np.any(np.diag(a) != 0.0):
         raise BadEntriesError("adjacency diagonal must be zero")
 
-    lap = np.diag(a.sum(axis=1)) - a
-    eigs = np.linalg.eigvalsh(lap)
+    eigs = np.linalg.eigvalsh(laplacian(a))
     lambda2 = float(eigs[1])
     if lambda2 <= CONNECTIVITY_TOL:
         raise DisconnectedError(
             f"graph is disconnected (algebraic connectivity {lambda2:.3e})"
         )
     a.setflags(write=False)
-    lap.setflags(write=False)
     return Topology(
         n_agents=n,
         adjacency=a,
-        laplacian=lap,
         lambda2=lambda2,
         lambda_max=float(eigs[-1]),
     )

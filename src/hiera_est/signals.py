@@ -125,10 +125,10 @@ class RegressorGenerator:
         ref = [a.shape for a in off]
         for group in (samp, camp, frq):
             if len(group) != len(off) or [a.shape for a in group] != ref:
-                raise ValueError("coefficient tables have inconsistent shapes")
+                raise ValueError("coeff_tables must give each agent one table shape for all four")
         n = off[0].shape[1]
         if any(a.shape[1] != n for a in off):
-            raise ValueError("all agents must share n columns")
+            raise ValueError("coeff_tables must give every agent n columns")
         return cls(
             n_params=n,
             rows_per_agent=tuple(a.shape[0] for a in off),
@@ -153,7 +153,7 @@ def sample_coefficients(
     ``rows`` is either a single int (same p for every agent) or a sequence of
     per-agent row counts. Sampling order is fixed (per agent: offset, sine,
     cosine amplitudes, then frequencies) so the same seed always reproduces
-    the same tables.
+    the same tables. Messages start with the scenario key they refuse.
     """
     if n < 1 or n_agents < 1:
         raise ValueError("dimensions must be positive")
@@ -161,12 +161,12 @@ def sample_coefficients(
         rows = [rows] * n_agents
     rows = [int(p) for p in rows]
     if len(rows) != n_agents or any(p < 1 for p in rows):
-        raise ValueError("rows must give a positive row count per agent")
+        raise ValueError(f"rows_per_agent must give a positive row count per agent, got {rows}")
     clo, chi = float(coeff_range[0]), float(coeff_range[1])
     flo, fhi = float(freq_range[0]), float(freq_range[1])
-    for lo, hi in ((clo, chi), (flo, fhi)):
+    for key, lo, hi in (("coeff_range", clo, chi), ("freq_range", flo, fhi)):
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
-            raise ValueError(f"invalid range [{lo}, {hi}]")
+            raise ValueError(f"{key} must be a finite [lo, hi] with lo <= hi, got [{lo}, {hi}]")
 
     rng = coefficient_stream(seed)
     offset, sin_amp, cos_amp, freq = [], [], [], []

@@ -15,12 +15,14 @@ consensus.dac_derivative, on one packed channel. Each estimator kind is
 declared once, in ESTIMATORS: its state blocks and one field that gives
 their derivatives and the kind's sample at the same state. Samples are
 written by RK4's first stage, the field evaluation at the step's own state.
+The outputs are plain values: compute_metrics gives the metrics.json dict,
+and TraceSet.to_csv names every column by one rule.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -163,59 +165,28 @@ class TraceSet:
     estimators: dict[str, EstimatorTrace]
     theta: np.ndarray
     k: float
-    h: float
     t_end: float
-    decimation: int
     transient_fraction: float
     max_conservation_err: float = 0.0
     max_asymmetry: float = 0.0
 
     def to_csv(self, path):
-        n = self.theta.shape[0]
-        n_agents = self.cons_err.shape[1]
-        cols: list[tuple[str, np.ndarray]] = [
-            ("t", self.t),
-            ("sigma", self.sigma),
-            ("links", self.links),
-        ]
-        for i in range(n_agents):
-            cols.append((f"cons_err_a{i}", self.cons_err[:, i]))
-        for i in range(n_agents):
-            cols.append((f"yhat_err_a{i}", self.yhat_err[:, i]))
-        for i in range(n_agents):
-            cols.append((f"resid_a{i}", self.resid_norm[:, i]))
-        for name, tr in self.estimators.items():
-            if tr.theta_hat.ndim == 2:  # centralized
-                for mu in range(n):
-                    cols.append((f"{name}_theta{mu}", tr.theta_hat[:, mu]))
-                cols.append((f"{name}_err", tr.err_norm))
-                continue
-            for i in range(n_agents):
-                for mu in range(n):
-                    cols.append((f"{name}_theta{mu}_a{i}", tr.theta_hat[:, i, mu]))
-            for i in range(n_agents):
-                cols.append((f"{name}_err_a{i}", tr.err_norm[:, i]))
-            if tr.phi is not None:
-                for i in range(n_agents):
-                    cols.append((f"{name}_phi_a{i}", tr.phi[:, i]))
-                for i in range(n_agents):
-                    cols.append((f"{name}_phi_sq_int_a{i}", tr.phi_sq_int[:, i]))
-        header = ",".join(name for name, _ in cols)
-        data = np.column_stack([c for _, c in cols])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
-
-@dataclass
-class Metrics:
-    """Derived per-run quantities: final errors, decay rates, tail suprema."""
-
-    per_estimator: dict
-    tail_sup_cons_err: float
-    tail_sup_resid: float
-    transient_end: float | None = None
-
-    def to_jsonable(self) -> dict:
-        return asdict(self)
+        """One column per entry of each array: its label, then the entry
+        index, then _a<i> when the array has an agent axis."""
+        arrays = [("t", self.t, False), ("sigma", self.sigma, False), ("links", self.links, False),
+                  ("cons_err", self.cons_err, True), ("yhat_err", self.yhat_err, True),
+                  ("resid", self.resid_norm, True)]
+        labels = {"theta_hat": "theta", "err_norm": "err"}  # where not the field's name
+        for kind, tr in self.estimators.items():
+            arrays += [(f"{kind}_{labels.get(name, name)}", a, ESTIMATORS[kind].per_agent)
+                       for name, a in vars(tr).items() if a is not None]
+        header, columns = [], []
+        for label, a, per_agent in arrays:
+            entries = ["".join(map(str, e)) for e in np.ndindex(a.shape[1 + per_agent:])]
+            agents = [f"_a{i}" for i in range(a.shape[1])] if per_agent else [""]
+            header += [label + e + agent for agent in agents for e in entries]
+            columns.append(a.reshape(len(a), -1))
+        np.savetxt(path, np.hstack(columns), delimiter=",", header=",".join(header), comments="")
 
 
 @dataclass(frozen=True)
@@ -244,16 +215,16 @@ def _gradient(v, derivative) -> tuple[list, dict]:
     return [derivative], {"theta_hat": v["theta"]}
 
 
-def _mixing(cfg, v, scal) -> tuple[list, dict]:
+def _mixing(cfg, v, phi, Y) -> tuple[list, dict]:
     """A DREM kind's derivatives of theta and of its running integral of
     phi^2, and its sample."""
-    derivs = [est.drem_derivative(v["theta"], scal, cfg.gamma_drem), scal.phi**2]
-    return derivs, {"theta_hat": v["theta"], "phi": scal.phi, "phi_sq_int": v["phi_int"]}
+    derivs = [est.drem_derivative(v["theta"], phi, Y, cfg.gamma_drem), phi**2]
+    return derivs, {"theta_hat": v["theta"], "phi": phi, "phi_sq_int": v["phi_int"]}
 
 
 def _drem_field(cfg, v, out, rows) -> tuple[list, dict]:
     dz = est.drem_filter_derivative(cfg.drem_filters, v["z"], out)
-    derivs, sample = _mixing(cfg, v, est.drem_scalarize(est.drem_extend(out, v["z"])))
+    derivs, sample = _mixing(cfg, v, *est.drem_scalarize(est.drem_extend(out, v["z"])))
     return [dz, *derivs], sample
 
 
@@ -278,7 +249,7 @@ ESTIMATORS = {
             ("theta", (cfg.n_agents, cfg.n), True),
             ("phi_int", (cfg.n_agents,), False),
         ],
-        field=lambda cfg, v, out, rows: _mixing(cfg, v, est.drem_simple_scalarize(out)),
+        field=lambda cfg, v, out, rows: _mixing(cfg, v, *est.drem_simple_scalarize(out)),
     ),
     "centralized": Estimator(
         blocks=lambda cfg: [("theta", (cfg.n,), True)],
@@ -549,9 +520,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         estimators=est_traces,
         theta=theta.copy(),
         k=k,
-        h=cfg.h,
         t_end=cfg.t_end,
-        decimation=cfg.decimation,
         transient_fraction=cfg.transient_fraction,
         max_conservation_err=max_conservation,
         max_asymmetry=max_asymmetry,
@@ -581,21 +550,26 @@ def fit_decay_rate(
     return float(slope)
 
 
-def compute_metrics(trace: TraceSet, ceiling: float | None = None) -> Metrics:
-    """Extract convergence metrics from a trace.
+def in_tail(t, t_end: float):
+    """Whether sample time t is in the metrics tail window, the last TAIL_FRACTION of t_end."""
+    return t >= (1.0 - TAIL_FRACTION) * t_end
+
+
+def compute_metrics(trace: TraceSet, ceiling: float | None = None) -> dict:
+    """Convergence metrics of a trace: the metrics.json dict, in its key order.
 
     The decay rate discards the transient (first transient_fraction of the
     horizon) and any samples saturated below ERR_FLOOR; when an estimator
     converges to the floor before the transient window even opens, the fit
     falls back to the full trace, and an agent with fewer than
     MIN_FIT_SAMPLES usable samples even there (a short run) gets None.
-    Tail suprema use the last TAIL_FRACTION.
+    Tail suprema are over the samples in_tail admits.
     When a consensus-error ceiling is supplied, transient_end is the first
     sample time at which all agents' consensus errors are inside it.
     """
     t = trace.t
     post = t >= trace.transient_fraction * trace.t_end
-    tail = t >= (1.0 - TAIL_FRACTION) * trace.t_end
+    tail = in_tail(t, trace.t_end)
     if not np.any(tail):
         raise ValueError("tail window is empty")
 
@@ -609,7 +583,7 @@ def compute_metrics(trace: TraceSet, ceiling: float | None = None) -> Metrics:
 
     per_est = {}
     for name, tr in trace.estimators.items():
-        err2d = tr.err_norm if tr.err_norm.ndim == 2 else tr.err_norm[:, None]
+        err2d = tr.err_norm.reshape(len(t), -1)
         rates = [one_rate(err2d[:, i]) for i in range(err2d.shape[1])]
         per_est[name] = {
             "final_err": err2d[-1].tolist(),
@@ -623,26 +597,26 @@ def compute_metrics(trace: TraceSet, ceiling: float | None = None) -> Metrics:
         hits = np.nonzero(inside)[0]
         transient_end = float(t[hits[0]]) if hits.size else None
 
-    return Metrics(
-        per_estimator=per_est,
-        tail_sup_cons_err=float(trace.cons_err[tail].max()),
-        tail_sup_resid=float(trace.resid_norm[tail].max()),
-        transient_end=transient_end,
-    )
+    return {
+        "per_estimator": per_est,
+        "tail_sup_cons_err": float(trace.cons_err[tail].max()),
+        "tail_sup_resid": float(trace.resid_norm[tail].max()),
+        "transient_end": transient_end,
+    }
 
 
 def write_run_dir(
     outdir,
     cfg: ScenarioConfig,
     trace: TraceSet,
-    metrics: Metrics,
+    metrics: dict,
     constants: dict | None = None,
 ):
     """Emit the standard run artifacts: traces, metrics, constants, config echo."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(outdir / "traces.csv")
-    (outdir / "metrics.json").write_text(json.dumps(metrics.to_jsonable(), indent=2))
+    (outdir / "metrics.json").write_text(json.dumps(metrics, indent=2))
     if constants is not None:
         (outdir / "constants.json").write_text(json.dumps(constants, indent=2))
     (outdir / "config-echo.json").write_text(json.dumps(cfg.echo(), indent=2))

@@ -19,6 +19,10 @@ from hiera_est.cli import (
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _never(*args):
+    raise AssertionError("analysed or integrated a refused scenario")
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     doc = {
@@ -120,6 +124,21 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {key} must be a finite number")
         assert not out.exists()
 
+    def test_decimation_past_the_tail_window_refused_before_integrating(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 2000 steps sampled every 1500: the last sample, t = 1.5, is before
+        # the metrics tail window [1.6, 2].
+        monkeypatch.setattr(cli, "analysis_report", _never)
+        monkeypatch.setattr(cli, "run_scenario", _never)
+        out = tmp_path / "bad"
+        scenario = ROOT / "scenarios" / "nominal_switched.json"
+        code = main(["run", "-c", str(scenario), "-o", str(out),
+                     "--set", "t_end=2", "--set", "decimation=1500"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: decimation=1500 leaves no sample")
+        assert not out.exists()
+
     def test_auto_gain_without_positive_bound_is_rejected(self, tmp_path, capsys):
         # Constant regressors give gamma = 0, so the bound asks for k_min = 0:
         # no auto gain, and the message says to give k.
@@ -206,6 +225,12 @@ class TestAnalyze:
              "rows_per_agent must be an integer"),
             ("cooperative_rank1", "coeff_tables.freq=[[[NaN,0,0]],[[0,0,0]],[[0,0,0]],[[0,0,0]]]",
              "coeff_tables.freq must be a finite number"),
+            ("nominal_switched", "coeff_range=[5,1]", "coeff_range must be"),
+            ("nominal_switched", "freq_range=[3,0]", "freq_range must be"),
+            ("nominal_switched", "rows_per_agent=0", "rows_per_agent must give"),
+            ("nominal_switched", "rows_per_agent=[1,1]", "rows_per_agent must give"),
+            ("cooperative_rank1", "coeff_tables.freq=[[[0,0]],[[0,0,0]],[[0,0,0]],[[0,0,0]]]",
+             "coeff_tables must give"),
         ],
     )
     def test_bad_regressor_source_rejected_by_name(
@@ -252,6 +277,28 @@ class TestAnalyze:
         path = ROOT / "scenarios" / f"{scenario}.json"
         assert main(["analyze", "-c", str(path), "--set", override]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command", ["analyze", "run"])
+@pytest.mark.parametrize(
+    "scenario, override, rule",
+    [
+        ("cooperative_rank1", "analysis.T_grid=[0]", "window T must be positive"),
+        ("cooperative_rank1", "analysis.T_grid=[0.001]", "grid too coarse"),
+        ("nominal_switched", "analysis.horizon=0.01", "horizon must cover at least one window"),
+    ],
+)
+def test_window_off_the_analysis_grid_refused_by_name(
+    tmp_path, monkeypatch, capsys, command, scenario, override, rule
+):
+    monkeypatch.setattr(cli, "analysis_report", _never)
+    monkeypatch.setattr(cli, "run_scenario", _never)
+    argv = [command, "-c", str(ROOT / "scenarios" / f"{scenario}.json"), "--set", override]
+    out = tmp_path / "out"
+    assert main(argv + (["-o", str(out)] if command == "run" else [])) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: analysis.T_grid entry") and rule in err
+    assert not out.exists()
 
 
 class TestGainBound:

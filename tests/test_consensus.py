@@ -16,7 +16,7 @@ from hiera_est.consensus import (
     residual,
     split,
 )
-from hiera_est.graph import topology_from_edges
+from hiera_est.graph import laplacian, topology_from_edges
 from hiera_est.signals import quantize, sample_coefficients, surrogate_all
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -105,7 +105,7 @@ class TestDerivative:
     def test_gain_must_be_positive(self, topo, data):
         cp, yp, _ = data
         with pytest.raises(ValueError):
-            dac_derivative(outputs(cp, yp, *zeros()), topo.laplacian, 0.0)
+            dac_derivative(outputs(cp, yp, *zeros()), laplacian(topo.adjacency), 0.0)
 
     def test_agent_count_mismatch(self, topo, data):
         cp, yp, _ = data
@@ -116,7 +116,7 @@ class TestDerivative:
 
 class TestEffectiveLaplacian:
     def test_no_mask_is_nominal(self, topo):
-        np.testing.assert_array_equal(effective_laplacian(topo), topo.laplacian)
+        np.testing.assert_array_equal(effective_laplacian(topo), laplacian(topo.adjacency))
 
     def test_removed_edge(self, topo):
         mask = np.ones((4, 4), dtype=bool)

@@ -255,9 +255,9 @@ class TestScalarize:
         theta = np.array([1.5, -2.0])
         cf = rng.normal(size=(3, 5, 2))
         yf = np.einsum("ami,i->am", cf, theta)
-        d = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1))
+        phi, Y = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1))
         np.testing.assert_allclose(
-            d.Y, d.phi[:, None] * theta, rtol=1e-9, atol=1e-9
+            Y, phi[:, None] * theta, rtol=1e-9, atol=1e-9
         )
 
     def test_simple_variant(self):
@@ -265,9 +265,9 @@ class TestScalarize:
         theta = np.array([0.5, 1.0, -1.0])
         chat = rng.normal(size=(2, 3, 3))
         out = ConsensusOutput(pack(chat, np.einsum("aij,j->ai", chat, theta)))
-        d = drem_simple_scalarize(out)
-        np.testing.assert_allclose(d.phi, np.linalg.det(chat))
-        np.testing.assert_allclose(d.Y, d.phi[:, None] * theta, rtol=1e-9)
+        phi, Y = drem_simple_scalarize(out)
+        np.testing.assert_allclose(phi, np.linalg.det(chat))
+        np.testing.assert_allclose(Y, phi[:, None] * theta, rtol=1e-9)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -281,7 +281,7 @@ class TestScalarize:
         yf = rng.normal(size=(n_agents, rows))
         gram = np.einsum("ami,amj->aij", cf, cf)
         tol = SCALED_TOL * frobenius(gram) ** n
-        phi = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1)).phi
+        phi, _ = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1))
         assert np.all(np.abs(phi - np.linalg.det(gram)) <= tol)
 
     @settings(max_examples=300, deadline=None)
@@ -295,7 +295,7 @@ class TestScalarize:
     ):
         # The fused products against the unfused definitions: phi against
         # det(Cf^T Cf), Y against the cofactor adjugate of the Gram times
-        # Cf^T yf. n = 1 and 3 take the closed-form adjugate, n = 2 and 4
+        # Cf^T yf. n = 3 takes the closed-form adjugate, n = 1, 2 and 4
         # the det path; a deficient Cf has rank n - 1, so phi is ~0.
         rng = np.random.default_rng(seed)
         rows = (r + 1) * n
@@ -304,33 +304,34 @@ class TestScalarize:
             cf = cf[..., :-1] @ rng.normal(size=(n_agents, n - 1, n))
         cf *= 10.0 ** log_scales[0]
         yf = 10.0 ** log_scales[1] * rng.normal(size=(n_agents, rows))
-        d = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1))
-        assert d.phi.shape == (n_agents,) and d.Y.shape == (n_agents, n)
+        phi, Y = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1))
+        assert phi.shape == (n_agents,) and Y.shape == (n_agents, n)
         gram = np.einsum("ami,amj->aij", cf, cf)
         rhs = np.einsum("ami,am->ai", cf, yf)
         g = frobenius(gram)
-        assert np.all(np.abs(d.phi - np.linalg.det(gram)) <= 1e-10 * g**n)
+        assert np.all(np.abs(phi - np.linalg.det(gram)) <= 1e-10 * g**n)
         # Entries of Y are sums of adj(G) entries times entries of Cf^T yf,
         # which |Cf|_F |yf| bounds.
         y_scale = g ** (n - 1) * frobenius(cf) * np.linalg.norm(yf, axis=-1)
         y_ref = (cofactor_adjugate(gram) @ rhs[..., None])[..., 0]
-        assert np.all(np.abs(d.Y - y_ref) <= 1e-10 * y_scale[:, None])
+        assert np.all(np.abs(Y - y_ref) <= 1e-10 * y_scale[:, None])
 
     @settings(max_examples=300, deadline=None)
     @given(square_batches(min_axes=1, max_axes=1))
     def test_simple_phi_is_determinant(self, chat):
         out = ConsensusOutput(pack(chat, np.ones(chat.shape[:2])))
         tol = SCALED_TOL * frobenius(chat) ** chat.shape[-1]
-        assert np.all(np.abs(drem_simple_scalarize(out).phi - np.linalg.det(chat)) <= tol)
+        phi, _ = drem_simple_scalarize(out)
+        assert np.all(np.abs(phi - np.linalg.det(chat)) <= tol)
 
     def test_derivative_decoupled(self):
         # each component evolves independently through its own scalar gain
         rng = np.random.default_rng(8)
         theta_hat = rng.normal(size=(2, 3))
-        d = drem_simple_scalarize(make_output(rng, 2, 3))
+        phi, Y = drem_simple_scalarize(make_output(rng, 2, 3))
         gains = np.array([1.0, 2.0, 4.0])
-        dd = drem_derivative(theta_hat, d, gains)
+        dd = drem_derivative(theta_hat, phi, Y, gains)
         for mu in range(3):
-            expected = gains[mu] * d.phi * (d.Y[:, mu] - d.phi * theta_hat[:, mu])
+            expected = gains[mu] * phi * (Y[:, mu] - phi * theta_hat[:, mu])
             np.testing.assert_allclose(dd[:, mu], expected, atol=1e-12)
 

@@ -21,19 +21,19 @@ class TestPeLevel:
         # Gram integral of [sin t, cos t] over a full period is pi * I exactly.
         sig = lambda t: np.array([[np.sin(t), np.cos(t)]])
         w = pe_level(sig, T=2 * np.pi, horizon=4 * np.pi, grid_step=2 * np.pi / 1000)
-        np.testing.assert_allclose(w.alpha, np.pi, atol=1e-3)
+        np.testing.assert_allclose(w, np.pi, atol=1e-3)
 
     def test_constant_signal(self):
         c = 2.5
         sig = lambda t: np.array([[c]])
         w = pe_level(sig, T=0.8, horizon=3.0, grid_step=0.8 / 100)
-        np.testing.assert_allclose(w.alpha, c**2 * 0.8, rtol=1e-12)
+        np.testing.assert_allclose(w, c**2 * 0.8, rtol=1e-12)
 
     def test_rank_deficient_signal_zero_alpha(self):
         # one-direction signal: Gram is singular in the orthogonal direction
         sig = lambda t: np.array([[1.0, 0.0]])
         w = pe_level(sig, T=1.0, horizon=2.0, grid_step=0.01)
-        assert w.alpha == 0.0
+        assert w == 0.0
 
     def test_against_scipy_quadrature(self):
         sig = lambda t: np.array([[np.sin(2 * t), 0.3 + np.cos(t)]])
@@ -56,7 +56,7 @@ class TestPeLevel:
                 ]
             )
             mins.append(np.linalg.eigvalsh(g)[0])
-        assert w.alpha <= min(mins) + 1e-4
+        assert w <= min(mins) + 1e-4
 
     def test_grid_too_coarse_rejected(self):
         sig = lambda t: np.array([[1.0]])
@@ -80,7 +80,7 @@ class TestPeLevel:
         with pytest.raises(ValueError, match="horizon must cover at least one window"):
             pe_level(sig, T=1.06, horizon=1.06, grid_step=0.1)
         assert times == []
-        assert pe_level(sig, T=1.0, horizon=1.06, grid_step=0.1).alpha == pytest.approx(1.0)
+        assert pe_level(sig, T=1.0, horizon=1.06, grid_step=0.1) == pytest.approx(1.0)
 
 
 def test_alpha_curve_monotone_for_constant():
@@ -269,7 +269,7 @@ def test_blocked_analysis_matches_per_time_reference(monkeypatch):
         return np.vstack([gen.evaluate(i, t) for i in range(gen.n_agents)])
 
     alphas = [p["alpha"] for p in report["alpha_curve"]]
-    ref = [pe_level(stacked, T, horizon, step).alpha for T in T_grid]
+    ref = [pe_level(stacked, T, horizon, step) for T in T_grid]
     np.testing.assert_allclose(alphas, ref, rtol=1e-12)
     assert min(ref) > 0
 

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -555,16 +558,36 @@ class TestMetrics:
 
     def test_compute_metrics_fields(self, small_trace):
         m = compute_metrics(small_trace, ceiling=100.0)
-        assert set(m.per_estimator) == {"ge", "drem"}
-        ge = m.per_estimator["ge"]
+        assert set(m["per_estimator"]) == {"ge", "drem"}
+        ge = m["per_estimator"]["ge"]
         assert len(ge["final_err"]) == 3 and len(ge["decay_rate"]) == 3
         assert all(r < 0 for r in ge["decay_rate"])
-        assert m.transient_end is not None
-        assert m.tail_sup_resid < 1e-9
+        assert m["transient_end"] is not None
+        assert m["tail_sup_resid"] < 1e-9
 
     def test_transient_end_none_when_never_inside(self, small_trace):
         m = compute_metrics(small_trace, ceiling=1e-30)
-        assert m.transient_end is None
+        assert m["transient_end"] is None
+
+
+def test_decimation_refused_exactly_when_the_tail_window_is_empty():
+    # 50 steps: load_config refuses a decimation iff the run it would give
+    # has no sample for compute_metrics' tail window.
+    base = load_config(small_doc(t_end=0.05))
+    refused = []
+    for decimation in range(1, 51):
+        try:
+            load_config(small_doc(t_end=0.05, decimation=decimation))
+        except ConfigError as e:
+            assert str(e).startswith(f"decimation={decimation} leaves no sample")
+            refused.append(decimation)
+        trace = run_scenario(dataclasses.replace(base, decimation=decimation))
+        if decimation in refused:
+            with pytest.raises(ValueError, match="tail window is empty"):
+                compute_metrics(trace)
+        else:
+            compute_metrics(trace)
+    assert refused and len(refused) < 50
 
 
 class TestRunDir:
@@ -614,3 +637,54 @@ class TestRunDir:
             small_trace.estimators["ge"].theta_hat,
             atol=1e-12,
         )
+
+
+# One column per entry: the label, then the entry index, then _a<i> on a
+# per-agent array. The pin reads each name back to the array it names.
+GOLDEN_HEADER = Path(__file__).with_name("golden_traces_header.txt")
+_COLUMN = re.compile(
+    r"(?:(?P<kind>drem_simple|centralized|drem|ge)_)?(?P<label>[a-z_]+?)(?P<entry>\d*)(?:_a(?P<agent>\d+))?"
+)
+_TRACE_ARRAYS = {"t": "t", "sigma": "sigma", "links": "links", "cons_err": "cons_err",
+                 "yhat_err": "yhat_err", "resid": "resid_norm"}
+_KIND_ARRAYS = {"theta": "theta_hat", "err": "err_norm", "phi": "phi", "phi_sq_int": "phi_sq_int"}
+
+
+def _named_array(trace, name: str) -> np.ndarray:
+    m = _COLUMN.fullmatch(name)
+    assert m, name
+    if m["kind"]:
+        a = getattr(trace.estimators[m["kind"]], _KIND_ARRAYS[m["label"]])
+    else:
+        a = getattr(trace, _TRACE_ARRAYS[m["label"]])
+    if m["agent"]:
+        a = a[:, int(m["agent"])]
+    if m["entry"]:
+        a = a[:, int(m["entry"])]
+    assert a.ndim == 1, name
+    return a
+
+
+def test_run_dir_artifacts_pinned(tmp_path):
+    """MIXED_DOC (1/2/3 rows, all four kinds): the full traces.csv header,
+    every column against the array it names, and metrics.json's key order."""
+    from test_golden_scenarios import MIXED_DOC
+
+    cfg = load_config({**MIXED_DOC, "t_end": 0.3})
+    trace = run_scenario(cfg)
+    write_run_dir(tmp_path, cfg, trace, compute_metrics(trace), {"k": cfg.k})
+
+    text = (tmp_path / "traces.csv").read_text()
+    header = text.splitlines()[0]
+    assert header == GOLDEN_HEADER.read_text().strip()
+    data = np.loadtxt(tmp_path / "traces.csv", delimiter=",", skiprows=1)
+    names = header.split(",")
+    assert data.shape == (trace.t.shape[0], len(names))
+    for j, name in enumerate(names):
+        np.testing.assert_array_equal(data[:, j], _named_array(trace, name), err_msg=name)
+
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert list(metrics) == ["per_estimator", "tail_sup_cons_err", "tail_sup_resid", "transient_end"]
+    assert list(metrics["per_estimator"]) == list(cfg.estimators)
+    for m in metrics["per_estimator"].values():
+        assert list(m) == ["final_err", "decay_rate", "tail_sup_err"]

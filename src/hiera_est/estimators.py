@@ -40,7 +40,7 @@ _ADJ3_FLAT = _cross_gather()
 @cache
 def _augmented(n: int) -> np.ndarray:
     """Indices into a packed row [vec(M) | v] of the augmented matrix [M | v]."""
-    return np.column_stack([np.arange(n * n).reshape(n, n), n * n + np.arange(n)])
+    return np.column_stack(cns.split(np.arange(n * n + n)))
 
 
 def ge_derivative(

@@ -153,37 +153,23 @@ def sample_coefficients(
     ``rows`` is either a single int (same p for every agent) or a sequence of
     per-agent row counts. Sampling order is fixed (per agent: offset, sine,
     cosine amplitudes, then frequencies) so the same seed always reproduces
-    the same tables. Messages start with the scenario key they refuse.
+    the same tables. Messages start with the scenario key they refuse; the
+    dimensions and the finiteness of the ranges are load_config's checks.
     """
-    if n < 1 or n_agents < 1:
-        raise ValueError("dimensions must be positive")
     if isinstance(rows, int):
         rows = [rows] * n_agents
     rows = [int(p) for p in rows]
     if len(rows) != n_agents or any(p < 1 for p in rows):
         raise ValueError(f"rows_per_agent must give a positive row count per agent, got {rows}")
-    clo, chi = float(coeff_range[0]), float(coeff_range[1])
-    flo, fhi = float(freq_range[0]), float(freq_range[1])
-    for key, lo, hi in (("coeff_range", clo, chi), ("freq_range", flo, fhi)):
-        if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
-            raise ValueError(f"{key} must be a finite [lo, hi] with lo <= hi, got [{lo}, {hi}]")
+    for key, (lo, hi) in (("coeff_range", coeff_range), ("freq_range", freq_range)):
+        if hi < lo:
+            raise ValueError(f"{key} must be [lo, hi] with lo <= hi, got [{lo}, {hi}]")
 
     rng = coefficient_stream(seed)
-    offset, sin_amp, cos_amp, freq = [], [], [], []
-    for p in rows:
-        offset.append(rng.uniform(clo, chi, size=(p, n)))
-        sin_amp.append(rng.uniform(clo, chi, size=(p, n)))
-        cos_amp.append(rng.uniform(clo, chi, size=(p, n)))
-        freq.append(rng.uniform(flo, fhi, size=(p, n)))
-    return RegressorGenerator(
-        n_params=n,
-        rows_per_agent=tuple(rows),
-        offset=tuple(offset),
-        sin_amp=tuple(sin_amp),
-        cos_amp=tuple(cos_amp),
-        freq=tuple(freq),
-        seed=seed,
-    )
+    tables = [[rng.uniform(lo, hi, size=(p, n))
+               for lo, hi in (coeff_range, coeff_range, coeff_range, freq_range)]
+              for p in rows]
+    return RegressorGenerator.from_tables(*zip(*tables), seed=seed)
 
 
 def surrogate_all(c_all: np.ndarray, y_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -91,55 +91,47 @@ def rk4_step(field, state: np.ndarray, t: float, h: float) -> np.ndarray:
 class _Layout:
     """Slicing map from a flat state vector to named array views.
 
-    A block of packed rows, shape (..., width), may name the parts of its
-    last axis, {part: shape}: unpack then also gives each part's
-    (..., *shape) views, and locate names an entry by its part, e.g.
-    'X[3, 0, 2]' or 'drem.zy[3, 1, 2]'.
+    A block of packed rows [vec(M) | v], shape (..., n^2 + n), may name its
+    two parts, e.g. ("X", "x"): consensus.split gives their views, so unpack
+    also returns them and locate names an entry by its part, e.g.
+    'X[3, 0, 2]' or 'drem.zy[3, 1, 2]'. checked holds the flat indices of
+    the blocks the divergence guard checks.
     """
 
     def __init__(self):
-        self._specs: list[tuple[str, tuple[int, ...], slice, bool, bool, list]] = []
+        self._specs: list[tuple[str, tuple[int, ...], slice, bool, tuple[str, ...]]] = []
         self.size = 0
+        self.checked = np.empty(0, dtype=int)
 
     def add(self, name: str, shape: tuple[int, ...], check: bool = True,
-            per_agent: bool = True, parts: dict | None = None):
+            per_agent: bool = True, parts: tuple[str, ...] = ()):
         """check=False exempts the block from the divergence guard (e.g. the
         monotone excitation integrals, which legitimately grow very large);
         per_agent=False marks a block without a leading agent axis."""
-        length = int(np.prod(shape)) if shape else 1
-        columns, col = [], 0
-        for part, part_shape in (parts or {}).items():
-            width = int(np.prod(part_shape))
-            columns.append((part, part_shape, slice(col, col + width)))
-            col += width
-        spec = (name, shape, slice(self.size, self.size + length), check, per_agent, columns)
-        self._specs.append(spec)
-        self.size += length
+        sl = slice(self.size, self.size + int(np.prod(shape)))
+        self._specs.append((name, shape, sl, per_agent, tuple(parts)))
+        if check:
+            self.checked = np.concatenate([self.checked, np.arange(sl.start, sl.stop)])
+        self.size = sl.stop
 
     def unpack(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         views = {}
-        for name, shape, sl, _, _, columns in self._specs:
+        for name, shape, sl, _, parts in self._specs:
             views[name] = rows = flat[sl].reshape(shape)
-            for part, part_shape, cols in columns:
-                views[part] = rows[..., cols].reshape(*shape[:-1], *part_shape)
+            views.update(zip(parts, cns.split(rows)))
         return views
-
-    def checked(self) -> np.ndarray:
-        """Flat indices of the blocks the divergence guard checks."""
-        blocks = [sl for _, _, sl, check, _, _ in self._specs if check]
-        return np.concatenate([np.arange(sl.start, sl.stop) for sl in blocks])
 
     def locate(self, flat_index: int) -> tuple[str, int | None, tuple[int, ...]]:
         """The block (or part), agent and entry of a flat index."""
-        for name, shape, sl, _, per_agent, columns in self._specs:
+        for name, shape, sl, per_agent, parts in self._specs:
             if sl.start <= flat_index < sl.stop:
                 index = tuple(int(j) for j in np.unravel_index(flat_index - sl.start, shape))
                 if not per_agent:
                     return name, None, index
-                for part, part_shape, cols in columns:
-                    if cols.start <= index[-1] < cols.stop:
-                        entry = np.unravel_index(index[-1] - cols.start, part_shape)
-                        return part, index[0], index[1:-1] + tuple(int(j) for j in entry)
+                for part, entries in zip(parts, cns.split(np.arange(shape[-1]))):
+                    hit = np.argwhere(entries == index[-1])
+                    if hit.size:
+                        return part, index[0], index[1:-1] + tuple(int(j) for j in hit[0])
                 return name, index[0], index[1:]
         raise IndexError(f"flat index {flat_index} outside the state")
 
@@ -193,9 +185,9 @@ class TraceSet:
 class Estimator:
     """One estimator kind, declared once.
 
-    blocks(cfg) lists its state blocks as (name, shape, checked), or
-    (name, shape, checked, parts) for a block of packed rows whose parts
-    name its entries (see _Layout); the state stores them as
+    blocks(cfg) lists its state blocks as (name, shape, checked, *parts):
+    a block of packed rows may name its two parts, which consensus.split
+    gives (see _Layout). The state stores blocks and parts as
     "<kind>.<name>", and unchecked blocks are exempt from the divergence
     guard. field(cfg, v, out, rows) evaluates the kind at one state from its
     block views v, the consensus outputs and the packed surrogate inputs
@@ -237,8 +229,7 @@ ESTIMATORS = {
     ),
     "drem": Estimator(
         blocks=lambda cfg: [
-            ("z", (cfg.n_agents, cfg.drem_filters.r, cfg.n * cfg.n + cfg.n), True,
-             {"zC": (cfg.n, cfg.n), "zy": (cfg.n,)}),
+            ("z", (cfg.n_agents, cfg.drem_filters.r, cfg.n * cfg.n + cfg.n), True, "zC", "zy"),
             ("theta", (cfg.n_agents, cfg.n), True),
             ("phi_int", (cfg.n_agents,), False),
         ],
@@ -320,11 +311,11 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     blocks = {kind: spec.blocks(cfg) for kind, spec in kinds.items()}
 
     layout = _Layout()
-    layout.add("consensus", (N, n * n + n), parts={"X": (n, n), "x": (n,)})
+    layout.add("consensus", (N, n * n + n), parts=("X", "x"))
     for kind, spec in kinds.items():
         for name, shape, check, *parts in blocks[kind]:
-            parts = {f"{kind}.{part}": ps for part, ps in dict(*parts).items()}
-            layout.add(f"{kind}.{name}", shape, check, spec.per_agent, parts)
+            layout.add(f"{kind}.{name}", shape, check, spec.per_agent,
+                       tuple(f"{kind}.{part}" for part in parts))
 
     def kind_views(views: dict, kind: str) -> dict:
         return {name: views[f"{kind}.{name}"] for name, *_ in blocks[kind]}
@@ -340,17 +331,13 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     records: dict[str, dict[str, np.ndarray]] = {kind: {} for kind in kinds}
 
     state = np.zeros(layout.size)
-    check_idx = layout.checked()
-    # The field copies each stage's state into `stage`, refills the outputs `out`
-    # in place and writes its derivative into `d_stage`: views are built once.
+    # The field copies each stage's state into `stage` and refills the outputs
+    # `out` in place: views are built once.
     stage = np.empty(layout.size)
-    d_stage = np.zeros(layout.size)
     stage_views = layout.unpack(stage)
-    dv = layout.unpack(d_stage)
     out = cns.ConsensusOutput(np.empty((N, n * n + n)))
     field_kinds = [
-        (spec, kind_views(stage_views, kind), list(kind_views(dv, kind).values()), records[kind])
-        for kind, spec in kinds.items()
+        (spec, kind_views(stage_views, kind), records[kind]) for kind, spec in kinds.items()
     ]
 
     p_max = max(gen.rows_per_agent)
@@ -398,6 +385,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     def write_sample(i: int, t: float, rows, out, kind_samples):
         """Sample i from one field evaluation at the state of time t."""
         nonlocal max_conservation, max_asymmetry
+        ts[i], sigmas[i], links[i] = t, topo_idx, links_up
         cbar, ybar = cns.average_reference(*cns.split(rows))
         cons_err[i], yhat_err[i] = cns.consensus_error(out, cbar, ybar)
         resid_norm[i] = np.linalg.norm(cns.residual(out, theta), axis=-1)
@@ -432,25 +420,24 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
                 "X", agent, entry, t, float(asym),
             )
 
-    # Index of the sample the next field evaluation writes, if any. The loop
-    # sets it just before RK4's first stage, which evaluates the step's state.
-    pending: list[int] = []
-
     def field(t: float, flat: np.ndarray) -> np.ndarray:
-        # lap, step, step0 and P are the current step's and block's.
+        """The derivative of every block, in layout order. Stage c = 0 of a
+        decimated step, RK4's first, evaluates the step's own state and
+        writes its sample. lap, step, step0, P, topo_idx and links_up are
+        the current step's and block's."""
         stage[:] = flat
-        rows = P[step - step0, round(t / half_h) - 2 * step]
+        c = round(t / half_h) - 2 * step
+        rows = P[step - step0, c]
         np.subtract(rows, stage_views["consensus"], out=out.Z)
-        dv["consensus"][:] = cns.dac_derivative(out, lap, k, cfg.epsilon)
+        derivs = [cns.dac_derivative(out, lap, k, cfg.epsilon)]
         kind_samples = []
-        for spec, v, d, rec in field_kinds:
-            derivs, sample = spec.field(cfg, v, out, rows)
-            for view, value in zip(d, derivs):
-                view[:] = value
+        for spec, v, rec in field_kinds:
+            kind_derivs, sample = spec.field(cfg, v, out, rows)
+            derivs += kind_derivs
             kind_samples.append((rec, sample))
-        if pending:
-            write_sample(pending.pop(), t, rows, out, kind_samples)
-        return d_stage.copy()
+        if c == 0 and step % cfg.decimation == 0:
+            write_sample(step // cfg.decimation, t, rows, out, kind_samples)
+        return np.concatenate([d.ravel() for d in derivs])
 
     # Each graph's edges (i < j, row-major), for drawing its loss mask.
     graph_edges = [np.nonzero(np.triu(topo.adjacency)) for topo in cfg.schedule.topologies]
@@ -484,17 +471,12 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
             P = None  # never hold two blocks' tables at once
             P, c_last = input_tables(step, min(INPUT_BLOCK, n_steps + 1 - step), c_last)
 
-        if step % cfg.decimation == 0:
-            i = step // cfg.decimation
-            ts[i], sigmas[i], links[i] = t, topo_idx, links_up
-            pending.append(i)
-
         if step < n_steps:
             state = rk4_step(field, state, t, cfg.h)
-            checked = np.abs(state[check_idx])
+            checked = np.abs(state[layout.checked])
             worst = np.argmax(checked)
             if not np.isfinite(checked[worst]) or checked[worst] > DIVERGENCE_LIMIT:
-                flat_idx = int(check_idx[worst])
+                flat_idx = int(layout.checked[worst])
                 block, agent, entry = layout.locate(flat_idx)
                 value = float(state[flat_idx])
                 raise SimulationDiverged(
@@ -502,7 +484,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
                     f"at t={t + cfg.h:g} (value {value:.3e})",
                     block, agent, entry, t + cfg.h, value,
                 )
-        elif pending:  # the last sample has no step after it
+        elif step % cfg.decimation == 0:  # the last sample has no step after it
             field(t, state)
 
     est_traces = {
@@ -564,8 +546,9 @@ def compute_metrics(trace: TraceSet, ceiling: float | None = None) -> dict:
     falls back to the full trace, and an agent with fewer than
     MIN_FIT_SAMPLES usable samples even there (a short run) gets None.
     Tail suprema are over the samples in_tail admits.
-    When a consensus-error ceiling is supplied, transient_end is the first
-    sample time at which all agents' consensus errors are inside it.
+    When a consensus-error ceiling is supplied, transient_end is the
+    earliest sample time from which all agents' consensus errors stay
+    inside it, None when the last sample is outside.
     """
     t = trace.t
     post = t >= trace.transient_fraction * trace.t_end
@@ -593,9 +576,9 @@ def compute_metrics(trace: TraceSet, ceiling: float | None = None) -> dict:
 
     transient_end = None
     if ceiling is not None:
-        inside = np.all(trace.cons_err <= ceiling, axis=1)
-        hits = np.nonzero(inside)[0]
-        transient_end = float(t[hits[0]]) if hits.size else None
+        outside = np.nonzero(~np.all(trace.cons_err <= ceiling, axis=1))[0]
+        start = outside[-1] + 1 if outside.size else 0
+        transient_end = float(t[start]) if start < len(t) else None
 
     return {
         "per_estimator": per_est,

@@ -480,6 +480,34 @@ def random_connected_edges(rng, n_agents):
     return workloads.random_connected_edges(rng, n_agents, int(rng.integers(n_agents - 1, most + 1)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_state_layout_locates_every_flat_index(n):
+    # The runner's layout: the consensus block, then every kind's blocks.
+    cfg = load_config(small_doc(n=n, theta=[1.0, -2.0, 0.5][:n], estimators=list(sim.ESTIMATORS)))
+    layout = sim._Layout()
+    layout.add("consensus", (cfg.n_agents, n * n + n), parts=("X", "x"))
+    checked = ["consensus"]
+    for kind, spec in sim.ESTIMATORS.items():
+        for name, shape, check, *parts in spec.blocks(cfg):
+            layout.add(f"{kind}.{name}", shape, check, spec.per_agent,
+                       tuple(f"{kind}.{part}" for part in parts))
+            if check:
+                checked.append(f"{kind}.{name}")
+    # Unpacking the flat indices themselves: each view entry holds its own index.
+    views = layout.unpack(np.arange(layout.size))
+    assert (views["drem.z"].size == 0) == (n == 1)  # r = n - 1 filters
+    for flat_index in range(layout.size):
+        block, agent, entry = layout.locate(flat_index)
+        assert block not in ("consensus", "drem.z")  # packed rows are named by part
+        assert (agent is None) == block.startswith("centralized.")
+        index = entry if agent is None else (agent, *entry)
+        assert len(index) == views[block].ndim and views[block][index] == flat_index
+    with pytest.raises(IndexError):
+        layout.locate(layout.size)
+    want = np.concatenate([views[name].ravel() for name in checked])
+    np.testing.assert_array_equal(layout.checked, want)
+
+
 class TestInvariantsOverRandomNetworks:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -568,6 +596,17 @@ class TestMetrics:
     def test_transient_end_none_when_never_inside(self, small_trace):
         m = compute_metrics(small_trace, ceiling=1e-30)
         assert m["transient_end"] is None
+
+    def test_transient_end_is_where_the_errors_stay_inside(self, small_trace):
+        # inside at samples 10-19, outside at 20-29, NaN (outside) at 30,
+        # inside from 31 on
+        cons_err = np.ones_like(small_trace.cons_err)
+        cons_err[10:20] = cons_err[30:] = 0.1
+        cons_err[30, 1] = np.nan
+        trace = dataclasses.replace(small_trace, cons_err=cons_err)
+        assert compute_metrics(trace, ceiling=0.5)["transient_end"] == small_trace.t[31]
+        cons_err[-1, 2] = 1.0
+        assert compute_metrics(trace, ceiling=0.5)["transient_end"] is None
 
 
 def test_decimation_refused_exactly_when_the_tail_window_is_empty():

@@ -76,8 +76,9 @@ def dac_derivative(
 
 
 def average_reference(Cp: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Network averages of the surrogate signals (the ideal consensus target)."""
-    return Cp.mean(axis=0), yp.mean(axis=0)
+    """Network averages of the surrogate signals (the ideal consensus target):
+    the mean over the agent axis, (..., N, n, n) and (..., N, n)."""
+    return Cp.mean(axis=-3), yp.mean(axis=-2)
 
 
 def consensus_error(
@@ -85,11 +86,12 @@ def consensus_error(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent deviations from the network average: (matrix norms, vector norms).
 
-    Chat_i - Cbar is symmetric, so its induced 2-norm is its largest
-    eigenvalue magnitude.
+    Cbar and ybar are average_reference's, with the same leading axes as the
+    outputs less the agent axis. Chat_i - Cbar is symmetric, so its induced
+    2-norm is its largest eigenvalue magnitude.
     """
-    cerr = np.abs(np.linalg.eigvalsh(output.Chat - Cbar)).max(axis=-1)
-    yerr = np.linalg.norm(output.yhat - ybar, axis=-1)
+    cerr = np.abs(np.linalg.eigvalsh(output.Chat - Cbar[..., None, :, :])).max(axis=-1)
+    yerr = np.linalg.norm(output.yhat - ybar[..., None, :], axis=-1)
     return cerr, yerr
 
 

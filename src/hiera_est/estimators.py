@@ -1,6 +1,10 @@
 """Local parameter estimators: gradient flow and regressor-extension variants.
 
-All operations are batched over agents (leading axis N). The extension
+Each estimator is an affine flow theta' = a - B theta driven by the
+consensus outputs alone: ge_flow, drem_flow and centralized_ge_flow give
+(a, B), and each *_derivative is a - B theta of its flow. All operations are
+batched over agents (axis N), and the flows and scalarizations also over any
+leading axes, such as every RK4 stage row of a block of steps. The extension
 estimator stacks the consensus output atop its first-order filtered copies
 into one extended regression A = [Cf | yf], and scalarizes it with two
 products: Cf^T A = [G | Cf^T yf] gives the Gram G and the right-hand side
@@ -43,14 +47,38 @@ def _augmented(n: int) -> np.ndarray:
     return np.column_stack(cns.split(np.arange(n * n + n)))
 
 
+def ge_flow(out: ConsensusOutput, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient flow as the affine flow theta' = a - B theta, per agent and row.
+
+    a = gain Chat^T yhat and B = gain Chat^T Chat, read off one product
+    Chat^T [Chat | yhat] of the augmented output rows.
+    """
+    n = out.yhat.shape[-1]
+    aug = out.Z[..., _augmented(n)]
+    G = np.matmul(gain, aug[..., :n].swapaxes(-1, -2) @ aug, out=aug)  # into aug's memory
+    return G[..., n], G[..., :n]
+
+
 def ge_derivative(
     theta_hat: np.ndarray,
     out: ConsensusOutput,
     gain: np.ndarray,
 ) -> np.ndarray:
-    """Gradient-flow update: gain @ Chat^T (yhat - Chat theta_hat), per agent."""
-    grad = (cns.residual(out, theta_hat)[..., None, :] @ out.Chat)[..., 0, :]
-    return grad @ gain.T
+    """Gradient-flow update gain Chat^T (yhat - Chat theta_hat), as a - B theta_hat of ge_flow."""
+    a, B = ge_flow(out, gain)
+    return a - (B @ theta_hat[..., None])[..., 0]
+
+
+def centralized_ge_flow(
+    M: np.ndarray, v: np.ndarray, gain: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient flow on the stacked network-wide regression (baseline), as (a, B).
+
+    M = sum_i C_i^T C_i and v = sum_i C_i^T y_i are the network sums of the
+    surrogates, so a - B theta = gain (v - M theta) is gain C^T (y - C theta)
+    of the stacked regressor C and output y.
+    """
+    return (gain @ v[..., None])[..., 0], gain @ M
 
 
 def centralized_ge_derivative(
@@ -59,13 +87,9 @@ def centralized_ge_derivative(
     v: np.ndarray,
     gain: np.ndarray,
 ) -> np.ndarray:
-    """Gradient flow on the stacked network-wide regression (baseline).
-
-    M = sum_i C_i^T C_i and v = sum_i C_i^T y_i are the network sums of the
-    surrogates, so gain (v - M theta) is gain C^T (y - C theta) of the stacked
-    regressor C and output y.
-    """
-    return gain @ (v - M @ theta_hat_c)
+    """The centralized gradient flow gain (v - M theta), as a - B theta of centralized_ge_flow."""
+    a, B = centralized_ge_flow(M, v, gain)
+    return a - B @ theta_hat_c
 
 
 @dataclass(frozen=True)
@@ -111,18 +135,19 @@ def drem_filter_derivative(
     z holds each agent's r filtered copies of its packed output row Z,
     shape (N, r, n^2 + n): one filter equation for both channels.
     """
-    return -bank.betas[:, None] * z + bank.alphas[:, None] * out.Z[:, None]
+    return bank.alphas[:, None] * out.Z[:, None] - bank.betas[:, None] * z
 
 
 def drem_extend(out: ConsensusOutput, z: np.ndarray) -> np.ndarray:
-    """The extended regression A = [Cf | yf], shape (N, (r+1)n, n+1).
+    """The extended regression A = [Cf | yf], shape (..., N, (r+1)n, n+1).
 
     Row block 0 is [Chat | yhat], block j the j-th filtered copy [zC | zy]:
-    one gather of the augmented rows from the packed rows of out and z.
+    one gather of the augmented rows from the packed rows of out and z,
+    over any leading axes the two share.
     """
-    n_agents, n = out.yhat.shape
-    rows = np.concatenate([out.Z[:, None], z], axis=1)
-    return rows.take(_augmented(n), axis=-1).reshape(n_agents, -1, n + 1)
+    n = out.yhat.shape[-1]
+    rows = np.concatenate([out.Z[..., None, :], z], axis=-2)
+    return rows[..., _augmented(n)].reshape(*rows.shape[:-2], -1, n + 1)
 
 
 def adjugate(G: np.ndarray) -> np.ndarray:
@@ -140,7 +165,7 @@ def adjugate(G: np.ndarray) -> np.ndarray:
         raise ValueError("adjugate needs square matrices")
     batch = g.shape[:-2]
     if n == 3:
-        t = g.reshape(*batch, 9).take(_ADJ3_FLAT, axis=-1)
+        t = g.reshape(*batch, 9)[..., _ADJ3_FLAT]
         return t[..., 0, :, :] * t[..., 1, :, :] - t[..., 2, :, :] * t[..., 3, :, :]
 
     idx = np.arange(n)
@@ -171,13 +196,21 @@ def drem_scalarize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def drem_simple_scalarize(out: ConsensusOutput) -> tuple[np.ndarray, np.ndarray]:
     """Filterless scalarization using the square consensus output [Chat | yhat] directly."""
-    return _mix(out.Z.take(_augmented(out.yhat.shape[-1]), axis=-1))
+    return _mix(out.Z[..., _augmented(out.yhat.shape[-1])])
+
+
+def drem_flow(
+    phi: np.ndarray, Y: np.ndarray, gain_diag: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decoupled scalar regression as the affine flow theta' = a - B theta with
+    diagonal B: a = gain phi Y and B = gain phi^2, per component."""
+    g = gain_diag * phi[..., None]
+    return g * Y, g * phi[..., None]
 
 
 def drem_derivative(
     theta_hat: np.ndarray, phi: np.ndarray, Y: np.ndarray, gain_diag: np.ndarray
 ) -> np.ndarray:
-    """Decoupled scalar update: gain * phi * (Y - phi * theta_hat) per component."""
-    phi = phi[:, None]
-    return gain_diag[None, :] * phi * (Y - phi * theta_hat)
-
+    """Decoupled scalar update gain * phi * (Y - phi * theta_hat), as a - B theta_hat of drem_flow."""
+    a, B = drem_flow(phi, Y, gain_diag)
+    return a - B * theta_hat

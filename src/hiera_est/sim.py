@@ -1,22 +1,30 @@
-"""Fixed-step integration of the coupled consensus + estimator system.
+"""Fixed-step RK4 integration of the two-layer system, as a cascade.
 
-The full stacked state (consensus integrators, estimator states, filter-bank
-states, and running excitation integrals) is advanced with classical RK4.
-Discontinuous inputs (topology switches, packet-loss masks, measurement
-noise) are frozen over each step, evaluated at the step's start for all four
-stages, so the per-step field stays smooth.
+The lower layer (the consensus integrators and the DREM filter banks) never
+reads an estimate, and every estimator of the upper layer is an affine flow
+x' = a(t) - B(t) x driven by the lower layer's outputs. RK4 of the cascade
+is RK4 of the lower layer, followed by RK4 of the upper layer at the lower
+layer's stage values, so the runner makes two passes over each block of
+INPUT_BLOCK steps. The lower pass steps the lower state with rk4_step, once
+per step; its field, consensus.dac_derivative and
+estimators.drem_filter_derivative, writes the outputs Z and filter rows z
+of each of RK4's four evaluations into (K, 4, ...) block tables. The upper
+pass calls each kind's flow once over all the block's stage rows to get
+its coefficients (a, B), turns them into RK4's one-step maps
+x+ = x + (D x + rho) (affine_rk4), and scans the steps with one product and
+one add each. Samples, invariant checks and diagnostics are read off the
+tables, batched per block, and the failure that comes first in time is
+raised. Discontinuous inputs (topology switches, packet-loss masks,
+measurement noise) are frozen over each step, evaluated at the step's start
+for all four stages, so the per-step field stays smooth.
 
-The consensus layer's inputs are exogenous, so they are tabulated
-INPUT_BLOCK steps at a time: each agent's noise in one draw (the same
-numbers as one draw per step), the regressors in one evaluation of the
-block's half-step grid, and the packed surrogates in one surrogate_all call.
-The field only indexes the tables. The consensus layer's field is
-consensus.dac_derivative, on one packed channel. Each estimator kind is
-declared once, in ESTIMATORS: its state blocks and one field that gives
-their derivatives and the kind's sample at the same state. Samples are
-written by RK4's first stage, the field evaluation at the step's own state.
-The outputs are plain values: compute_metrics gives the metrics.json dict,
-and TraceSet.to_csv names every column by one rule.
+The consensus layer's inputs are exogenous, so they are tabulated per block
+too: each agent's noise in one draw (the same numbers as one draw per
+step), the regressors in one evaluation of the block's half-step grid, and
+the packed surrogates in one surrogate_all call. Each estimator kind is
+declared once, in ESTIMATORS: its state blocks and its flow. The outputs
+are plain values: compute_metrics gives the metrics.json dict, and
+TraceSet.to_csv names every column by one rule.
 """
 
 from __future__ import annotations
@@ -88,6 +96,54 @@ def rk4_step(field, state: np.ndarray, t: float, h: float) -> np.ndarray:
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# The half-step input stage each of RK4's four evaluations of a step reads:
+# t, t + h/2 (twice) and t + h.
+STAGE_INPUT = (0, 1, 1, 2)
+
+
+def affine_rk4(h: float, a: np.ndarray, B: np.ndarray | None = None):
+    """RK4's one-step map x+ = x + (D x + rho) of the affine flow x' = a - B x.
+
+    a holds the flow's coefficient at each of RK4's four evaluations of K
+    steps, shape (K, 4, ..., n); B is None for B = 0, of a's shape for a
+    diagonal B, or (K, 4, ..., n, n). Each stage derivative is affine in the
+    step's start x, k_c = alpha_c + M_c x, so (D, rho) are RK4's weighted
+    sums of the M_c and alpha_c: D is None, diagonal or full as B is.
+    """
+
+    def combine(k):
+        return (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+
+    if B is None:
+        return None, combine([a[:, c] for c in range(4)])
+    if B.ndim > a.ndim:
+        apply, compose = (lambda M, v: (M @ v[..., None])[..., 0]), np.matmul
+    else:
+        apply = compose = np.multiply
+    alpha, M = [a[:, 0]], -B[:, 0]
+    D = M.copy()
+    for c, f, w in ((1, 0.5, 2.0), (2, 0.5, 2.0), (3, 1.0, 1.0)):
+        # Stage c starts at x + f h k_(c-1), so k_c = a_c - B_c (x + f h k_(c-1)).
+        alpha.append(a[:, c] - f * h * apply(B[:, c], alpha[-1]))
+        M = compose(B[:, c], M)
+        M *= -f * h
+        M -= B[:, c]
+        D += w * M
+    return (h / 6.0) * D, combine(alpha)
+
+
+def _affine_scan(x: np.ndarray, D: np.ndarray | None, rho: np.ndarray):
+    """x[j + 1] = x[j] + (D[j] x[j] + rho[j]) for every step j of rho, in place:
+    x[0] is the start, and D is affine_rk4's (None, diagonal or full)."""
+    if D is None:
+        np.add.accumulate(np.concatenate([x[:1], rho]), axis=0, out=x)
+        return
+    full = D.ndim > rho.ndim
+    for j in range(len(rho)):
+        Dx = (D[j] @ x[j][..., None])[..., 0] if full else D[j] * x[j]
+        np.add(x[j], Dx + rho[j], out=x[j + 1])
+
+
 class _Layout:
     """Slicing map from a flat state vector to named array views.
 
@@ -115,9 +171,10 @@ class _Layout:
         self.size = sl.stop
 
     def unpack(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a flat state, or of a table of states along its last axis."""
         views = {}
         for name, shape, sl, _, parts in self._specs:
-            views[name] = rows = flat[sl].reshape(shape)
+            views[name] = rows = flat[..., sl].reshape(*flat.shape[:-1], *shape)
             views.update(zip(parts, cns.split(rows)))
         return views
 
@@ -181,51 +238,41 @@ class TraceSet:
         np.savetxt(path, np.hstack(columns), delimiter=",", header=",".join(header), comments="")
 
 
+
+
 @dataclass(frozen=True)
 class Estimator:
     """One estimator kind, declared once.
 
-    blocks(cfg) lists its state blocks as (name, shape, checked, *parts):
-    a block of packed rows may name its two parts, which consensus.split
-    gives (see _Layout). The state stores blocks and parts as
-    "<kind>.<name>", and unchecked blocks are exempt from the divergence
-    guard. field(cfg, v, out, rows) evaluates the kind at one state from its
-    block views v, the consensus outputs and the packed surrogate inputs
-    [C_i^T C_i | C_i^T y_i] of every agent: it returns one derivative per
-    block, in block order, and the EstimatorTrace fields of a sample at that
-    state, err_norm aside. per_agent=False marks a kind whose blocks have no
-    agent axis. The estimators module is looked up at call time.
+    blocks(cfg) lists its state blocks as (name, shape, checked, *parts),
+    stored as "<kind>.<name>"; unchecked blocks are exempt from the
+    divergence guard. A block of packed rows names its two parts, which
+    consensus.split gives (see _Layout): it is a DREM filter bank of the
+    consensus outputs, stepped in the lower layer with the consensus state
+    by estimators.drem_filter_derivative. Every other block is an affine
+    flow x' = a - B x of the upper layer. flow(cfg, tab) reads the block
+    tables (see run_scenario) and returns, for each flow block, its
+    coefficients (a, B) at every (K, 4, ...) stage row, B as affine_rk4
+    takes it, and the kind's other sample fields at every stage row.
+    per_agent=False marks a kind whose blocks have no agent axis. The
+    estimators module is looked up at call time.
     """
 
     blocks: Callable
-    field: Callable
+    flow: Callable
     per_agent: bool = True
 
 
-def _gradient(v, derivative) -> tuple[list, dict]:
-    """A gradient kind's one derivative, and its sample."""
-    return [derivative], {"theta_hat": v["theta"]}
-
-
-def _mixing(cfg, v, phi, Y) -> tuple[list, dict]:
-    """A DREM kind's derivatives of theta and of its running integral of
-    phi^2, and its sample."""
-    derivs = [est.drem_derivative(v["theta"], phi, Y, cfg.gamma_drem), phi**2]
-    return derivs, {"theta_hat": v["theta"], "phi": phi, "phi_sq_int": v["phi_int"]}
-
-
-def _drem_field(cfg, v, out, rows) -> tuple[list, dict]:
-    dz = est.drem_filter_derivative(cfg.drem_filters, v["z"], out)
-    derivs, sample = _mixing(cfg, v, *est.drem_scalarize(est.drem_extend(out, v["z"])))
-    return [dz, *derivs], sample
+def _decoupled_flows(cfg, phi, Y) -> tuple[dict, dict]:
+    """A DREM kind's flows, of theta and of its running integral of phi^2
+    (B = 0), and its sample field phi."""
+    return {"theta": est.drem_flow(phi, Y, cfg.gamma_drem), "phi_int": (phi**2, None)}, {"phi": phi}
 
 
 ESTIMATORS = {
     "ge": Estimator(
         blocks=lambda cfg: [("theta", (cfg.n_agents, cfg.n), True)],
-        field=lambda cfg, v, out, rows: _gradient(
-            v, est.ge_derivative(v["theta"], out, cfg.gamma_ge)
-        ),
+        flow=lambda cfg, tab: ({"theta": est.ge_flow(tab["out"], cfg.gamma_ge)}, {}),
     ),
     "drem": Estimator(
         blocks=lambda cfg: [
@@ -233,25 +280,35 @@ ESTIMATORS = {
             ("theta", (cfg.n_agents, cfg.n), True),
             ("phi_int", (cfg.n_agents,), False),
         ],
-        field=_drem_field,
+        flow=lambda cfg, tab: _decoupled_flows(
+            cfg, *est.drem_scalarize(est.drem_extend(tab["out"], tab["drem.z"]))
+        ),
     ),
     "drem_simple": Estimator(
         blocks=lambda cfg: [
             ("theta", (cfg.n_agents, cfg.n), True),
             ("phi_int", (cfg.n_agents,), False),
         ],
-        field=lambda cfg, v, out, rows: _mixing(cfg, v, *est.drem_simple_scalarize(out)),
+        flow=lambda cfg, tab: _decoupled_flows(cfg, *est.drem_simple_scalarize(tab["out"])),
     ),
     "centralized": Estimator(
         blocks=lambda cfg: [("theta", (cfg.n,), True)],
-        field=lambda cfg, v, out, rows: _gradient(
-            v, est.centralized_ge_derivative(
-                v["theta"], *cns.split(rows.sum(axis=0)), cfg.gamma_centralized
-            )
-        ),
+        flow=lambda cfg, tab: ({"theta": est.centralized_ge_flow(
+            *cns.split(tab["sums"]), cfg.gamma_centralized
+        )}, {}),
         per_agent=False,
     ),
 }
+
+# The trace field of a flow block's samples, where it is not the block's name.
+_SAMPLED_AS = {"theta": "theta_hat", "phi_int": "phi_sq_int"}
+
+
+def _failure_key(step: int, order: int, value: float = 0.0) -> tuple:
+    """When a failure is raised: by the step it follows, a divergence (order
+    0) before an invariant failure (1) found at the same step, and the
+    larger |value| (NaN the largest) of two divergences."""
+    return step, order, -np.inf if np.isnan(value) else -abs(value)
 
 
 def analysis_report(cfg: ScenarioConfig) -> dict:
@@ -294,34 +351,42 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     before integrating when k * lambda_max_family * h exceeds RK4's
     real-axis stability limit, SimulationDiverged when any state magnitude
     exceeds 1e12, and InvariantViolation on conservation or symmetry
-    failures at decimated samples.
+    failures at decimated samples, whichever comes first in time.
     """
     n, N = cfg.n, cfg.n_agents
+    width = n * n + n
     gen = cfg.generator
     theta = cfg.theta
+    h, dec = cfg.h, cfg.decimation
     k = resolve_gain(cfg)
     lam_max = cfg.schedule.lambda_max_family
-    if k * lam_max * cfg.h > RK4_STABILITY_LIMIT:
+    if k * lam_max * h > RK4_STABILITY_LIMIT:
         raise ConfigError(
-            f"consensus gain k={k:.6g} is too stiff for RK4 at h={cfg.h:g}: "
-            f"k*lambda_max*h = {k * lam_max * cfg.h:.4g} with lambda_max={lam_max:.6g} "
+            f"consensus gain k={k:.6g} is too stiff for RK4 at h={h:g}: "
+            f"k*lambda_max*h = {k * lam_max * h:.4g} with lambda_max={lam_max:.6g} "
             f"exceeds the stability limit {RK4_STABILITY_LIMIT:.4f}; lower k or h"
         )
     kinds = {kind: ESTIMATORS[kind] for kind in cfg.estimators}
-    blocks = {kind: spec.blocks(cfg) for kind, spec in kinds.items()}
 
-    layout = _Layout()
-    layout.add("consensus", (N, n * n + n), parts=("X", "x"))
+    # The lower layer: the consensus rows, then every filter bank (a packed
+    # block), also laid out alone. The upper layer: every other block, an
+    # affine flow.
+    lower, banks, upper = _Layout(), _Layout(), _Layout()
+    lower.add("consensus", (N, width), parts=("X", "x"))
+    flows = {kind: [] for kind in kinds}
     for kind, spec in kinds.items():
-        for name, shape, check, *parts in blocks[kind]:
-            layout.add(f"{kind}.{name}", shape, check, spec.per_agent,
-                       tuple(f"{kind}.{part}" for part in parts))
+        for name, shape, check, *parts in spec.blocks(cfg):
+            if parts:
+                lower.add(f"{kind}.{name}", shape, check, spec.per_agent,
+                          tuple(f"{kind}.{part}" for part in parts))
+                banks.add(f"{kind}.{name}", shape)
+            else:
+                upper.add(f"{kind}.{name}", shape, check, spec.per_agent)
+                flows[kind].append(name)
+    n_cons = N * width
 
-    def kind_views(views: dict, kind: str) -> dict:
-        return {name: views[f"{kind}.{name}"] for name, *_ in blocks[kind]}
-
-    n_steps = int(round(cfg.t_end / cfg.h))
-    n_samples = n_steps // cfg.decimation + 1
+    n_steps = int(round(cfg.t_end / h))
+    n_samples = n_steps // dec + 1
     ts = np.empty(n_samples)
     sigmas = np.empty(n_samples, dtype=int)
     links = np.zeros(n_samples, dtype=int)
@@ -330,15 +395,19 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     resid_norm = np.empty((n_samples, N))
     records: dict[str, dict[str, np.ndarray]] = {kind: {} for kind in kinds}
 
-    state = np.zeros(layout.size)
-    # The field copies each stage's state into `stage` and refills the outputs
-    # `out` in place: views are built once.
-    stage = np.empty(layout.size)
-    stage_views = layout.unpack(stage)
-    out = cns.ConsensusOutput(np.empty((N, n * n + n)))
-    field_kinds = [
-        (spec, kind_views(stage_views, kind), records[kind]) for kind, spec in kinds.items()
-    ]
+    # Block tables. Row j is the block's step step0 + j and column ev RK4's
+    # evaluation ev of it: the lower state at every step, the filter banks
+    # and the outputs Z at every evaluation, and the upper state at every
+    # step (row 0 the block's first).
+    block = INPUT_BLOCK
+    state_tab = np.empty((block, lower.size))
+    bank_tab = np.empty((block, 4, banks.size))
+    state_views, bank_views = lower.unpack(state_tab), banks.unpack(bank_tab)
+    z_tab = np.empty((block, 4, N, width))
+    outs = [[cns.ConsensusOutput(z_tab[j, ev]) for ev in range(4)] for j in range(block)]
+    upper_tab = np.zeros((block + 1, upper.size))
+    upper_views = upper.unpack(upper_tab)
+    state = np.zeros(lower.size)
 
     p_max = max(gen.rows_per_agent)
     noise_rngs = (
@@ -346,7 +415,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     )
     loss_rng = loss_stream(cfg.seed) if cfg.p_loss > 0 else None
 
-    half_h = 0.5 * cfg.h
+    half_h = 0.5 * h
 
     def input_tables(step: int, K: int, c_prev):
         """The packed inputs the field reads over the K steps from `step` on.
@@ -382,62 +451,120 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
 
     max_conservation = max_asymmetry = 0.0
 
-    def write_sample(i: int, t: float, rows, out, kind_samples):
-        """Sample i from one field evaluation at the state of time t."""
+    def check_invariants(steps, X, x):
+        """The state-sum and symmetry checks of the samples at `steps`, from
+        their consensus states X and x: updates the maxima, and returns the
+        first failure as (key, InvariantViolation), or None."""
         nonlocal max_conservation, max_asymmetry
-        ts[i], sigmas[i], links[i] = t, topo_idx, links_up
-        cbar, ybar = cns.average_reference(*cns.split(rows))
-        cons_err[i], yhat_err[i] = cns.consensus_error(out, cbar, ybar)
-        resid_norm[i] = np.linalg.norm(cns.residual(out, theta), axis=-1)
-        for rec, sample in kind_samples:
-            for name, value in sample.items():
-                if i == 0:
-                    rec[name] = np.empty((n_samples, *np.shape(value)))
-                rec[name][i] = value
-
-        X, x = stage_views["X"], stage_views["x"]
-        sum_X, sum_x = np.abs(X.sum(axis=0)), np.abs(x.sum(axis=0))
-        x_sum, xs_sum = np.max(sum_X), np.max(sum_x)
-        agent_asym = np.max(np.abs(X - np.transpose(X, (0, 2, 1))), axis=(1, 2))
-        asym = np.max(agent_asym)
-        max_conservation = max(max_conservation, x_sum, xs_sum)
-        max_asymmetry = max(max_asymmetry, asym)
-        if x_sum > CONSERVATION_TOL or xs_sum > CONSERVATION_TOL:
-            block, sums = ("X", sum_X) if x_sum >= xs_sum else ("x", sum_x)
+        sum_X, sum_x = np.abs(X.sum(axis=1)), np.abs(x.sum(axis=1))
+        x_sum, xs_sum = sum_X.max(axis=(1, 2)), sum_x.max(axis=1)
+        agent_asym = np.max(np.abs(X - X.swapaxes(-1, -2)), axis=(2, 3))
+        asym = agent_asym.max(axis=1)
+        drifted = (x_sum > CONSERVATION_TOL) | (xs_sum > CONSERVATION_TOL)
+        bad = np.flatnonzero(drifted | (asym > SYMMETRY_TOL))
+        if not bad.size:
+            max_conservation = max(max_conservation, x_sum.max(), xs_sum.max())
+            max_asymmetry = max(max_asymmetry, asym.max())
+            return None
+        f = bad[0]
+        step = int(steps[f])
+        t = step * h
+        if drifted[f]:
+            block, sums = ("X", sum_X[f]) if x_sum[f] >= xs_sum[f] else ("x", sum_x[f])
             entry = np.unravel_index(np.argmax(sums), sums.shape)
-            raise InvariantViolation(
+            error = InvariantViolation(
                 f"consensus-state sums drifted at t={t:g}: "
-                f"max|sum X|={x_sum:.3e}, max|sum x|={xs_sum:.3e}",
-                block, None, tuple(int(j) for j in entry), t, float(max(x_sum, xs_sum)),
+                f"max|sum X|={x_sum[f]:.3e}, max|sum x|={xs_sum[f]:.3e}",
+                block, None, tuple(int(j) for j in entry), t, float(max(x_sum[f], xs_sum[f])),
             )
-        if asym > SYMMETRY_TOL:
-            agent = int(np.argmax(agent_asym))
-            skew = np.abs(X[agent] - X[agent].T)
+        else:
+            agent = int(np.argmax(agent_asym[f]))
+            skew = np.abs(X[f, agent] - X[f, agent].T)
             entry = tuple(int(j) for j in np.unravel_index(np.argmax(skew), skew.shape))
-            raise InvariantViolation(
-                f"integrator state lost symmetry at t={t:g}: {asym:.3e} "
+            error = InvariantViolation(
+                f"integrator state lost symmetry at t={t:g}: {asym[f]:.3e} "
                 f"in {_entry_name('X', agent, entry)} at agent {agent}",
-                "X", agent, entry, t, float(asym),
+                "X", agent, entry, t, float(asym[f]),
             )
+        return _failure_key(step, 1), error
+
+    def diverged(layout: _Layout, values: np.ndarray, flat_idx: int, step: int):
+        """The divergence of entry flat_idx of a layer's state after `step`'s
+        step, as (key, SimulationDiverged)."""
+        block, agent, entry = layout.locate(flat_idx)
+        value = float(values[flat_idx])
+        t = step * h + h
+        return _failure_key(step + 1, 0, value), SimulationDiverged(
+            f"state component '{_entry_name(block, agent, entry)}' diverged "
+            f"at t={t:g} (value {value:.3e})",
+            block, agent, entry, t, value,
+        )
 
     def field(t: float, flat: np.ndarray) -> np.ndarray:
-        """The derivative of every block, in layout order. Stage c = 0 of a
-        decimated step, RK4's first, evaluates the step's own state and
-        writes its sample. lap, step, step0, P, topo_idx and links_up are
-        the current step's and block's."""
-        stage[:] = flat
-        c = round(t / half_h) - 2 * step
-        rows = P[step - step0, c]
-        np.subtract(rows, stage_views["consensus"], out=out.Z)
-        derivs = [cns.dac_derivative(out, lap, k, cfg.epsilon)]
-        kind_samples = []
-        for spec, v, rec in field_kinds:
-            kind_derivs, sample = spec.field(cfg, v, out, rows)
-            derivs += kind_derivs
-            kind_samples.append((rec, sample))
-        if c == 0 and step % cfg.decimation == 0:
-            write_sample(step // cfg.decimation, t, rows, out, kind_samples)
-        return np.concatenate([d.ravel() for d in derivs])
+        """The lower layer's derivative: the consensus rows', then each filter
+        bank's, in layout order. Evaluation ev of a step writes its filter
+        banks and outputs to table row (step - step0, ev). ev, step, step0,
+        P and lap are the current evaluation's, step's and block's."""
+        nonlocal ev
+        j, e = step - step0, ev
+        ev += 1
+        out = outs[j][e]
+        np.subtract(P[j, STAGE_INPUT[e]], flat[:n_cons].reshape(N, width), out=out.Z)
+        d_cons = cns.dac_derivative(out, lap, k, cfg.epsilon).ravel()
+        if not bank_views:
+            return d_cons
+        bank_tab[j, e] = flat[n_cons:]
+        return np.concatenate([d_cons] + [
+            est.drem_filter_derivative(cfg.drem_filters, bank[j, e], out).ravel()
+            for bank in bank_views.values()
+        ])
+
+    def upper_pass(step0: int, n_int: int, n_rows: int, sums):
+        """Every kind's coefficients over the block's n_rows table rows in one
+        flow call, and each flow block advanced over its n_int steps by its
+        RK4 maps. The flows read the tables tab: "out", a ConsensusOutput over
+        the (K, 4, N, n^2 + n) outputs; "sums", the network sums (K, 4,
+        n^2 + n) of the packed inputs; and each filter bank by its block
+        name. Returns
+        each kind's sample fields and the first divergence as
+        (key, SimulationDiverged), or None."""
+        if not n_rows:
+            return {}, None
+        tab = {"out": cns.ConsensusOutput(z_tab[:n_rows]), "sums": sums,
+               **{name: bank[:n_rows] for name, bank in bank_views.items()}}
+        sample_fields = {}
+        for kind, spec in kinds.items():
+            coeffs, sample_fields[kind] = spec.flow(cfg, tab)
+            for name in flows[kind]:
+                a, B = coeffs[name]
+                D, rho = affine_rk4(h, a[:n_int], None if B is None else B[:n_int])
+                # A flow that diverges overflows in the block's later steps;
+                # the check below names its first step.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _affine_scan(upper_views[f"{kind}.{name}"][:n_int + 1], D, rho)
+        checked = np.abs(upper_tab[1:n_int + 1][:, upper.checked])
+        over = np.flatnonzero(~(checked.max(axis=1, initial=0.0) <= DIVERGENCE_LIMIT))  # NaN is over
+        if not over.size:
+            return sample_fields, None
+        j = int(over[0])
+        worst = int(upper.checked[np.argmax(checked[j])])
+        return sample_fields, diverged(upper, upper_tab[j + 1], worst, step0 + j)
+
+    def write_samples(rows, slots, inputs, sample_fields):
+        """Samples `slots` from the block's table rows `rows`, whose packed
+        inputs are `inputs`."""
+        out = cns.ConsensusOutput(z_tab[rows, 0])
+        cbar, ybar = cns.average_reference(*cns.split(inputs))
+        cons_err[slots], yhat_err[slots] = cns.consensus_error(out, cbar, ybar)
+        resid_norm[slots] = np.linalg.norm(cns.residual(out, theta), axis=-1)
+        for kind, rec in records.items():
+            samples = {_SAMPLED_AS.get(name, name): upper_views[f"{kind}.{name}"][rows]
+                       for name in flows[kind]}
+            samples.update((name, v[rows, 0]) for name, v in sample_fields[kind].items())
+            for name, value in samples.items():
+                if name not in rec:
+                    rec[name] = np.empty((n_samples, *value.shape[1:]))
+                rec[name][slots] = value
 
     # Each graph's edges (i < j, row-major), for drawing its loss mask.
     graph_edges = [np.nonzero(np.triu(topo.adjacency)) for topo in cfg.schedule.topologies]
@@ -447,45 +574,69 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     prev_topo_idx = -1
     c_last = None
 
-    for step in range(n_steps + 1):
-        t = step * cfg.h
-        topo_idx = active_topology(cfg.schedule, min(t, cfg.t_end))
-        switched = topo_idx != prev_topo_idx  # always at step 0
-        prev_topo_idx = topo_idx
-        # A switch forces a redraw of the loss mask.
-        redraw = loss_rng is not None and (switched or t >= next_loss_t - 0.5 * cfg.h)
-        iu, ju = graph_edges[topo_idx]
-        if redraw:
-            down = loss_rng.random(len(iu)) < cfg.p_loss
-            mask = np.ones((N, N), dtype=bool)
-            mask[iu[down], ju[down]] = mask[ju[down], iu[down]] = False
-            links_up = len(iu) - int(down.sum())
-            next_loss_t = t + cfg.loss_resample_dt
-        elif switched:
-            links_up = len(iu)
-        if switched or redraw:
-            lap = cns.effective_laplacian(cfg.schedule.topologies[topo_idx], mask)
+    for step0 in range(0, n_steps + 1, block):
+        K = min(block, n_steps + 1 - step0)
+        P, c_last = input_tables(step0, K, c_last)
+        n_int = n_rows = 0  # the block's steps integrated, and table rows written
+        lower_failure = None
 
-        if step % INPUT_BLOCK == 0:
-            step0 = step
-            P = None  # never hold two blocks' tables at once
-            P, c_last = input_tables(step, min(INPUT_BLOCK, n_steps + 1 - step), c_last)
+        # Lower pass: one RK4 step of the lower layer per step, up to its
+        # first divergence.
+        for step in range(step0, step0 + K):
+            t = step * h
+            topo_idx = active_topology(cfg.schedule, min(t, cfg.t_end))
+            switched = topo_idx != prev_topo_idx  # always at step 0
+            prev_topo_idx = topo_idx
+            # A switch forces a redraw of the loss mask.
+            redraw = loss_rng is not None and (switched or t >= next_loss_t - 0.5 * h)
+            iu, ju = graph_edges[topo_idx]
+            if redraw:
+                down = loss_rng.random(len(iu)) < cfg.p_loss
+                mask = np.ones((N, N), dtype=bool)
+                mask[iu[down], ju[down]] = mask[ju[down], iu[down]] = False
+                links_up = len(iu) - int(down.sum())
+                next_loss_t = t + cfg.loss_resample_dt
+            elif switched:
+                links_up = len(iu)
+            if switched or redraw:
+                lap = cns.effective_laplacian(cfg.schedule.topologies[topo_idx], mask)
+            if step % dec == 0:
+                ts[step // dec], sigmas[step // dec], links[step // dec] = t, topo_idx, links_up
 
-        if step < n_steps:
-            state = rk4_step(field, state, t, cfg.h)
-            checked = np.abs(state[layout.checked])
-            worst = np.argmax(checked)
-            if not np.isfinite(checked[worst]) or checked[worst] > DIVERGENCE_LIMIT:
-                flat_idx = int(layout.checked[worst])
-                block, agent, entry = layout.locate(flat_idx)
-                value = float(state[flat_idx])
-                raise SimulationDiverged(
-                    f"state component '{_entry_name(block, agent, entry)}' diverged "
-                    f"at t={t + cfg.h:g} (value {value:.3e})",
-                    block, agent, entry, t + cfg.h, value,
-                )
-        elif step % cfg.decimation == 0:  # the last sample has no step after it
-            field(t, state)
+            ev = 0
+            state_tab[step - step0] = state
+            if step < n_steps:
+                state = rk4_step(field, state, t, h)
+                n_int = n_rows = n_int + 1
+                checked = np.abs(state[lower.checked])
+                worst = np.argmax(checked)
+                if not np.isfinite(checked[worst]) or checked[worst] > DIVERGENCE_LIMIT:
+                    lower_failure = diverged(lower, state, int(lower.checked[worst]), step)
+                    break
+            elif step % dec == 0:  # the last sample has no step after it
+                field(t, state)
+                j = step - step0  # its other evaluations repeat the first
+                bank_tab[j, 1:], z_tab[j, 1:] = bank_tab[j, 0], z_tab[j, 0]
+                n_rows += 1
+
+        # The block's samples, checked on their lower states; then the upper
+        # pass. The failure that comes first in time is raised.
+        rows = np.arange(-step0 % dec, n_rows, dec)
+        invariant_failure = rows.size and check_invariants(
+            step0 + rows, state_views["X"][rows], state_views["x"][rows]
+        )
+        # The input table is released before the upper pass, whose
+        # block-sized temporaries can then reuse its memory; the samples'
+        # inputs and every evaluation's network sums are all it keeps.
+        inputs, sums = P[rows, 0], P[:n_rows].sum(axis=2)[:, STAGE_INPUT]
+        P = None
+        sample_fields, upper_failure = upper_pass(step0, n_int, n_rows, sums)
+        failures = [f for f in (lower_failure, invariant_failure, upper_failure) if f]
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        if rows.size:
+            write_samples(rows, (step0 + rows) // dec, inputs, sample_fields)
+        upper_tab[0] = upper_tab[n_int]
 
     est_traces = {
         kind: EstimatorTrace(err_norm=np.linalg.norm(rec["theta_hat"] - theta, axis=-1), **rec)

@@ -84,6 +84,50 @@ class TestRk4:
             rk4_step(lambda t, s: s, np.zeros(1), 0.0, 0.0)
 
 
+class TestAffineRk4:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        form=st.sampled_from(["full", "diagonal", "zero"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_map_equals_rk4_on_the_same_tables(self, n, form, seed):
+        # Coefficients drawn apart for each of RK4's four evaluations of 40
+        # steps (the two at t + h/2 share a time, not their coefficients):
+        # the scanned one-step maps must give rk4_step's trajectory on a
+        # field that reads the same tables, evaluation by evaluation.
+        rng = np.random.default_rng(seed)
+        steps, n_agents, h = 40, 3, 0.05
+        a = rng.normal(size=(steps, 4, n_agents, n))
+        B = {
+            "full": rng.normal(size=(steps, 4, n_agents, n, n)),
+            "diagonal": rng.normal(size=(steps, 4, n_agents, n)),
+            "zero": None,
+        }[form]
+        ev = 0
+
+        def field(t, flat):
+            nonlocal ev
+            j, c = divmod(ev, 4)
+            ev += 1
+            x = flat.reshape(n_agents, n)
+            if B is None:
+                return a[j, c].ravel()
+            Bx = (B[j, c] @ x[..., None])[..., 0] if form == "full" else B[j, c] * x
+            return (a[j, c] - Bx).ravel()
+
+        want = [rng.normal(size=n_agents * n)]
+        for j in range(steps):
+            want.append(rk4_step(field, want[-1], j * h, h))
+        want = np.reshape(want, (steps + 1, n_agents, n))
+        got = np.empty_like(want)
+        got[0] = want[0]
+        D, rho = sim.affine_rk4(h, a, B)
+        assert (D is None) == (B is None)
+        sim._affine_scan(got, D, rho)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
 class TestRunScenario:
     def test_deterministic(self, small_trace):
         again = run_scenario(load_config(small_doc()))
@@ -254,14 +298,16 @@ class TestRunScenario:
         assert (str(e), e.block, e.agent, e.entry, e.t, e.value) == ("msg", "X", 2, (0, 1), 0.5, 3.0)
 
     def test_divergence_names_the_agent_and_entry(self, monkeypatch):
-        ge_derivative = estimators.ge_derivative
+        # GE's flow drives agent 2's entry 1 by 1e18 at every stage row, so
+        # the first step takes it past the divergence limit.
+        ge_flow = estimators.ge_flow
 
-        def blown(theta, out, gamma):
-            d = ge_derivative(theta, out, gamma)
-            d[2, 1] += 1e18
-            return d
+        def blown(out, gamma):
+            a, B = ge_flow(out, gamma)
+            a[..., 2, 1] += 1e18
+            return a, B
 
-        monkeypatch.setattr(estimators, "ge_derivative", blown)
+        monkeypatch.setattr(estimators, "ge_flow", blown)
         with pytest.raises(
             SimulationDiverged, match=r"'ge\.theta\[2, 1\]' diverged at t=0\.001 "
         ) as err:
@@ -269,6 +315,44 @@ class TestRunScenario:
         e = err.value
         assert (e.block, e.agent, e.entry, e.t) == ("ge.theta", 2, (1,), 0.001)
         assert e.value > 1e12
+
+    @pytest.mark.parametrize(
+        "blow_step, drift_from, error, message",
+        [
+            (5, 10, SimulationDiverged, r"'ge\.theta\[0, 0\]' diverged at t=0\.006 "),
+            (15, 1, InvariantViolation, r"sums drifted at t=0\.01:"),
+        ],
+    )
+    def test_errors_are_raised_in_time_order(
+        self, monkeypatch, blow_step, drift_from, error, message
+    ):
+        # Both failures fall in the first block of steps, whose lower pass
+        # runs to its end before the upper pass starts. GE's theta (upper
+        # layer) blows up in step blow_step; the consensus sums (lower layer)
+        # drift from step drift_from on, so the next sample (every 10th
+        # step) fails its check. The earlier of the two is raised.
+        assert sim.INPUT_BLOCK > 20
+        ge_flow = estimators.ge_flow
+
+        def blown(out, gamma):
+            a, B = ge_flow(out, gamma)
+            a[blow_step, :, 0, 0] += 1e18
+            return a, B
+
+        calls = [0]
+        dac = consensus.dac_derivative
+
+        def drifting(out, lap, k, eps=0.0):
+            d = dac(out, lap, k, eps)
+            calls[0] += 1
+            if calls[0] > 4 * drift_from:
+                consensus.split(d)[1][:, 0] += 1.0
+            return d
+
+        monkeypatch.setattr(estimators, "ge_flow", blown)
+        monkeypatch.setattr(sim.cns, "dac_derivative", drifting)
+        with pytest.raises(error, match=message):
+            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.1)))
 
     @pytest.mark.parametrize(
         "column, name, block, entry",
@@ -407,27 +491,44 @@ class TestRunScenario:
         assert e.value == pytest.approx(0.03)
 
     @pytest.mark.parametrize("decimation, last_sample_alone", [(10, 1), (7, 0)])
-    def test_one_scalarization_per_field_evaluation(
+    def test_one_scalarization_per_block(
         self, monkeypatch, decimation, last_sample_alone
     ):
-        # Samples come from RK4's first stage, so each DREM kind scalarizes
-        # once per field evaluation; only a sample at the last step, which
-        # has no step after it, evaluates the field once more.
-        counts = {"drem_scalarize": 0, "drem_simple_scalarize": 0}
-        for name in counts:
+        # The upper pass scalarizes all stage rows of a block of steps in one
+        # call per DREM kind: RK4's four evaluations of every step, each
+        # once, and a sample at the last step (which has no step after it)
+        # with its other evaluations repeating its first. The filterless
+        # kind's rows are the outputs the lower pass evaluated, in order.
+        seen = {"drem_scalarize": [], "drem_simple_scalarize": []}
+        for name in seen:
             fn = getattr(estimators, name)
 
-            def counted(*args, _fn=fn, _name=name):
-                counts[_name] += 1
-                return _fn(*args)
+            def recorded(arg, _fn=fn, _name=name):
+                # the rows themselves: the runner reuses its tables
+                seen[_name].append(np.copy(getattr(arg, "Z", arg)))
+                return _fn(arg)
 
-            monkeypatch.setattr(estimators, name, counted)
+            monkeypatch.setattr(estimators, name, recorded)
+        outputs = []
+        dac = consensus.dac_derivative
+
+        def evaluated(out, lap, k, eps=0.0):
+            outputs.append(out.Z.copy())
+            return dac(out, lap, k, eps)
+
+        monkeypatch.setattr(sim.cns, "dac_derivative", evaluated)
         doc = small_doc(
             estimators=["ge", "drem", "drem_simple"], t_end=0.1, decimation=decimation
         )
         tr = run_scenario(load_config(doc))
         n_steps = 100
-        assert counts == {name: 4 * n_steps + last_sample_alone for name in counts}
+        blocks = -(-(n_steps + 1) // sim.INPUT_BLOCK)
+        assert {name: len(args) for name, args in seen.items()} == {name: blocks for name in seen}
+        rows = 4 * (n_steps + last_sample_alone)
+        assert sum(A.shape[0] * A.shape[1] for A in seen["drem_scalarize"]) == rows
+        got = np.concatenate([Z.reshape(-1, *Z.shape[2:]) for Z in seen["drem_simple_scalarize"]])
+        assert len(outputs) == 4 * n_steps + last_sample_alone
+        np.testing.assert_array_equal(got, np.array(outputs + outputs[-1:] * 3 * last_sample_alone))
         assert tr.t[-1] == pytest.approx(0.1 if last_sample_alone else 0.098)
 
     @pytest.mark.parametrize("p_loss, rebuilds", [(0.0, 3), (0.3, 5)])

@@ -1,16 +1,21 @@
 """Fixed-step RK4 integration of the two-layer system, as a cascade.
 
-The lower layer (the consensus integrators and the DREM filter banks) never
+The lower layer (the consensus integrators and the DREM filter bank) never
 reads an estimate, and every estimator of the upper layer is an affine flow
 x' = a(t) - B(t) x driven by the lower layer's outputs. RK4 of the cascade
 is RK4 of the lower layer, followed by RK4 of the upper layer at the lower
 layer's stage values, so the runner makes two passes over each block of
-INPUT_BLOCK steps. The lower pass steps the lower state with rk4_step, once
-per step; its field, consensus.dac_derivative and
-estimators.drem_filter_derivative, writes the outputs Z and filter rows z
-of each of RK4's four evaluations into (K, 4, ...) block tables. The upper
-pass calls each kind's flow once over all the block's stage rows to get
-its coefficients (a, B), turns them into RK4's one-step maps
+INPUT_BLOCK steps. The lower state is one array S of shape
+(N, 1 + r, n^2 + n): row 0 is each agent's consensus row [vec(X_i) | x_i],
+rows 1..r its DREM filter rows [vec(zC) | zy] (r = 0 when no kind reads
+them). The lower pass steps S with rk4_step, once per step; its field
+returns consensus.dac_derivative in row 0 and
+estimators.drem_filter_derivative in the filter rows, and writes S and
+the outputs Z = P - S[:, 0] of each of RK4's four evaluations into
+(K, 4, ...) block tables. The upper state is one array per block,
+"<kind>.<block>", holding the block's state at each step. The upper pass
+calls each kind's flow once over all the block's stage rows to get its
+coefficients (a, B), turns them into RK4's one-step maps
 x+ = x + (D x + rho) (affine_rk4), and scans the steps with one product and
 one add each. Samples, invariant checks and diagnostics are read off the
 tables, batched per block, and the failure that comes first in time is
@@ -144,55 +149,6 @@ def _affine_scan(x: np.ndarray, D: np.ndarray | None, rho: np.ndarray):
         np.add(x[j], Dx + rho[j], out=x[j + 1])
 
 
-class _Layout:
-    """Slicing map from a flat state vector to named array views.
-
-    A block of packed rows [vec(M) | v], shape (..., n^2 + n), may name its
-    two parts, e.g. ("X", "x"): consensus.split gives their views, so unpack
-    also returns them and locate names an entry by its part, e.g.
-    'X[3, 0, 2]' or 'drem.zy[3, 1, 2]'. checked holds the flat indices of
-    the blocks the divergence guard checks.
-    """
-
-    def __init__(self):
-        self._specs: list[tuple[str, tuple[int, ...], slice, bool, tuple[str, ...]]] = []
-        self.size = 0
-        self.checked = np.empty(0, dtype=int)
-
-    def add(self, name: str, shape: tuple[int, ...], check: bool = True,
-            per_agent: bool = True, parts: tuple[str, ...] = ()):
-        """check=False exempts the block from the divergence guard (e.g. the
-        monotone excitation integrals, which legitimately grow very large);
-        per_agent=False marks a block without a leading agent axis."""
-        sl = slice(self.size, self.size + int(np.prod(shape)))
-        self._specs.append((name, shape, sl, per_agent, tuple(parts)))
-        if check:
-            self.checked = np.concatenate([self.checked, np.arange(sl.start, sl.stop)])
-        self.size = sl.stop
-
-    def unpack(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Views of a flat state, or of a table of states along its last axis."""
-        views = {}
-        for name, shape, sl, _, parts in self._specs:
-            views[name] = rows = flat[..., sl].reshape(*flat.shape[:-1], *shape)
-            views.update(zip(parts, cns.split(rows)))
-        return views
-
-    def locate(self, flat_index: int) -> tuple[str, int | None, tuple[int, ...]]:
-        """The block (or part), agent and entry of a flat index."""
-        for name, shape, sl, per_agent, parts in self._specs:
-            if sl.start <= flat_index < sl.stop:
-                index = tuple(int(j) for j in np.unravel_index(flat_index - sl.start, shape))
-                if not per_agent:
-                    return name, None, index
-                for part, entries in zip(parts, cns.split(np.arange(shape[-1]))):
-                    hit = np.argwhere(entries == index[-1])
-                    if hit.size:
-                        return part, index[0], index[1:-1] + tuple(int(j) for j in hit[0])
-                return name, index[0], index[1:]
-        raise IndexError(f"flat index {flat_index} outside the state")
-
-
 @dataclass
 class EstimatorTrace:
     theta_hat: np.ndarray  # (S, N, n) or (S, n) for the centralized baseline
@@ -244,23 +200,22 @@ class TraceSet:
 class Estimator:
     """One estimator kind, declared once.
 
-    blocks(cfg) lists its state blocks as (name, shape, checked, *parts),
-    stored as "<kind>.<name>"; unchecked blocks are exempt from the
-    divergence guard. A block of packed rows names its two parts, which
-    consensus.split gives (see _Layout): it is a DREM filter bank of the
-    consensus outputs, stepped in the lower layer with the consensus state
-    by estimators.drem_filter_derivative. Every other block is an affine
-    flow x' = a - B x of the upper layer. flow(cfg, tab) reads the block
-    tables (see run_scenario) and returns, for each flow block, its
-    coefficients (a, B) at every (K, 4, ...) stage row, B as affine_rk4
-    takes it, and the kind's other sample fields at every stage row.
-    per_agent=False marks a kind whose blocks have no agent axis. The
-    estimators module is looked up at call time.
+    blocks(cfg) lists its state blocks as (name, shape, checked), stored
+    as "<kind>.<name>"; unchecked blocks are exempt from the divergence
+    guard. Each block is an affine flow x' = a - B x of the upper layer.
+    flow(cfg, tab) reads the block tables (see run_scenario) and returns,
+    for each block, its coefficients (a, B) at every (K, 4, ...) stage row,
+    B as affine_rk4 takes it, and the kind's other sample fields at every
+    stage row. per_agent=False marks a kind whose blocks have no agent
+    axis. filtered=True marks a kind that reads the DREM filter bank, which
+    the lower layer then steps with the consensus rows. The estimators
+    module is looked up at call time.
     """
 
     blocks: Callable
     flow: Callable
     per_agent: bool = True
+    filtered: bool = False
 
 
 def _decoupled_flows(cfg, phi, Y) -> tuple[dict, dict]:
@@ -276,13 +231,13 @@ ESTIMATORS = {
     ),
     "drem": Estimator(
         blocks=lambda cfg: [
-            ("z", (cfg.n_agents, cfg.drem_filters.r, cfg.n * cfg.n + cfg.n), True, "zC", "zy"),
             ("theta", (cfg.n_agents, cfg.n), True),
             ("phi_int", (cfg.n_agents,), False),
         ],
         flow=lambda cfg, tab: _decoupled_flows(
-            cfg, *est.drem_scalarize(est.drem_extend(tab["out"], tab["drem.z"]))
+            cfg, *est.drem_scalarize(est.drem_extend(tab["out"], tab["z"]))
         ),
+        filtered=True,
     ),
     "drem_simple": Estimator(
         blocks=lambda cfg: [
@@ -300,8 +255,11 @@ ESTIMATORS = {
     ),
 }
 
-# The trace field of a flow block's samples, where it is not the block's name.
+# The trace field of a block's samples, where it is not the block's name.
 _SAMPLED_AS = {"theta": "theta_hat", "phi_int": "phi_sq_int"}
+# The names of the two parts [vec(M) | v] of a lower row: the consensus
+# row's, then every DREM filter row's.
+_LOWER_PARTS = (("X", "x"), ("drem.zC", "drem.zy"))
 
 
 def _failure_key(step: int, order: int, value: float = 0.0) -> tuple:
@@ -367,23 +325,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
             f"exceeds the stability limit {RK4_STABILITY_LIMIT:.4f}; lower k or h"
         )
     kinds = {kind: ESTIMATORS[kind] for kind in cfg.estimators}
-
-    # The lower layer: the consensus rows, then every filter bank (a packed
-    # block), also laid out alone. The upper layer: every other block, an
-    # affine flow.
-    lower, banks, upper = _Layout(), _Layout(), _Layout()
-    lower.add("consensus", (N, width), parts=("X", "x"))
-    flows = {kind: [] for kind in kinds}
-    for kind, spec in kinds.items():
-        for name, shape, check, *parts in spec.blocks(cfg):
-            if parts:
-                lower.add(f"{kind}.{name}", shape, check, spec.per_agent,
-                          tuple(f"{kind}.{part}" for part in parts))
-                banks.add(f"{kind}.{name}", shape)
-            else:
-                upper.add(f"{kind}.{name}", shape, check, spec.per_agent)
-                flows[kind].append(name)
-    n_cons = N * width
+    r = cfg.drem_filters.r if any(spec.filtered for spec in kinds.values()) else 0
 
     n_steps = int(round(cfg.t_end / h))
     n_samples = n_steps // dec + 1
@@ -396,18 +338,21 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     records: dict[str, dict[str, np.ndarray]] = {kind: {} for kind in kinds}
 
     # Block tables. Row j is the block's step step0 + j and column ev RK4's
-    # evaluation ev of it: the lower state at every step, the filter banks
-    # and the outputs Z at every evaluation, and the upper state at every
-    # step (row 0 the block's first).
+    # evaluation ev of it: the lower state S and the outputs Z at every
+    # evaluation, and each upper block's state at every step (row 0 the
+    # block's first). checked maps each checked upper block to whether it
+    # has an agent axis.
     block = INPUT_BLOCK
-    state_tab = np.empty((block, lower.size))
-    bank_tab = np.empty((block, 4, banks.size))
-    state_views, bank_views = lower.unpack(state_tab), banks.unpack(bank_tab)
+    state = np.zeros((N, 1 + r, width))
+    lower_tab = np.empty((block, 4, *state.shape))
     z_tab = np.empty((block, 4, N, width))
     outs = [[cns.ConsensusOutput(z_tab[j, ev]) for ev in range(4)] for j in range(block)]
-    upper_tab = np.zeros((block + 1, upper.size))
-    upper_views = upper.unpack(upper_tab)
-    state = np.zeros(lower.size)
+    upper, checked = {}, {}
+    for kind, spec in kinds.items():
+        for name, shape, check in spec.blocks(cfg):
+            upper[f"{kind}.{name}"] = np.zeros((block + 1, *shape))
+            if check:
+                checked[f"{kind}.{name}"] = spec.per_agent
 
     p_max = max(gen.rows_per_agent)
     noise_rngs = (
@@ -488,11 +433,9 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
             )
         return _failure_key(step, 1), error
 
-    def diverged(layout: _Layout, values: np.ndarray, flat_idx: int, step: int):
-        """The divergence of entry flat_idx of a layer's state after `step`'s
-        step, as (key, SimulationDiverged)."""
-        block, agent, entry = layout.locate(flat_idx)
-        value = float(values[flat_idx])
+    def diverged(block: str, agent: int | None, entry: tuple[int, ...], value: float,
+                 step: int):
+        """The divergence of an entry after `step`'s step, as (key, SimulationDiverged)."""
         t = step * h + h
         return _failure_key(step + 1, 0, value), SimulationDiverged(
             f"state component '{_entry_name(block, agent, entry)}' diverged "
@@ -500,55 +443,70 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
             block, agent, entry, t, value,
         )
 
-    def field(t: float, flat: np.ndarray) -> np.ndarray:
-        """The lower layer's derivative: the consensus rows', then each filter
-        bank's, in layout order. Evaluation ev of a step writes its filter
-        banks and outputs to table row (step - step0, ev). ev, step, step0,
-        P and lap are the current evaluation's, step's and block's."""
+    def lower_diverged(step: int):
+        """The divergence of the lower state's largest |entry| (NaN the
+        largest) after `step`'s step, named by its row and its part of it."""
+        worst = np.unravel_index(np.argmax(np.abs(state)), state.shape)
+        agent, row, col = (int(j) for j in worst)
+        M, v = cns.split(np.arange(width))  # each entry holds its own column
+        part, cols = (0, M) if col in M else (1, v)
+        entry = () if row == 0 else (row - 1,)
+        entry += tuple(int(j) for j in np.argwhere(cols == col)[0])
+        return diverged(_LOWER_PARTS[row > 0][part], agent, entry,
+                        float(state[agent, row, col]), step)
+
+    def field(t: float, S: np.ndarray) -> np.ndarray:
+        """The lower layer's derivative: dac_derivative in each agent's row 0
+        and drem_filter_derivative in its filter rows. Evaluation ev of a
+        step writes its state and outputs to table row (step - step0, ev).
+        ev, step, step0, P and lap are the current evaluation's, step's and
+        block's."""
         nonlocal ev
         j, e = step - step0, ev
         ev += 1
+        lower_tab[j, e] = S
         out = outs[j][e]
-        np.subtract(P[j, STAGE_INPUT[e]], flat[:n_cons].reshape(N, width), out=out.Z)
-        d_cons = cns.dac_derivative(out, lap, k, cfg.epsilon).ravel()
-        if not bank_views:
-            return d_cons
-        bank_tab[j, e] = flat[n_cons:]
-        return np.concatenate([d_cons] + [
-            est.drem_filter_derivative(cfg.drem_filters, bank[j, e], out).ravel()
-            for bank in bank_views.values()
-        ])
+        np.subtract(P[j, STAGE_INPUT[e]], S[:, 0], out=out.Z)
+        dS = cns.dac_derivative(out, lap, k, cfg.epsilon)[:, None]
+        if r:
+            dS = np.concatenate(
+                [dS, est.drem_filter_derivative(cfg.drem_filters, S[:, 1:], out)], axis=1
+            )
+        return dS
 
     def upper_pass(step0: int, n_int: int, n_rows: int, sums):
         """Every kind's coefficients over the block's n_rows table rows in one
-        flow call, and each flow block advanced over its n_int steps by its
-        RK4 maps. The flows read the tables tab: "out", a ConsensusOutput over
+        flow call, and each block advanced over its n_int steps by its RK4
+        maps. The flows read the tables tab: "out", a ConsensusOutput over
         the (K, 4, N, n^2 + n) outputs; "sums", the network sums (K, 4,
-        n^2 + n) of the packed inputs; and each filter bank by its block
-        name. Returns
-        each kind's sample fields and the first divergence as
-        (key, SimulationDiverged), or None."""
+        n^2 + n) of the packed inputs; and "z", the filter rows (K, 4, N, r,
+        n^2 + n). Returns each kind's sample fields and the first divergence
+        of every checked block as (key, SimulationDiverged)."""
         if not n_rows:
-            return {}, None
+            return {}, []
         tab = {"out": cns.ConsensusOutput(z_tab[:n_rows]), "sums": sums,
-               **{name: bank[:n_rows] for name, bank in bank_views.items()}}
+               "z": lower_tab[:n_rows, :, :, 1:]}
         sample_fields = {}
         for kind, spec in kinds.items():
             coeffs, sample_fields[kind] = spec.flow(cfg, tab)
-            for name in flows[kind]:
-                a, B = coeffs[name]
+            for name, (a, B) in coeffs.items():
                 D, rho = affine_rk4(h, a[:n_int], None if B is None else B[:n_int])
                 # A flow that diverges overflows in the block's later steps;
                 # the check below names its first step.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    _affine_scan(upper_views[f"{kind}.{name}"][:n_int + 1], D, rho)
-        checked = np.abs(upper_tab[1:n_int + 1][:, upper.checked])
-        over = np.flatnonzero(~(checked.max(axis=1, initial=0.0) <= DIVERGENCE_LIMIT))  # NaN is over
-        if not over.size:
-            return sample_fields, None
-        j = int(over[0])
-        worst = int(upper.checked[np.argmax(checked[j])])
-        return sample_fields, diverged(upper, upper_tab[j + 1], worst, step0 + j)
+                    _affine_scan(upper[f"{kind}.{name}"][:n_int + 1], D, rho)
+        failures = []
+        for block, per_agent in checked.items():
+            x = upper[block][1:n_int + 1]
+            peak = np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
+            over = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))  # NaN is over
+            if over.size:
+                j = int(over[0])
+                worst = np.unravel_index(np.argmax(np.abs(x[j])), x.shape[1:])
+                index = tuple(int(i) for i in worst)
+                agent, entry = (index[0], index[1:]) if per_agent else (None, index)
+                failures.append(diverged(block, agent, entry, float(x[j][index]), step0 + j))
+        return sample_fields, failures
 
     def write_samples(rows, slots, inputs, sample_fields):
         """Samples `slots` from the block's table rows `rows`, whose packed
@@ -557,14 +515,15 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         cbar, ybar = cns.average_reference(*cns.split(inputs))
         cons_err[slots], yhat_err[slots] = cns.consensus_error(out, cbar, ybar)
         resid_norm[slots] = np.linalg.norm(cns.residual(out, theta), axis=-1)
-        for kind, rec in records.items():
-            samples = {_SAMPLED_AS.get(name, name): upper_views[f"{kind}.{name}"][rows]
-                       for name in flows[kind]}
-            samples.update((name, v[rows, 0]) for name, v in sample_fields[kind].items())
-            for name, value in samples.items():
-                if name not in rec:
-                    rec[name] = np.empty((n_samples, *value.shape[1:]))
-                rec[name][slots] = value
+        samples = [(*block.split("."), x[rows]) for block, x in upper.items()] + [
+            (kind, name, v[rows, 0]) for kind, fields in sample_fields.items()
+            for name, v in fields.items()
+        ]
+        for kind, name, value in samples:
+            rec, name = records[kind], _SAMPLED_AS.get(name, name)
+            if name not in rec:
+                rec[name] = np.empty((n_samples, *value.shape[1:]))
+            rec[name][slots] = value
 
     # Each graph's edges (i < j, row-major), for drawing its loss mask.
     graph_edges = [np.nonzero(np.triu(topo.adjacency)) for topo in cfg.schedule.topologies]
@@ -604,39 +563,37 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
                 ts[step // dec], sigmas[step // dec], links[step // dec] = t, topo_idx, links_up
 
             ev = 0
-            state_tab[step - step0] = state
             if step < n_steps:
                 state = rk4_step(field, state, t, h)
                 n_int = n_rows = n_int + 1
-                checked = np.abs(state[lower.checked])
-                worst = np.argmax(checked)
-                if not np.isfinite(checked[worst]) or checked[worst] > DIVERGENCE_LIMIT:
-                    lower_failure = diverged(lower, state, int(lower.checked[worst]), step)
+                if not np.abs(state).max() <= DIVERGENCE_LIMIT:  # NaN is over
+                    lower_failure = lower_diverged(step)
                     break
             elif step % dec == 0:  # the last sample has no step after it
                 field(t, state)
                 j = step - step0  # its other evaluations repeat the first
-                bank_tab[j, 1:], z_tab[j, 1:] = bank_tab[j, 0], z_tab[j, 0]
+                lower_tab[j, 1:], z_tab[j, 1:] = lower_tab[j, 0], z_tab[j, 0]
                 n_rows += 1
 
         # The block's samples, checked on their lower states; then the upper
         # pass. The failure that comes first in time is raised.
         rows = np.arange(-step0 % dec, n_rows, dec)
         invariant_failure = rows.size and check_invariants(
-            step0 + rows, state_views["X"][rows], state_views["x"][rows]
+            step0 + rows, *cns.split(lower_tab[rows, 0, :, 0])
         )
         # The input table is released before the upper pass, whose
         # block-sized temporaries can then reuse its memory; the samples'
         # inputs and every evaluation's network sums are all it keeps.
         inputs, sums = P[rows, 0], P[:n_rows].sum(axis=2)[:, STAGE_INPUT]
         P = None
-        sample_fields, upper_failure = upper_pass(step0, n_int, n_rows, sums)
-        failures = [f for f in (lower_failure, invariant_failure, upper_failure) if f]
+        sample_fields, upper_failures = upper_pass(step0, n_int, n_rows, sums)
+        failures = [f for f in (lower_failure, invariant_failure) if f] + upper_failures
         if failures:
             raise min(failures, key=lambda f: f[0])[1]
         if rows.size:
             write_samples(rows, (step0 + rows) // dec, inputs, sample_fields)
-        upper_tab[0] = upper_tab[n_int]
+        for x in upper.values():
+            x[0] = x[n_int]
 
     est_traces = {
         kind: EstimatorTrace(err_norm=np.linalg.norm(rec["theta_hat"] - theta, axis=-1), **rec)

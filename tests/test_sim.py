@@ -267,16 +267,23 @@ class TestRunScenario:
         with pytest.raises(SimulationDiverged, match="ge.theta"):
             run_scenario(load_config(small_doc(gamma_ge=1e6, estimators=["ge"])))
 
+    @staticmethod
+    def lower_entry(n, column, names, filt=()):
+        """The block and entry of a packed lower row's column, from the views
+        consensus.split gives of the column indices: (matrix, vector) part
+        names, and the filter index leading a filter row's entry."""
+        for name, cols in zip(names, consensus.split(np.arange(n * n + n))):
+            hit = np.argwhere(cols == column)
+            if hit.size:
+                return name, filt + tuple(int(j) for j in hit[0])
+
     @pytest.mark.parametrize(
-        "column, name, block, agent, entry",
-        [(2, r"X\[1, 1, 0\]", "X", 1, (1, 0)), (5, r"x\[1, 1\]", "x", 1, (1,))],
+        "n, column", [(n, c) for n in (1, 2, 3) for c in range(n * n + n)]
     )
-    def test_divergent_consensus_entry_named_by_its_part(
-        self, monkeypatch, column, name, block, agent, entry
-    ):
-        # n = 2: agent 1's packed row is [X00 X01 X10 X11 | x0 x1]. The
-        # centralized estimator does not read the consensus outputs, so the
-        # consensus entry is the only one that diverges.
+    def test_divergent_consensus_entry_named_by_its_part(self, monkeypatch, n, column):
+        # Agent 1's consensus row [vec(X) | x] blows up in one column. Its
+        # filter rows follow the consensus outputs, and a tiny gamma_drem
+        # keeps theta from outgrowing the entry through the blown-up Gram.
         dac = consensus.dac_derivative
 
         def blown(out, lap, k, eps=0.0):
@@ -285,11 +292,14 @@ class TestRunScenario:
             return d
 
         monkeypatch.setattr(sim.cns, "dac_derivative", blown)
-        doc = small_doc(estimators=["centralized"], gamma_centralized=0.5, t_end=0.01)
+        doc = small_doc(n=n, theta=[1.0, -2.0, 0.5][:n], estimators=["drem"],
+                        gamma_drem=1e-300, t_end=0.01)
+        block, entry = self.lower_entry(n, column, ("X", "x"))
+        name = re.escape(f"{block}[{', '.join(map(str, (1, *entry)))}]")
         with pytest.raises(SimulationDiverged, match=rf"'{name}' diverged at t=0\.001 ") as err:
             run_scenario(load_config(doc))
         e = err.value
-        assert (e.block, e.agent, e.entry, e.t) == (block, agent, entry, 0.001)
+        assert (e.block, e.agent, e.entry, e.t) == (block, 1, entry, 0.001)
 
     def test_located_errors_survive_pickling(self):
         import pickle
@@ -297,24 +307,55 @@ class TestRunScenario:
         e = pickle.loads(pickle.dumps(InvariantViolation("msg", "X", 2, (0, 1), 0.5, 3.0)))
         assert (str(e), e.block, e.agent, e.entry, e.t, e.value) == ("msg", "X", 2, (0, 1), 0.5, 3.0)
 
-    def test_divergence_names_the_agent_and_entry(self, monkeypatch):
-        # GE's flow drives agent 2's entry 1 by 1e18 at every stage row, so
-        # the first step takes it past the divergence limit.
-        ge_flow = estimators.ge_flow
+    @pytest.mark.parametrize(
+        "kind, flow, index",
+        [
+            ("ge", "ge_flow", (2, 1)),
+            ("drem", "drem_flow", (2, 1)),
+            ("drem_simple", "drem_flow", (2, 1)),
+            ("centralized", "centralized_ge_flow", (1,)),
+        ],
+        ids=["ge", "drem", "drem_simple", "centralized"],
+    )
+    def test_divergence_names_the_agent_and_entry(self, monkeypatch, kind, flow, index):
+        # The kind's flow drives entry 1 of theta (agent 2's, where the kind
+        # has an agent axis) by 1e18 at every stage row, so the first step
+        # takes it past the divergence limit.
+        original = getattr(estimators, flow)
 
-        def blown(out, gamma):
-            a, B = ge_flow(out, gamma)
-            a[..., 2, 1] += 1e18
+        def blown(*args):
+            a, B = original(*args)
+            a[(..., *index)] += 1e18
             return a, B
 
-        monkeypatch.setattr(estimators, "ge_flow", blown)
-        with pytest.raises(
-            SimulationDiverged, match=r"'ge\.theta\[2, 1\]' diverged at t=0\.001 "
-        ) as err:
-            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.01)))
+        monkeypatch.setattr(estimators, flow, blown)
+        name = re.escape(f"{kind}.theta[{', '.join(map(str, index))}]")
+        doc = small_doc(estimators=[kind], gamma_centralized=0.5, t_end=0.01)
+        with pytest.raises(SimulationDiverged, match=rf"'{name}' diverged at t=0\.001 ") as err:
+            run_scenario(load_config(doc))
         e = err.value
-        assert (e.block, e.agent, e.entry, e.t) == ("ge.theta", 2, (1,), 0.001)
+        agent = index[0] if len(index) > 1 else None
+        assert (e.block, e.agent, e.entry, e.t) == (f"{kind}.theta", agent, (1,), 0.001)
         assert e.value > 1e12
+
+    @pytest.mark.parametrize(
+        "kind, scalarize", [("drem", "drem_scalarize"), ("drem_simple", "drem_simple_scalarize")]
+    )
+    def test_unchecked_phi_integral_may_pass_the_limit(self, monkeypatch, kind, scalarize):
+        # phi = 1e10 takes the integral of phi^2 past 1e12 within a step;
+        # it is exempt from the divergence guard, and gamma_drem = 1e-300
+        # keeps theta bounded.
+        original = getattr(estimators, scalarize)
+
+        def huge(arg):
+            phi, Y = original(arg)
+            return np.full_like(phi, 1e10), Y
+
+        monkeypatch.setattr(estimators, scalarize, huge)
+        doc = small_doc(estimators=[kind], gamma_drem=1e-300, t_end=0.05)
+        tr = run_scenario(load_config(doc)).estimators[kind]
+        assert tr.phi_sq_int[1].min() > sim.DIVERGENCE_LIMIT
+        assert np.abs(tr.theta_hat).max() < 1.0
 
     @pytest.mark.parametrize(
         "blow_step, drift_from, error, message",
@@ -355,29 +396,26 @@ class TestRunScenario:
             run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.1)))
 
     @pytest.mark.parametrize(
-        "column, name, block, entry",
-        [
-            (5, r"drem\.zC\[2, 1, 1, 2\]", "drem.zC", (1, 1, 2)),
-            (10, r"drem\.zy\[2, 1, 1\]", "drem.zy", (1, 1)),
-        ],
+        "n, filt, column", [(n, f, c) for n in (1, 2, 3) for f in (0, 1) for c in range(n * n + n)]
     )
-    def test_divergent_filter_entry_named_by_its_channel(
-        self, monkeypatch, column, name, block, entry
-    ):
-        # n = 3: each filter's packed row is [vec(zC) | zy], 9 + 3 entries;
-        # filter 1 of agent 2 blows up in one of them. A tiny gamma_drem
+    def test_divergent_filter_entry_named_by_its_channel(self, monkeypatch, n, filt, column):
+        # Two filters for every n; each filter's packed row is [vec(zC) | zy].
+        # Filter filt of agent 2 blows up in one column. A tiny gamma_drem
         # keeps theta from outgrowing that entry through the blown-up Gram.
         drem_filter_derivative = estimators.drem_filter_derivative
 
         def blown(bank, z, out):
             d = drem_filter_derivative(bank, z, out)
-            d[2, 1, column] += 1e18
+            d[2, filt, column] += 1e18
             return d
 
         monkeypatch.setattr(estimators, "drem_filter_derivative", blown)
         doc = small_doc(
-            n=3, theta=[1.0, -2.0, 0.5], estimators=["drem"], gamma_drem=1e-300, t_end=0.01
+            n=n, theta=[1.0, -2.0, 0.5][:n], estimators=["drem"], gamma_drem=1e-300,
+            drem_filters={"alphas": [1.0, 1.0], "betas": [1.0, 2.0]}, t_end=0.01,
         )
+        block, entry = self.lower_entry(n, column, ("drem.zC", "drem.zy"), (filt,))
+        name = re.escape(f"{block}[{', '.join(map(str, (2, *entry)))}]")
         with pytest.raises(SimulationDiverged, match=rf"'{name}' diverged at t=0\.001 ") as err:
             run_scenario(load_config(doc))
         e = err.value
@@ -579,34 +617,6 @@ def random_connected_edges(rng, n_agents):
     """A random connected graph: a spanning tree plus random extra edges."""
     most = n_agents * (n_agents - 1) // 2
     return workloads.random_connected_edges(rng, n_agents, int(rng.integers(n_agents - 1, most + 1)))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_state_layout_locates_every_flat_index(n):
-    # The runner's layout: the consensus block, then every kind's blocks.
-    cfg = load_config(small_doc(n=n, theta=[1.0, -2.0, 0.5][:n], estimators=list(sim.ESTIMATORS)))
-    layout = sim._Layout()
-    layout.add("consensus", (cfg.n_agents, n * n + n), parts=("X", "x"))
-    checked = ["consensus"]
-    for kind, spec in sim.ESTIMATORS.items():
-        for name, shape, check, *parts in spec.blocks(cfg):
-            layout.add(f"{kind}.{name}", shape, check, spec.per_agent,
-                       tuple(f"{kind}.{part}" for part in parts))
-            if check:
-                checked.append(f"{kind}.{name}")
-    # Unpacking the flat indices themselves: each view entry holds its own index.
-    views = layout.unpack(np.arange(layout.size))
-    assert (views["drem.z"].size == 0) == (n == 1)  # r = n - 1 filters
-    for flat_index in range(layout.size):
-        block, agent, entry = layout.locate(flat_index)
-        assert block not in ("consensus", "drem.z")  # packed rows are named by part
-        assert (agent is None) == block.startswith("centralized.")
-        index = entry if agent is None else (agent, *entry)
-        assert len(index) == views[block].ndim and views[block][index] == flat_index
-    with pytest.raises(IndexError):
-        layout.locate(layout.size)
-    want = np.concatenate([views[name].ravel() for name in checked])
-    np.testing.assert_array_equal(layout.checked, want)
 
 
 class TestInvariantsOverRandomNetworks:

@@ -1,14 +1,15 @@
-"""Dynamic average consensus: derivative fields, outputs, and error measures.
+"""Dynamic average consensus: derivative fields and error measures.
 
 Both surrogate signals obey the same equation, so they travel as one packed
 channel: each agent's row is [vec(M_i) | v_i], n^2 + n entries, for the
 matrix surrogate C_i^T C_i and the vector surrogate C_i^T y_i alike. Packed
 are the surrogate inputs P (N, n^2+n), the integrator states S = [vec(X_i) |
-x_i] and the outputs Z = P - S; split gives the (N,n,n) and (N,n) views of
-any packed rows. The quantized and packet-loss variants share the nominal
-derivative field, dac_derivative, the only implementation of it: eps = 0
-means exact communication, and lost links are removed from the Laplacian it
-is given.
+x_i] and the outputs Z = P - S = [vec(Chat_i) | yhat_i]; every function
+takes the packed rows, and split, the one rule for reading them, gives their
+(..., n, n) and (..., n) views. The quantized and packet-loss variants share
+the nominal derivative field, dac_derivative, the only implementation of it:
+eps = 0 means exact communication, and lost links are removed from the
+Laplacian it is given.
 """
 
 from __future__ import annotations
@@ -32,18 +33,6 @@ def pack(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate([M.reshape(*M.shape[:-2], -1), v], axis=-1)
 
 
-class ConsensusOutput:
-    """Consensus outputs per agent, packed: Z = P - S, and the views
-    Chat = Cp - X (N, n, n) and yhat = yp - x (N, n) into its rows. The
-    views are built once; refilling Z in place updates them."""
-
-    __slots__ = ("Z", "Chat", "yhat")
-
-    def __init__(self, Z: np.ndarray):
-        self.Z = Z
-        self.Chat, self.yhat = split(Z)
-
-
 def effective_laplacian(topo: Topology, loss_mask: np.ndarray | None = None) -> np.ndarray:
     """Laplacian of the topology with lost edges removed symmetrically.
 
@@ -57,22 +46,20 @@ def effective_laplacian(topo: Topology, loss_mask: np.ndarray | None = None) -> 
     return laplacian(a)
 
 
-def dac_derivative(
-    out: ConsensusOutput, lap: np.ndarray, k: float, eps: float = 0.0
-) -> np.ndarray:
+def dac_derivative(Z: np.ndarray, lap: np.ndarray, k: float, eps: float = 0.0) -> np.ndarray:
     """Packed integrator-state derivative [vec(dX_i) | dx_i] of the consensus block.
 
     Each agent integrates k times the sum over its active neighbors of the
-    difference of transmitted outputs, written through the step's Laplacian
-    lap (see effective_laplacian); transmission applies the floor quantizer
-    at step eps (identity when eps = 0). Both channels take one quantizer
-    call and one Laplacian product.
+    difference of transmitted output rows Z (N, n^2 + n), written through
+    the step's Laplacian lap (see effective_laplacian); transmission applies
+    the floor quantizer at step eps (identity when eps = 0). Both channels
+    take one quantizer call and one Laplacian product.
     """
     if k <= 0:
         raise ValueError("consensus gain k must be positive")
-    if lap.shape != (out.Z.shape[0],) * 2:
+    if lap.shape != (Z.shape[0],) * 2:
         raise ValueError("output/Laplacian agent count mismatch")
-    return k * (lap @ quantize(out.Z, eps))
+    return k * (lap @ quantize(Z, eps))
 
 
 def average_reference(Cp: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,24 +69,27 @@ def average_reference(Cp: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def consensus_error(
-    output: ConsensusOutput, Cbar: np.ndarray, ybar: np.ndarray
+    Z: np.ndarray, Cbar: np.ndarray, ybar: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent deviations from the network average: (matrix norms, vector norms).
 
     Cbar and ybar are average_reference's, with the same leading axes as the
-    outputs less the agent axis. Chat_i - Cbar is symmetric, so its induced
-    2-norm is its largest eigenvalue magnitude.
+    output rows Z less the agent axis. Chat_i - Cbar is symmetric, so its
+    induced 2-norm is its largest eigenvalue magnitude.
     """
-    cerr = np.abs(np.linalg.eigvalsh(output.Chat - Cbar[..., None, :, :])).max(axis=-1)
-    yerr = np.linalg.norm(output.yhat - ybar[..., None, :], axis=-1)
+    Chat, yhat = split(Z)
+    cerr = np.abs(np.linalg.eigvalsh(Chat - Cbar[..., None, :, :])).max(axis=-1)
+    yerr = np.linalg.norm(yhat - ybar[..., None, :], axis=-1)
     return cerr, yerr
 
 
-def residual(output: ConsensusOutput, theta: np.ndarray) -> np.ndarray:
-    """Regression-identity residual r_i = yhat_i - Chat_i theta, shape (N,n).
+def residual(Z: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Regression-identity residual r_i = yhat_i - Chat_i theta of the output
+    rows Z, shape (N,n).
 
     theta is one (n,) vector for every agent or one row per agent, (N, n).
     Identically zero for zero-initialized, noiseless, non-quantized runs; under
     quantization its norm is diagnosed against the r(eps) ceiling.
     """
-    return output.yhat - (output.Chat @ theta[..., None])[..., 0]
+    Chat, yhat = split(Z)
+    return yhat - (Chat @ theta[..., None])[..., 0]

@@ -1,10 +1,13 @@
 """Local parameter estimators: gradient flow and regressor-extension variants.
 
 Each estimator is an affine flow theta' = a - B theta driven by the
-consensus outputs alone: ge_flow, drem_flow and centralized_ge_flow give
-(a, B), and each *_derivative is a - B theta of its flow. All operations are
-batched over agents (axis N), and the flows and scalarizations also over any
-leading axes, such as every RK4 stage row of a block of steps. The extension
+consensus outputs alone, which every function takes as the packed rows
+Z = [vec(Chat) | yhat] (see consensus.split): ge_flow, drem_flow and
+centralized_ge_flow give (a, B). ge_derivative and drem_derivative are
+a - B theta of their flows, the per-agent equations the unit tests check
+and perfbench's tracer hooks. All operations are batched over agents
+(axis N), and the flows and scalarizations also over any leading axes,
+such as every RK4 stage row of a block of steps. The extension
 estimator stacks the consensus output atop its first-order filtered copies
 into one extended regression A = [Cf | yf], and scalarizes it with two
 products: Cf^T A = [G | Cf^T yf] gives the Gram G and the right-hand side
@@ -25,7 +28,6 @@ from functools import cache
 import numpy as np
 
 from . import consensus as cns
-from .consensus import ConsensusOutput
 
 
 def _cross_gather() -> np.ndarray:
@@ -42,30 +44,27 @@ _ADJ3_FLAT = _cross_gather()
 
 
 @cache
-def _augmented(n: int) -> np.ndarray:
-    """Indices into a packed row [vec(M) | v] of the augmented matrix [M | v]."""
-    return np.column_stack(cns.split(np.arange(n * n + n)))
+def _augmented(width: int) -> np.ndarray:
+    """Indices into a packed row [vec(M) | v] of width n^2 + n of the
+    augmented matrix [M | v], (n, n + 1)."""
+    return np.column_stack(cns.split(np.arange(width)))
 
 
-def ge_flow(out: ConsensusOutput, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ge_flow(Z: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient flow as the affine flow theta' = a - B theta, per agent and row.
 
     a = gain Chat^T yhat and B = gain Chat^T Chat, read off one product
-    Chat^T [Chat | yhat] of the augmented output rows.
+    Chat^T [Chat | yhat] of the augmented output rows Z.
     """
-    n = out.yhat.shape[-1]
-    aug = out.Z[..., _augmented(n)]
+    aug = Z[..., _augmented(Z.shape[-1])]
+    n = aug.shape[-2]
     G = np.matmul(gain, aug[..., :n].swapaxes(-1, -2) @ aug, out=aug)  # into aug's memory
     return G[..., n], G[..., :n]
 
 
-def ge_derivative(
-    theta_hat: np.ndarray,
-    out: ConsensusOutput,
-    gain: np.ndarray,
-) -> np.ndarray:
+def ge_derivative(theta_hat: np.ndarray, Z: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """Gradient-flow update gain Chat^T (yhat - Chat theta_hat), as a - B theta_hat of ge_flow."""
-    a, B = ge_flow(out, gain)
+    a, B = ge_flow(Z, gain)
     return a - (B @ theta_hat[..., None])[..., 0]
 
 
@@ -79,17 +78,6 @@ def centralized_ge_flow(
     of the stacked regressor C and output y.
     """
     return (gain @ v[..., None])[..., 0], gain @ M
-
-
-def centralized_ge_derivative(
-    theta_hat_c: np.ndarray,
-    M: np.ndarray,
-    v: np.ndarray,
-    gain: np.ndarray,
-) -> np.ndarray:
-    """The centralized gradient flow gain (v - M theta), as a - B theta of centralized_ge_flow."""
-    a, B = centralized_ge_flow(M, v, gain)
-    return a - B @ theta_hat_c
 
 
 @dataclass(frozen=True)
@@ -127,27 +115,25 @@ def default_filter_bank(n: int) -> DremFilterBank:
     return DremFilterBank(alphas=np.ones(r), betas=np.arange(1.0, r + 1.0))
 
 
-def drem_filter_derivative(
-    bank: DremFilterBank, z: np.ndarray, out: ConsensusOutput
-) -> np.ndarray:
+def drem_filter_derivative(bank: DremFilterBank, z: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """State derivative of the filter bank driven by the consensus outputs.
 
     z holds each agent's r filtered copies of its packed output row Z,
     shape (N, r, n^2 + n): one filter equation for both channels.
     """
-    return bank.alphas[:, None] * out.Z[:, None] - bank.betas[:, None] * z
+    return bank.alphas[:, None] * Z[:, None] - bank.betas[:, None] * z
 
 
-def drem_extend(out: ConsensusOutput, z: np.ndarray) -> np.ndarray:
+def drem_extend(Z: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The extended regression A = [Cf | yf], shape (..., N, (r+1)n, n+1).
 
     Row block 0 is [Chat | yhat], block j the j-th filtered copy [zC | zy]:
-    one gather of the augmented rows from the packed rows of out and z,
-    over any leading axes the two share.
+    one gather of the augmented rows from the packed rows Z and z, over any
+    leading axes the two share.
     """
-    n = out.yhat.shape[-1]
-    rows = np.concatenate([out.Z[..., None, :], z], axis=-2)
-    return rows[..., _augmented(n)].reshape(*rows.shape[:-2], -1, n + 1)
+    rows = np.concatenate([Z[..., None, :], z], axis=-2)
+    aug = rows[..., _augmented(Z.shape[-1])]
+    return aug.reshape(*rows.shape[:-2], -1, aug.shape[-1])
 
 
 def adjugate(G: np.ndarray) -> np.ndarray:
@@ -194,9 +180,9 @@ def drem_scalarize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _mix(A[..., :n].swapaxes(-1, -2) @ A)
 
 
-def drem_simple_scalarize(out: ConsensusOutput) -> tuple[np.ndarray, np.ndarray]:
+def drem_simple_scalarize(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Filterless scalarization using the square consensus output [Chat | yhat] directly."""
-    return _mix(out.Z[..., _augmented(out.yhat.shape[-1])])
+    return _mix(Z[..., _augmented(Z.shape[-1])])
 
 
 def drem_flow(

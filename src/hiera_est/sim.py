@@ -11,15 +11,17 @@ rows 1..r its DREM filter rows [vec(zC) | zy] (r = 0 when no kind reads
 them). The lower pass steps S with rk4_step, once per step; its field
 returns consensus.dac_derivative in row 0 and
 estimators.drem_filter_derivative in the filter rows, and writes S and
-the outputs Z = P - S[:, 0] of each of RK4's four evaluations into
-(K, 4, ...) block tables. The upper state is one array per block,
-"<kind>.<block>", holding the block's state at each step. The upper pass
-calls each kind's flow once over all the block's stage rows to get its
-coefficients (a, B), turns them into RK4's one-step maps
+the packed outputs Z = P - S[:, 0] of each of RK4's four evaluations into
+(K, 4, ...) block tables, which every layer reads as plain packed arrays.
+The upper state is one array per flow, "<kind>.<name>", holding its state
+at each step of the block. The upper pass calls each kind's flow once over
+all the block's stage rows to get its coefficients (a, B), turns them into
+RK4's one-step maps
 x+ = x + (D x + rho) (affine_rk4), and scans the steps with one product and
 one add each. Samples, invariant checks and diagnostics are read off the
-tables, batched per block, and the failure that comes first in time is
-raised. Discontinuous inputs (topology switches, packet-loss masks,
+tables, batched per block; every state array, lower or upper, is guarded
+and named by one rule (diverged), and the failure that comes first in time
+is raised. Discontinuous inputs (topology switches, packet-loss masks,
 measurement noise) are frozen over each step, evaluated at the step's start
 for all four stages, so the per-step field stays smooth.
 
@@ -27,7 +29,8 @@ The consensus layer's inputs are exogenous, so they are tabulated per block
 too: each agent's noise in one draw (the same numbers as one draw per
 step), the regressors in one evaluation of the block's half-step grid, and
 the packed surrogates in one surrogate_all call. Each estimator kind is
-declared once, in ESTIMATORS: its state blocks and its flow. The outputs
+declared once, in ESTIMATORS, by its flow: the shapes of the coefficients
+it returns are the shapes of the kind's state arrays. The outputs
 are plain values: compute_metrics gives the metrics.json dict, and
 TraceSet.to_csv names every column by one rule.
 """
@@ -198,21 +201,20 @@ class TraceSet:
 
 @dataclass(frozen=True)
 class Estimator:
-    """One estimator kind, declared once.
+    """One estimator kind, declared once, by its flow.
 
-    blocks(cfg) lists its state blocks as (name, shape, checked), stored
-    as "<kind>.<name>"; unchecked blocks are exempt from the divergence
-    guard. Each block is an affine flow x' = a - B x of the upper layer.
-    flow(cfg, tab) reads the block tables (see run_scenario) and returns,
-    for each block, its coefficients (a, B) at every (K, 4, ...) stage row,
-    B as affine_rk4 takes it, and the kind's other sample fields at every
-    stage row. per_agent=False marks a kind whose blocks have no agent
-    axis. filtered=True marks a kind that reads the DREM filter bank, which
-    the lower layer then steps with the consensus rows. The estimators
-    module is looked up at call time.
+    flow(cfg, tab) reads the block tables (see run_scenario) and returns a
+    dict of the kind's affine flows x' = a - B x of the upper layer, each
+    as its coefficients (a, B) at every (K, 4, ...) stage row, B as
+    affine_rk4 takes it; and the kind's other sample fields at every stage
+    row. Each flow's state is one array "<kind>.<name>" of a's shape past
+    the stage axes. A flow with B = None (B = 0, a running integral that
+    grows without bound) is exempt from the divergence guard. per_agent=False
+    marks a kind whose arrays have no agent axis. filtered=True marks a kind
+    that reads the DREM filter bank, which the lower layer then steps with
+    the consensus rows. The estimators module is looked up at call time.
     """
 
-    blocks: Callable
     flow: Callable
     per_agent: bool = True
     filtered: bool = False
@@ -226,28 +228,18 @@ def _decoupled_flows(cfg, phi, Y) -> tuple[dict, dict]:
 
 ESTIMATORS = {
     "ge": Estimator(
-        blocks=lambda cfg: [("theta", (cfg.n_agents, cfg.n), True)],
-        flow=lambda cfg, tab: ({"theta": est.ge_flow(tab["out"], cfg.gamma_ge)}, {}),
+        flow=lambda cfg, tab: ({"theta": est.ge_flow(tab["Z"], cfg.gamma_ge)}, {}),
     ),
     "drem": Estimator(
-        blocks=lambda cfg: [
-            ("theta", (cfg.n_agents, cfg.n), True),
-            ("phi_int", (cfg.n_agents,), False),
-        ],
         flow=lambda cfg, tab: _decoupled_flows(
-            cfg, *est.drem_scalarize(est.drem_extend(tab["out"], tab["z"]))
+            cfg, *est.drem_scalarize(est.drem_extend(tab["Z"], tab["z"]))
         ),
         filtered=True,
     ),
     "drem_simple": Estimator(
-        blocks=lambda cfg: [
-            ("theta", (cfg.n_agents, cfg.n), True),
-            ("phi_int", (cfg.n_agents,), False),
-        ],
-        flow=lambda cfg, tab: _decoupled_flows(cfg, *est.drem_simple_scalarize(tab["out"])),
+        flow=lambda cfg, tab: _decoupled_flows(cfg, *est.drem_simple_scalarize(tab["Z"])),
     ),
     "centralized": Estimator(
-        blocks=lambda cfg: [("theta", (cfg.n,), True)],
         flow=lambda cfg, tab: ({"theta": est.centralized_ge_flow(
             *cns.split(tab["sums"]), cfg.gamma_centralized
         )}, {}),
@@ -255,11 +247,8 @@ ESTIMATORS = {
     ),
 }
 
-# The trace field of a block's samples, where it is not the block's name.
+# The trace field of a flow's samples, where it is not the flow's name.
 _SAMPLED_AS = {"theta": "theta_hat", "phi_int": "phi_sq_int"}
-# The names of the two parts [vec(M) | v] of a lower row: the consensus
-# row's, then every DREM filter row's.
-_LOWER_PARTS = (("X", "x"), ("drem.zC", "drem.zy"))
 
 
 def _failure_key(step: int, order: int, value: float = 0.0) -> tuple:
@@ -339,20 +328,13 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
 
     # Block tables. Row j is the block's step step0 + j and column ev RK4's
     # evaluation ev of it: the lower state S and the outputs Z at every
-    # evaluation, and each upper block's state at every step (row 0 the
-    # block's first). checked maps each checked upper block to whether it
-    # has an agent axis.
+    # evaluation, and each upper array's state at every step (row 0 the
+    # block's first), allocated by the first upper pass.
     block = INPUT_BLOCK
     state = np.zeros((N, 1 + r, width))
     lower_tab = np.empty((block, 4, *state.shape))
     z_tab = np.empty((block, 4, N, width))
-    outs = [[cns.ConsensusOutput(z_tab[j, ev]) for ev in range(4)] for j in range(block)]
-    upper, checked = {}, {}
-    for kind, spec in kinds.items():
-        for name, shape, check in spec.blocks(cfg):
-            upper[f"{kind}.{name}"] = np.zeros((block + 1, *shape))
-            if check:
-                checked[f"{kind}.{name}"] = spec.per_agent
+    upper = {}
 
     p_max = max(gen.rows_per_agent)
     noise_rngs = (
@@ -433,27 +415,25 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
             )
         return _failure_key(step, 1), error
 
-    def diverged(block: str, agent: int | None, entry: tuple[int, ...], value: float,
-                 step: int):
-        """The divergence of an entry after `step`'s step, as (key, SimulationDiverged)."""
+    def diverged(block: str, x: np.ndarray, per_agent: bool, step0: int):
+        """The divergence of array `block`, whose states after steps step0,
+        step0 + 1, ... are x[0], x[1], ...: at the first step with an entry
+        past the limit, its largest |entry| (NaN the largest), named by its
+        index in the array, as (key, SimulationDiverged); None if none is."""
+        peak = np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
+        over = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))  # NaN is over
+        if not over.size:
+            return None
+        j = int(over[0])
+        index = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(x[j])), x.shape[1:]))
+        agent, entry = (index[0], index[1:]) if per_agent else (None, index)
+        step, value = step0 + j, float(x[j][index])
         t = step * h + h
         return _failure_key(step + 1, 0, value), SimulationDiverged(
             f"state component '{_entry_name(block, agent, entry)}' diverged "
             f"at t={t:g} (value {value:.3e})",
             block, agent, entry, t, value,
         )
-
-    def lower_diverged(step: int):
-        """The divergence of the lower state's largest |entry| (NaN the
-        largest) after `step`'s step, named by its row and its part of it."""
-        worst = np.unravel_index(np.argmax(np.abs(state)), state.shape)
-        agent, row, col = (int(j) for j in worst)
-        M, v = cns.split(np.arange(width))  # each entry holds its own column
-        part, cols = (0, M) if col in M else (1, v)
-        entry = () if row == 0 else (row - 1,)
-        entry += tuple(int(j) for j in np.argwhere(cols == col)[0])
-        return diverged(_LOWER_PARTS[row > 0][part], agent, entry,
-                        float(state[agent, row, col]), step)
 
     def field(t: float, S: np.ndarray) -> np.ndarray:
         """The lower layer's derivative: dac_derivative in each agent's row 0
@@ -465,56 +445,48 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         j, e = step - step0, ev
         ev += 1
         lower_tab[j, e] = S
-        out = outs[j][e]
-        np.subtract(P[j, STAGE_INPUT[e]], S[:, 0], out=out.Z)
-        dS = cns.dac_derivative(out, lap, k, cfg.epsilon)[:, None]
+        Z = np.subtract(P[j, STAGE_INPUT[e]], S[:, 0], out=z_tab[j, e])
+        dS = cns.dac_derivative(Z, lap, k, cfg.epsilon)[:, None]
         if r:
             dS = np.concatenate(
-                [dS, est.drem_filter_derivative(cfg.drem_filters, S[:, 1:], out)], axis=1
+                [dS, est.drem_filter_derivative(cfg.drem_filters, S[:, 1:], Z)], axis=1
             )
         return dS
 
     def upper_pass(step0: int, n_int: int, n_rows: int, sums):
         """Every kind's coefficients over the block's n_rows table rows in one
-        flow call, and each block advanced over its n_int steps by its RK4
-        maps. The flows read the tables tab: "out", a ConsensusOutput over
-        the (K, 4, N, n^2 + n) outputs; "sums", the network sums (K, 4,
-        n^2 + n) of the packed inputs; and "z", the filter rows (K, 4, N, r,
-        n^2 + n). Returns each kind's sample fields and the first divergence
-        of every checked block as (key, SimulationDiverged)."""
+        flow call, and each flow's array advanced over its n_int steps by its
+        RK4 maps. The flows read the tables tab: "Z", the (K, 4, N, n^2 + n)
+        packed outputs; "sums", the network sums (K, 4, n^2 + n) of the
+        packed inputs; and "z", the filter rows (K, 4, N, r, n^2 + n).
+        Returns each kind's sample fields and the divergence of every guarded
+        array as (key, SimulationDiverged)."""
         if not n_rows:
             return {}, []
-        tab = {"out": cns.ConsensusOutput(z_tab[:n_rows]), "sums": sums,
-               "z": lower_tab[:n_rows, :, :, 1:]}
-        sample_fields = {}
+        tab = {"Z": z_tab[:n_rows], "sums": sums, "z": lower_tab[:n_rows, :, :, 1:]}
+        sample_fields, failures = {}, []
         for kind, spec in kinds.items():
             coeffs, sample_fields[kind] = spec.flow(cfg, tab)
             for name, (a, B) in coeffs.items():
+                key = f"{kind}.{name}"
+                if key not in upper:
+                    upper[key] = np.zeros((block + 1, *a.shape[2:]))
                 D, rho = affine_rk4(h, a[:n_int], None if B is None else B[:n_int])
                 # A flow that diverges overflows in the block's later steps;
-                # the check below names its first step.
+                # diverged names its first step.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    _affine_scan(upper[f"{kind}.{name}"][:n_int + 1], D, rho)
-        failures = []
-        for block, per_agent in checked.items():
-            x = upper[block][1:n_int + 1]
-            peak = np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
-            over = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))  # NaN is over
-            if over.size:
-                j = int(over[0])
-                worst = np.unravel_index(np.argmax(np.abs(x[j])), x.shape[1:])
-                index = tuple(int(i) for i in worst)
-                agent, entry = (index[0], index[1:]) if per_agent else (None, index)
-                failures.append(diverged(block, agent, entry, float(x[j][index]), step0 + j))
-        return sample_fields, failures
+                    _affine_scan(upper[key][:n_int + 1], D, rho)
+                if B is not None:
+                    failures.append(diverged(key, upper[key][1:n_int + 1], spec.per_agent, step0))
+        return sample_fields, [f for f in failures if f]
 
     def write_samples(rows, slots, inputs, sample_fields):
         """Samples `slots` from the block's table rows `rows`, whose packed
         inputs are `inputs`."""
-        out = cns.ConsensusOutput(z_tab[rows, 0])
+        Z = z_tab[rows, 0]
         cbar, ybar = cns.average_reference(*cns.split(inputs))
-        cons_err[slots], yhat_err[slots] = cns.consensus_error(out, cbar, ybar)
-        resid_norm[slots] = np.linalg.norm(cns.residual(out, theta), axis=-1)
+        cons_err[slots], yhat_err[slots] = cns.consensus_error(Z, cbar, ybar)
+        resid_norm[slots] = np.linalg.norm(cns.residual(Z, theta), axis=-1)
         samples = [(*block.split("."), x[rows]) for block, x in upper.items()] + [
             (kind, name, v[rows, 0]) for kind, fields in sample_fields.items()
             for name, v in fields.items()
@@ -567,7 +539,12 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
                 state = rk4_step(field, state, t, h)
                 n_int = n_rows = n_int + 1
                 if not np.abs(state).max() <= DIVERGENCE_LIMIT:  # NaN is over
-                    lower_failure = lower_diverged(step)
+                    # The lower state's named split views; an earlier view
+                    # wins an exact tie.
+                    views = (*cns.split(state[:, 0]), *cns.split(state[:, 1:]))
+                    found = [diverged(name, v[None], True, step)
+                             for name, v in zip(("X", "x", "drem.zC", "drem.zy"), views)]
+                    lower_failure = min((f for f in found if f), key=lambda f: f[0])
                     break
             elif step % dec == 0:  # the last sample has no step after it
                 field(t, state)

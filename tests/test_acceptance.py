@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hiera_est as he
-from hiera_est.estimators import adjugate, centralized_ge_derivative
+from hiera_est.estimators import adjugate, centralized_ge_flow
 from hiera_est.excitation import estimate_assumption_bounds
 from hiera_est.sim import rk4_step
 
@@ -237,7 +237,8 @@ def test_criterion_11_cooperative_demo():
         c = cfg.generator.evaluate(i, 0.0)
         y = c @ cfg.theta
         th = np.zeros(cfg.n)
-        field = lambda t, s: centralized_ge_derivative(s, c.T @ c, c.T @ y, cfg.gamma_ge)
+        a, B = centralized_ge_flow(c.T @ c, c.T @ y, cfg.gamma_ge)
+        field = lambda t, s: a - B @ s
         for step in range(int(cfg.t_end / cfg.h)):
             th = rk4_step(field, th, step * cfg.h, cfg.h)
         err = np.linalg.norm(th - cfg.theta)

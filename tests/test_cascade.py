@@ -8,9 +8,10 @@ values, so integrating the whole state in one field must give the same
 consensus arrays bit for bit and the same estimator arrays to rounding.
 
 The reference below is that one field: ``dac_derivative``,
-``drem_filter_derivative`` and the three estimator derivatives on one flat
-state, stepped by ``rk4_step``. It reads the runner's own input tables and
-Laplacians, recorded during the run, so only the integration is compared.
+``drem_filter_derivative``, ``ge_derivative``, ``drem_derivative`` and the
+centralized flow's ``a - B theta`` on one flat state, stepped by
+``rk4_step``. It reads the runner's own input tables and Laplacians,
+recorded during the run, so only the integration is compared.
 """
 
 import numpy as np
@@ -36,14 +37,14 @@ def coupled_reference(cfg, tables, laps):
     def evaluate(step, c, flat):
         v = {key: a.reshape(s) for (key, s), a in zip(shapes.items(), np.split(flat, cuts))}
         rows = P[step, c]
-        out = cns.ConsensusOutput(rows - v["S"])
+        out = rows - v["S"]
         phi = {"drem": est.drem_scalarize(est.drem_extend(out, v["z"])),
                "drem_simple": est.drem_simple_scalarize(out)}
+        a, B = est.centralized_ge_flow(*cns.split(rows.sum(axis=0)), cfg.gamma_centralized)
         d = {"S": cns.dac_derivative(out, laps[4 * step], k, cfg.epsilon),
              "z": est.drem_filter_derivative(cfg.drem_filters, v["z"], out),
              "ge": est.ge_derivative(v["ge"], out, cfg.gamma_ge),
-             "centralized": est.centralized_ge_derivative(
-                 v["centralized"], *cns.split(rows.sum(axis=0)), cfg.gamma_centralized)}
+             "centralized": a - B @ v["centralized"]}
         for kind, (f, Y) in phi.items():
             d[kind] = est.drem_derivative(v[kind], f, Y, cfg.gamma_drem)
             d[f"{kind}_int"] = f**2

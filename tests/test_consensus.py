@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiera_est.consensus import (
-    ConsensusOutput,
     average_reference,
     consensus_error,
     dac_derivative,
@@ -45,8 +44,8 @@ def zeros(n_agents=4, n=3):
 
 
 def outputs(cp, yp, X, x):
-    """Consensus outputs of unpacked surrogates and states."""
-    return ConsensusOutput(pack(cp, yp) - pack(X, x))
+    """Packed consensus output rows Z = P - S of unpacked surrogates and states."""
+    return pack(cp, yp) - pack(X, x)
 
 
 def derivative(out, lap, k, eps=0.0):
@@ -63,11 +62,12 @@ class TestDerivative:
         k = 3.2
         out = outputs(cp, yp, X, x)
         dX, dx = derivative(out, effective_laplacian(topo), k)
+        chat, yhat = split(out)
         for i in range(4):
             expX = sum(
-                out.Chat[i] - out.Chat[j] for j in topo.neighbors(i)
+                chat[i] - chat[j] for j in topo.neighbors(i)
             )
-            expx = sum(out.yhat[i] - out.yhat[j] for j in topo.neighbors(i))
+            expx = sum(yhat[i] - yhat[j] for j in topo.neighbors(i))
             np.testing.assert_allclose(dX[i], k * expX, atol=1e-12)
             np.testing.assert_allclose(dx[i], k * expx, atol=1e-12)
 
@@ -148,7 +148,7 @@ class TestErrorsAndResidual:
         a = 10.0**scale * rng.normal(size=(n_agents + 1, n, n))
         sym = a + np.swapaxes(a, -1, -2)
         chat, cbar = sym[1:], sym[0]
-        out = ConsensusOutput(pack(chat, np.zeros((n_agents, n))))
+        out = pack(chat, np.zeros((n_agents, n)))
         cerr, _ = consensus_error(out, cbar, np.zeros(n))
         reference = np.linalg.svd(chat - cbar, compute_uv=False)[:, 0]
         np.testing.assert_allclose(cerr, reference, rtol=1e-13, atol=0.0)
@@ -197,8 +197,6 @@ class TestPackedChannel:
         np.testing.assert_array_equal(M, X)
         np.testing.assert_array_equal(v, x)
         assert np.shares_memory(M, rows) and np.shares_memory(v, rows)
-        out = ConsensusOutput(rows - np.zeros_like(rows))
-        assert np.shares_memory(out.Chat, out.Z) and np.shares_memory(out.yhat, out.Z)
 
     @settings(max_examples=200, deadline=None)
     @given(

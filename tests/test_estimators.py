@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiera_est.consensus import ConsensusOutput, pack, split
+from hiera_est.consensus import pack, split
 from hiera_est.estimators import (
     DremFilterBank,
     adjugate,
-    centralized_ge_derivative,
+    centralized_ge_flow,
     default_filter_bank,
     drem_derivative,
     drem_extend,
@@ -61,7 +61,7 @@ def make_output(rng, n_agents=3, n=2):
     chat = rng.normal(size=(n_agents, n, n))
     chat = chat + np.transpose(chat, (0, 2, 1))
     yhat = rng.normal(size=(n_agents, n))
-    return ConsensusOutput(pack(chat, yhat))
+    return pack(chat, yhat)
 
 
 class TestGe:
@@ -71,17 +71,18 @@ class TestGe:
         theta_hat = rng.normal(size=(3, 2))
         gain = np.array([[2.0, 0.3], [0.3, 1.0]])
         d = ge_derivative(theta_hat, out, gain)
+        chat, yhat = split(out)
         for i in range(3):
-            expected = gain @ out.Chat[i].T @ (
-                out.yhat[i] - out.Chat[i] @ theta_hat[i]
+            expected = gain @ chat[i].T @ (
+                yhat[i] - chat[i] @ theta_hat[i]
             )
             np.testing.assert_allclose(d[i], expected, atol=1e-12)
 
     def test_zero_at_solution(self):
         rng = np.random.default_rng(1)
-        out = make_output(rng)
+        chat, _ = split(make_output(rng))
         theta = rng.normal(size=2)
-        out = ConsensusOutput(pack(out.Chat, np.einsum("aij,j->ai", out.Chat, theta)))
+        out = pack(chat, np.einsum("aij,j->ai", chat, theta))
         d = ge_derivative(np.tile(theta, (3, 1)), out, np.eye(2))
         np.testing.assert_allclose(d, 0.0, atol=1e-12)
 
@@ -108,8 +109,9 @@ class TestGe:
         y = y_all.reshape(-1)[gen.real_rows]
         nc = np.linalg.norm(C)
         scale = np.linalg.norm(gain) * nc * (nc * np.linalg.norm(th) + np.linalg.norm(y))
+        a, B = centralized_ge_flow(M, v, gain)
         np.testing.assert_allclose(
-            centralized_ge_derivative(th, M, v, gain),
+            a - B @ th,
             gain @ C.T @ (y - C @ th),
             rtol=0,
             atol=1e-13 * scale,
@@ -136,7 +138,7 @@ class TestFilterBank:
     def test_filter_step_response(self):
         # z' = -beta z + alpha u with constant u converges to (alpha/beta) u
         bank = DremFilterBank(alphas=np.array([2.0]), betas=np.array([4.0]))
-        out = ConsensusOutput(pack(np.full((1, 1, 1), 3.0), np.full((1, 1), 5.0)))
+        out = pack(np.full((1, 1, 1), 3.0), np.full((1, 1), 5.0))
         z = np.zeros((1, 1, 2))
         h = 1e-3
         for _ in range(5000):
@@ -161,12 +163,13 @@ class TestFilterBank:
         out = make_output(rng, n_agents, n)
         z = 10.0 ** rng.uniform(-3, 5) * rng.normal(size=(n_agents, r, n * n + n))
         zC, zy = split(z)
+        chat, yhat = split(out)
         a, b = bank.alphas, bank.betas
         dzC, dzy = split(drem_filter_derivative(bank, z, out))
         np.testing.assert_array_equal(
-            dzC, -b[:, None, None] * zC + a[:, None, None] * out.Chat[:, None]
+            dzC, -b[:, None, None] * zC + a[:, None, None] * chat[:, None]
         )
-        np.testing.assert_array_equal(dzy, -b[:, None] * zy + a[:, None] * out.yhat[:, None])
+        np.testing.assert_array_equal(dzy, -b[:, None] * zy + a[:, None] * yhat[:, None])
 
     def test_extend_shapes_and_content(self):
         rng = np.random.default_rng(3)
@@ -177,10 +180,11 @@ class TestFilterBank:
         a = drem_extend(out, z)
         assert a.shape == (2, 9, 4)
         cf, yf = a[..., :3], a[..., 3]
-        np.testing.assert_array_equal(cf[:, :3], out.Chat)
+        chat, yhat = split(out)
+        np.testing.assert_array_equal(cf[:, :3], chat)
         np.testing.assert_array_equal(cf[:, 3:6], zC[:, 0])
         np.testing.assert_array_equal(cf[:, 6:], zC[:, 1])
-        np.testing.assert_array_equal(yf[:, :3], out.yhat)
+        np.testing.assert_array_equal(yf[:, :3], yhat)
         np.testing.assert_array_equal(yf[:, 3:], zy.reshape(2, -1))
 
 
@@ -264,7 +268,7 @@ class TestScalarize:
         rng = np.random.default_rng(7)
         theta = np.array([0.5, 1.0, -1.0])
         chat = rng.normal(size=(2, 3, 3))
-        out = ConsensusOutput(pack(chat, np.einsum("aij,j->ai", chat, theta)))
+        out = pack(chat, np.einsum("aij,j->ai", chat, theta))
         phi, Y = drem_simple_scalarize(out)
         np.testing.assert_allclose(phi, np.linalg.det(chat))
         np.testing.assert_allclose(Y, phi[:, None] * theta, rtol=1e-9)
@@ -319,7 +323,7 @@ class TestScalarize:
     @settings(max_examples=300, deadline=None)
     @given(square_batches(min_axes=1, max_axes=1))
     def test_simple_phi_is_determinant(self, chat):
-        out = ConsensusOutput(pack(chat, np.ones(chat.shape[:2])))
+        out = pack(chat, np.ones(chat.shape[:2]))
         tol = SCALED_TOL * frobenius(chat) ** chat.shape[-1]
         phi, _ = drem_simple_scalarize(out)
         assert np.all(np.abs(phi - np.linalg.det(chat)) <= tol)

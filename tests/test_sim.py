@@ -357,6 +357,41 @@ class TestRunScenario:
         assert tr.phi_sq_int[1].min() > sim.DIVERGENCE_LIMIT
         assert np.abs(tr.theta_hat).max() < 1.0
 
+    @staticmethod
+    def probe_flow(blow):
+        """A test-only kind's flow: theta' = yhat - theta per agent, an
+        (N, n) array, with `blow` added to agent 2's entry 1; and the
+        running integral of a constant 1e18, an (N,) array with B = None."""
+
+        def flow(cfg, tab):
+            _, yhat = consensus.split(tab["Z"])
+            a = yhat.copy()
+            a[..., 2, 1] += blow
+            integral = np.full(a.shape[:-1], 1e18)
+            return {"theta": (a, np.ones_like(a)), "phi_int": (integral, None)}, {}
+
+        return flow
+
+    def test_a_kind_declared_by_its_flow_alone(self, monkeypatch):
+        # The flow alone declares the kind: its arrays take the shapes of
+        # the flow's coefficients past the stage axes, and the B = None
+        # integral passes the divergence limit unguarded.
+        monkeypatch.setitem(sim.ESTIMATORS, "probe", sim.Estimator(flow=self.probe_flow(0.0)))
+        doc = small_doc(estimators=["probe"], t_end=0.05)
+        tr = run_scenario(load_config(doc))
+        probe = tr.estimators["probe"]
+        assert probe.theta_hat.shape == (len(tr.t), 3, 2)
+        assert probe.phi_sq_int.shape == (len(tr.t), 3) and probe.phi is None
+        np.testing.assert_allclose(probe.phi_sq_int, 1e18 * tr.t[:, None] * np.ones(3), rtol=1e-12)
+        assert probe.phi_sq_int[1].min() > sim.DIVERGENCE_LIMIT
+        assert np.abs(probe.theta_hat).max() < 10.0
+        monkeypatch.setitem(sim.ESTIMATORS, "probe", sim.Estimator(flow=self.probe_flow(1e18)))
+        name = r"'probe\.theta\[2, 1\]'"
+        with pytest.raises(SimulationDiverged, match=rf"{name} diverged at t=0\.001 ") as err:
+            run_scenario(load_config(doc))
+        e = err.value
+        assert (e.block, e.agent, e.entry, e.t) == ("probe.theta", 2, (1,), 0.001)
+
     @pytest.mark.parametrize(
         "blow_step, drift_from, error, message",
         [
@@ -543,7 +578,7 @@ class TestRunScenario:
 
             def recorded(arg, _fn=fn, _name=name):
                 # the rows themselves: the runner reuses its tables
-                seen[_name].append(np.copy(getattr(arg, "Z", arg)))
+                seen[_name].append(np.copy(arg))
                 return _fn(arg)
 
             monkeypatch.setattr(estimators, name, recorded)
@@ -551,7 +586,7 @@ class TestRunScenario:
         dac = consensus.dac_derivative
 
         def evaluated(out, lap, k, eps=0.0):
-            outputs.append(out.Z.copy())
+            outputs.append(out.copy())
             return dac(out, lap, k, eps)
 
         monkeypatch.setattr(sim.cns, "dac_derivative", evaluated)

@@ -249,7 +249,12 @@ def load_config(d: dict) -> ScenarioConfig:
     """Validate a scenario JSON document and build the runtime objects."""
     _reject_unknown(d, _KEYS, "scenario")
     s = _scalars(d, ScenarioConfig)
-    _require(s["t_end"] >= 10 * s["h"], "t_end must cover at least 10 steps of h")
+    t_end, h = s["t_end"], s["h"]
+    _require(t_end >= 10 * h, "t_end must cover at least 10 steps of h")
+    steps = t_end / h  # the runner integrates round(steps) steps of h
+    _require(abs(steps - round(steps)) <= 1e-9 * steps,
+             f"t_end={t_end:g} is not a whole number of steps of h={h:g} (t_end/h = "
+             f"{steps:.12g}); the run would end at t={round(steps) * h:g}")
     from .sim import ESTIMATORS, in_tail  # the runner's kinds and tail window
 
     # The last sample is at the last step that decimation divides (see run_scenario).

@@ -59,7 +59,9 @@ def dac_derivative(Z: np.ndarray, lap: np.ndarray, k: float, eps: float = 0.0) -
         raise ValueError("consensus gain k must be positive")
     if lap.shape != (Z.shape[0],) * 2:
         raise ValueError("output/Laplacian agent count mismatch")
-    return k * (lap @ quantize(Z, eps))
+    d = lap @ quantize(Z, eps)
+    d *= k
+    return d
 
 
 def average_reference(Cp: np.ndarray, yp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

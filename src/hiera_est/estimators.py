@@ -7,13 +7,20 @@ centralized_ge_flow give (a, B). ge_derivative and drem_derivative are
 a - B theta of their flows, the per-agent equations the unit tests check
 and perfbench's tracer hooks. All operations are batched over agents
 (axis N), and the flows and scalarizations also over any leading axes,
-such as every RK4 stage row of a block of steps. The extension
-estimator stacks the consensus output atop its first-order filtered copies
-into one extended regression A = [Cf | yf], and scalarizes it with two
-products: Cf^T A = [G | Cf^T yf] gives the Gram G and the right-hand side
-at once, and adj(G) [G | Cf^T yf] = [phi I | Y] gives the mixing factor
+such as every RK4 stage row of a block of steps. Each product of small
+matrices is one np.einsum contraction over the whole batch, not one
+matrix product per matrix. The flows and scalarizations write their
+block-sized arrays with out= into a Buffers, work arrays kept from call
+to call (the runner keeps one per kind for a run; a call without one
+gets fresh arrays), whose entry axes lead in memory so that each
+contraction loops over the long batch axes. The extension estimator
+stacks the consensus output atop its first-order filtered copies into one
+extended regression A = [Cf | yf], and scalarizes it with two products:
+Cf^T A = [G | Cf^T yf] gives the Gram G and the right-hand side at once,
+and adj(G) [G | Cf^T yf] = [phi I | Y] gives the mixing factor
 phi = det(G) and the decoupled regression Y = phi theta, returned as the
-pair (phi, Y). The filterless variant scalarizes [Chat | yhat] the same way.
+pair (phi, Y); of the second product only entry (0, 0) and column n are
+formed. The filterless variant scalarizes [Chat | yhat] the same way.
 
 The adjugate has a closed form for n = 3 and takes one batched
 determinant over all n^2 minors for every other n; phi is read off the
@@ -23,7 +30,6 @@ second product, so for n = 3 the scalarization makes no determinant call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -43,29 +49,60 @@ def _cross_gather() -> np.ndarray:
 _ADJ3_FLAT = _cross_gather()
 
 
-@cache
-def _augmented(width: int) -> np.ndarray:
-    """Indices into a packed row [vec(M) | v] of width n^2 + n of the
-    augmented matrix [M | v], (n, n + 1)."""
-    return np.column_stack(cns.split(np.arange(width)))
+def _augment(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The augmented matrices [M | v] of packed rows [vec(M) | v], written
+    into out, (..., n, n + 1)."""
+    M, v = cns.split(rows)
+    out[..., :-1], out[..., -1] = M, v
+    return out
 
 
-def ge_flow(Z: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class Buffers:
+    """Work arrays kept from call to call, by name.
+
+    buffers(name, shape, lead) is the array `name` of that shape: the first
+    shape[0] rows of an array allocated, zeroed, on first use and again only
+    when more rows or another shape are asked for, so a caller that asks for
+    its largest block first allocates once. Its last `lead` (entry) axes
+    lead in memory, so a contraction over them (np.einsum with out=) runs
+    its inner loops over the long batch axes; lead = 0 is row order.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple, lead: int = 0) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or a.shape[1:] != shape[1:] or len(a) < shape[0]:
+            order = (*range(len(shape) - lead, len(shape)), *range(len(shape) - lead))
+            a = np.zeros([shape[i] for i in order]).transpose(np.argsort(order))
+            self._arrays[name] = a
+        return a[: shape[0]]
+
+
+def ge_flow(
+    Z: np.ndarray, gain: np.ndarray, buffers: Buffers | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Gradient flow as the affine flow theta' = a - B theta, per agent and row.
 
-    a = gain Chat^T yhat and B = gain Chat^T Chat, read off one product
-    Chat^T [Chat | yhat] of the augmented output rows Z.
+    a = gain Chat^T yhat and B = gain Chat^T Chat, read off two contractions
+    over the whole batch: Chat^T [Chat | yhat] of the augmented output rows
+    Z (`buffers`' "aug"), into "gram", then gain times it, written over the
+    rows, which it no longer needs.
     """
-    aug = Z[..., _augmented(Z.shape[-1])]
-    n = aug.shape[-2]
-    G = np.matmul(gain, aug[..., :n].swapaxes(-1, -2) @ aug, out=aug)  # into aug's memory
+    buffers = Buffers() if buffers is None else buffers
+    n = cns.split(Z)[1].shape[-1]
+    shape = (*Z.shape[:-1], n, n + 1)
+    aug = _augment(Z, buffers("aug", shape, 2))
+    G = np.einsum("...ki,...kj->...ij", aug[..., :n], aug, out=buffers("gram", shape, 2))
+    G = np.einsum("il,...lj->...ij", gain, G, out=aug)
     return G[..., n], G[..., :n]
 
 
 def ge_derivative(theta_hat: np.ndarray, Z: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """Gradient-flow update gain Chat^T (yhat - Chat theta_hat), as a - B theta_hat of ge_flow."""
     a, B = ge_flow(Z, gain)
-    return a - (B @ theta_hat[..., None])[..., 0]
+    return a - np.einsum("...ij,...j->...i", B, theta_hat)
 
 
 def centralized_ge_flow(
@@ -77,7 +114,7 @@ def centralized_ge_flow(
     surrogates, so a - B theta = gain (v - M theta) is gain C^T (y - C theta)
     of the stacked regressor C and output y.
     """
-    return (gain @ v[..., None])[..., 0], gain @ M
+    return np.einsum("ij,...j->...i", gain, v), np.einsum("ij,...jk->...ik", gain, M)
 
 
 @dataclass(frozen=True)
@@ -124,16 +161,19 @@ def drem_filter_derivative(bank: DremFilterBank, z: np.ndarray, Z: np.ndarray) -
     return bank.alphas[:, None] * Z[:, None] - bank.betas[:, None] * z
 
 
-def drem_extend(Z: np.ndarray, z: np.ndarray) -> np.ndarray:
+def drem_extend(Z: np.ndarray, z: np.ndarray, buffers: Buffers | None = None) -> np.ndarray:
     """The extended regression A = [Cf | yf], shape (..., N, (r+1)n, n+1).
 
     Row block 0 is [Chat | yhat], block j the j-th filtered copy [zC | zy]:
-    one gather of the augmented rows from the packed rows Z and z, over any
-    leading axes the two share.
+    the augmented rows of the packed rows Z and z, over any leading axes
+    the two share, written into `buffers`' "extended".
     """
-    rows = np.concatenate([Z[..., None, :], z], axis=-2)
-    aug = rows[..., _augmented(Z.shape[-1])]
-    return aug.reshape(*rows.shape[:-2], -1, aug.shape[-1])
+    buffers = Buffers() if buffers is None else buffers
+    r, n = z.shape[-2], cns.split(Z)[1].shape[-1]
+    ext = buffers("extended", (*Z.shape[:-1], r + 1, n, n + 1), 3)
+    _augment(Z, ext[..., 0, :, :])
+    _augment(z, ext[..., 1:, :, :])
+    return ext.reshape(*Z.shape[:-1], (r + 1) * n, n + 1)
 
 
 def adjugate(G: np.ndarray) -> np.ndarray:
@@ -164,25 +204,35 @@ def adjugate(G: np.ndarray) -> np.ndarray:
 
 
 def _mix(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """adj(G) B = [phi I | Y] for B = [G | rhs]: (phi, Y), phi = det(G) entry (0, 0), Y column n."""
+    """adj(G) B = [phi I | Y] for B = [G | rhs], read off two contractions:
+    phi = det(G), entry (0, 0), and Y, column n."""
     n = B.shape[-2]
-    M = adjugate(B[..., :n]) @ B
-    return M[..., 0, 0], M[..., n]
+    adj = adjugate(B[..., :n])
+    return (np.einsum("...j,...j->...", adj[..., 0, :], B[..., :, 0]),
+            np.einsum("...ij,...j->...i", adj, B[..., n]))
 
 
-def drem_scalarize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def drem_scalarize(A: np.ndarray, buffers: Buffers | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Scalarize the extended regression A = [Cf | yf] through the Gram adjugate.
 
-    [G | Cf^T yf] = Cf^T A in one product, then phi = det(G) and
-    Y = adj(G) Cf^T yf; well-defined (phi = 0) when G is singular.
+    [G | Cf^T yf] = Cf^T A in one contraction (into `buffers`' "gram"),
+    then phi = det(G) and Y = adj(G) Cf^T yf; well-defined (phi = 0) when
+    G is singular.
     """
+    buffers = Buffers() if buffers is None else buffers
     n = A.shape[-1] - 1
-    return _mix(A[..., :n].swapaxes(-1, -2) @ A)
+    gram = buffers("gram", (*A.shape[:-2], n, n + 1), 2)
+    return _mix(np.einsum("...ki,...kj->...ij", A[..., :n], A, out=gram))
 
 
-def drem_simple_scalarize(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Filterless scalarization using the square consensus output [Chat | yhat] directly."""
-    return _mix(Z[..., _augmented(Z.shape[-1])])
+def drem_simple_scalarize(
+    Z: np.ndarray, buffers: Buffers | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Filterless scalarization using the square consensus output [Chat | yhat]
+    directly, augmented into `buffers`' "aug"."""
+    buffers = Buffers() if buffers is None else buffers
+    n = cns.split(Z)[1].shape[-1]
+    return _mix(_augment(Z, buffers("aug", (*Z.shape[:-1], n, n + 1), 2)))
 
 
 def drem_flow(

@@ -172,14 +172,18 @@ def sample_coefficients(
     return RegressorGenerator.from_tables(*zip(*tables), seed=seed)
 
 
-def surrogate_all(c_all: np.ndarray, y_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def surrogate_all(
+    c_all: np.ndarray, y_all: np.ndarray, out: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Batched surrogate construction: (...,N,p,n),(...,N,p) -> (...,N,n,n),(...,N,n).
 
     C^T C is formed once per regressor stack of c_all; the leading axes of
     y_all broadcast against c_all's, so one stack can serve several outputs.
+    out, when given, is the pair of arrays to write them into.
     """
-    cp = np.einsum("...api,...apj->...aij", c_all, c_all)
-    yp = np.einsum("...api,...ap->...ai", c_all, y_all)
+    cp_out, yp_out = (None, None) if out is None else out
+    cp = np.einsum("...api,...apj->...aij", c_all, c_all, out=cp_out)
+    yp = np.einsum("...api,...ap->...ai", c_all, y_all, out=yp_out)
     return cp, yp
 
 
@@ -194,4 +198,7 @@ def quantize(value, eps: float):
     arr = np.asarray(value, dtype=float)
     if eps == 0.0:
         return arr
-    return eps * np.floor(arr / eps)
+    q = np.divide(arr, eps, out=np.empty_like(arr))
+    np.floor(q, out=q)
+    q *= eps
+    return q

@@ -18,7 +18,11 @@ at each step of the block. The upper pass calls each kind's flow once over
 all the block's stage rows to get its coefficients (a, B), turns them into
 RK4's one-step maps
 x+ = x + (D x + rho) (affine_rk4), and scans the steps with one product and
-one add each. Samples, invariant checks and diagnostics are read off the
+one add each. Its n x n products are np.einsum contractions over the whole
+block. The block tables, the input tables and the upper pass's work
+arrays are per-run buffers (estimators.Buffers), sized on the first,
+largest block and written with out=; the later blocks reuse them, so a
+GE run faults in no more memory per block as it gets longer. Samples, invariant checks and diagnostics are read off the
 tables, batched per block; every state array, lower or upper, is guarded
 and named by one rule (diverged), and the failure that comes first in time
 is raised. Discontinuous inputs (topology switches, packet-loss masks,
@@ -38,7 +42,9 @@ TraceSet.to_csv names every column by one rule.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -94,14 +100,29 @@ def _entry_name(block: str, agent: int | None, entry: tuple[int, ...]) -> str:
 
 
 def rk4_step(field, state: np.ndarray, t: float, h: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of ds/dt = field(t, s)."""
+    """One classical 4th-order Runge-Kutta step of ds/dt = field(t, s).
+
+    state + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order, with one
+    stage buffer and one accumulator; the field's arrays are read, never
+    written, and it may return its argument. Each stage state is formed
+    from the doubled slope 2k the sum takes: (h/4)(2k) and (h/2)(2k) round
+    as (h/2)k and hk do, so the step is the textbook one bit for bit.
+    """
     if h <= 0:
         raise ValueError("step size must be positive")
-    k1 = field(t, state)
-    k2 = field(t + 0.5 * h, state + 0.5 * h * k1)
-    k3 = field(t + 0.5 * h, state + 0.5 * h * k2)
-    k4 = field(t + h, state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k = field(t, state)
+    acc = np.array(k, dtype=float)
+    stage = np.multiply(k, 0.5 * h)
+    stage += state
+    for t_c, f in ((t + 0.5 * h, 0.25 * h), (t + 0.5 * h, 0.5 * h)):
+        np.multiply(field(t_c, stage), 2.0, out=stage)
+        acc += stage
+        stage *= f
+        stage += state
+    acc += field(t + h, stage)
+    acc *= h / 6.0
+    acc += state
+    return acc
 
 
 # The half-step input stage each of RK4's four evaluations of a step reads:
@@ -109,35 +130,57 @@ def rk4_step(field, state: np.ndarray, t: float, h: float) -> np.ndarray:
 STAGE_INPUT = (0, 1, 1, 2)
 
 
-def affine_rk4(h: float, a: np.ndarray, B: np.ndarray | None = None):
+def _products(full: bool):
+    """(apply, compose): M v and M N of a full coefficient M, each one
+    contraction over the whole batch; of a diagonal one, elementwise."""
+    if full:
+        return partial(np.einsum, "...ij,...j->...i"), partial(np.einsum, "...ij,...jk->...ik")
+    return np.multiply, np.multiply
+
+
+def affine_rk4(
+    h: float, a: np.ndarray, B: np.ndarray | None = None, buffers: est.Buffers | None = None
+):
     """RK4's one-step map x+ = x + (D x + rho) of the affine flow x' = a - B x.
 
     a holds the flow's coefficient at each of RK4's four evaluations of K
     steps, shape (K, 4, ..., n); B is None for B = 0, of a's shape for a
     diagonal B, or (K, 4, ..., n, n). Each stage derivative is affine in the
     step's start x, k_c = alpha_c + M_c x, so (D, rho) are RK4's weighted
-    sums of the M_c and alpha_c: D is None, diagonal or full as B is.
+    sums of the M_c and alpha_c: D is None, diagonal or full as B is. Every
+    array is written with out= into `buffers` (an estimators.Buffers).
     """
-
-    def combine(k):
-        return (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
-
+    buffers = est.Buffers() if buffers is None else buffers
+    full = B is not None and B.ndim > a.ndim
+    vec = (len(a), *a.shape[2:])
+    mat = (*vec, vec[-1]) if full else vec
+    lead = int(full)  # the contractions' operands lead with their entry axes
+    rho_sum, wk = buffers("rho_sum", vec, lead), buffers("wk", vec, lead)
+    np.copyto(rho_sum, a[:, 0])
     if B is None:
-        return None, combine([a[:, c] for c in range(4)])
-    if B.ndim > a.ndim:
-        apply, compose = (lambda M, v: (M @ v[..., None])[..., 0]), np.matmul
-    else:
-        apply = compose = np.multiply
-    alpha, M = [a[:, 0]], -B[:, 0]
-    D = M.copy()
+        for c, w in ((1, 2.0), (2, 2.0), (3, 1.0)):
+            rho_sum += np.multiply(a[:, c], w, out=wk)
+        return None, np.multiply(rho_sum, h / 6.0, out=buffers("rho", vec))
+    apply, compose = _products(full)
+    D_sum, M, T = (buffers(key, mat, 2 * lead) for key in ("D_sum", "M", "T"))
+    alpha = buffers("alpha", vec, lead)
+    np.negative(B[:, 0], out=M)
+    np.copyto(D_sum, M)
+    prev = a[:, 0]
     for c, f, w in ((1, 0.5, 2.0), (2, 0.5, 2.0), (3, 1.0, 1.0)):
         # Stage c starts at x + f h k_(c-1), so k_c = a_c - B_c (x + f h k_(c-1)).
-        alpha.append(a[:, c] - f * h * apply(B[:, c], alpha[-1]))
-        M = compose(B[:, c], M)
-        M *= -f * h
-        M -= B[:, c]
-        D += w * M
-    return (h / 6.0) * D, combine(alpha)
+        apply(B[:, c], prev, out=wk)
+        wk *= f * h
+        prev = np.subtract(a[:, c], wk, out=alpha)
+        rho_sum += np.multiply(alpha, w, out=wk)
+        compose(B[:, c], M, out=T)
+        T *= -f * h
+        T -= B[:, c]
+        M, T = T, M
+        D_sum += np.multiply(M, w, out=T)
+    # The scan reads the map step by step, so it is written in row order.
+    D = np.multiply(D_sum, h / 6.0, out=buffers("D", mat))
+    return D, np.multiply(rho_sum, h / 6.0, out=buffers("rho", vec))
 
 
 def _affine_scan(x: np.ndarray, D: np.ndarray | None, rho: np.ndarray):
@@ -146,10 +189,9 @@ def _affine_scan(x: np.ndarray, D: np.ndarray | None, rho: np.ndarray):
     if D is None:
         np.add.accumulate(np.concatenate([x[:1], rho]), axis=0, out=x)
         return
-    full = D.ndim > rho.ndim
+    apply, _ = _products(D.ndim > rho.ndim)
     for j in range(len(rho)):
-        Dx = (D[j] @ x[j][..., None])[..., 0] if full else D[j] * x[j]
-        np.add(x[j], Dx + rho[j], out=x[j + 1])
+        np.add(x[j], apply(D[j], x[j]) + rho[j], out=x[j + 1])
 
 
 @dataclass
@@ -203,7 +245,8 @@ class TraceSet:
 class Estimator:
     """One estimator kind, declared once, by its flow.
 
-    flow(cfg, tab) reads the block tables (see run_scenario) and returns a
+    flow(cfg, tab, buffers) reads the block tables (see run_scenario) and
+    writes its arrays into the kind's estimators.Buffers; it returns a
     dict of the kind's affine flows x' = a - B x of the upper layer, each
     as its coefficients (a, B) at every (K, 4, ...) stage row, B as
     affine_rk4 takes it; and the kind's other sample fields at every stage
@@ -228,19 +271,23 @@ def _decoupled_flows(cfg, phi, Y) -> tuple[dict, dict]:
 
 ESTIMATORS = {
     "ge": Estimator(
-        flow=lambda cfg, tab: ({"theta": est.ge_flow(tab["Z"], cfg.gamma_ge)}, {}),
+        flow=lambda cfg, tab, buffers: (
+            {"theta": est.ge_flow(tab["Z"], cfg.gamma_ge, buffers=buffers)}, {}
+        ),
     ),
     "drem": Estimator(
-        flow=lambda cfg, tab: _decoupled_flows(
-            cfg, *est.drem_scalarize(est.drem_extend(tab["Z"], tab["z"]))
-        ),
+        flow=lambda cfg, tab, buffers: _decoupled_flows(cfg, *est.drem_scalarize(
+            est.drem_extend(tab["Z"], tab["z"], buffers=buffers), buffers=buffers
+        )),
         filtered=True,
     ),
     "drem_simple": Estimator(
-        flow=lambda cfg, tab: _decoupled_flows(cfg, *est.drem_simple_scalarize(tab["Z"])),
+        flow=lambda cfg, tab, buffers: _decoupled_flows(
+            cfg, *est.drem_simple_scalarize(tab["Z"], buffers=buffers)
+        ),
     ),
     "centralized": Estimator(
-        flow=lambda cfg, tab: ({"theta": est.centralized_ge_flow(
+        flow=lambda cfg, tab, buffers: ({"theta": est.centralized_ge_flow(
             *cns.split(tab["sums"]), cfg.gamma_centralized
         )}, {}),
         per_agent=False,
@@ -329,12 +376,17 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     # Block tables. Row j is the block's step step0 + j and column ev RK4's
     # evaluation ev of it: the lower state S and the outputs Z at every
     # evaluation, and each upper array's state at every step (row 0 the
-    # block's first), allocated by the first upper pass.
+    # block's first), allocated by the first upper pass. Every other
+    # block-sized array is a per-run buffer too, written with out=: the
+    # input tables', each kind's flow's (work[kind]) and each flow's RK4
+    # map's (work["<kind>.<name>"]).
     block = INPUT_BLOCK
     state = np.zeros((N, 1 + r, width))
     lower_tab = np.empty((block, 4, *state.shape))
     z_tab = np.empty((block, 4, N, width))
     upper = {}
+    tables = est.Buffers()
+    work = defaultdict(est.Buffers)
 
     p_max = max(gen.rows_per_agent)
     noise_rngs = (
@@ -355,26 +407,32 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         time up to t_end; the first time is the previous block's last, whose
         stack c_prev is carried over. The last step only reads its stage 0,
         so its other stages repeat it. Returns P and the stack at the block's
-        last grid time.
+        last grid time, a view of its buffer that the next call reads first.
         """
         m_end = min(2 * (step + K), 2 * n_steps)
-        c_grid = gen.evaluate_all(np.arange(2 * step + (c_prev is not None), m_end + 1) * half_h)
-        if c_prev is not None:
-            c_grid = np.concatenate([c_prev[None], c_grid])
+        carried = c_prev is not None
+        times = np.arange(2 * step + carried, m_end + 1) * half_h
+        c_grid = tables("c_grid", (carried + len(times), N, p_max, n))
+        if carried:
+            c_grid[0] = c_prev  # the previous block's last row of this buffer
+        c_grid[carried:] = gen.evaluate_all(times)
         stages = np.minimum(2 * np.arange(K)[:, None] + np.arange(3), len(c_grid) - 1)
-        c = c_grid[stages]  # (K, 3, N, p_max, n)
-        y = np.einsum("...api,i->...ap", c, theta)
+        # The stages are in range; numpy buffers `out` only in mode "raise".
+        c = np.take(c_grid, stages, axis=0, out=tables("c", (K, 3, N, p_max, n)), mode="clip")
+        y = np.einsum("...api,i->...ap", c, theta, out=tables("y", (K, 3, N, p_max)))
         if noise_rngs is not None:
             # K steps of p_i draws per agent in one call, the same numbers as
-            # K calls of p_i; the padding rows stay noise-free.
+            # K calls of p_i; the padding rows are never written, so stay 0.
             draws = [
                 rng.standard_normal(K * p).reshape(K, p)
                 for rng, p in zip(noise_rngs, gen.rows_per_agent)
             ]
-            noise = np.zeros((K, N * p_max))
+            noise = tables("noise", (K, N * p_max))
             noise[:, gen.real_rows] = cfg.noise_sd * np.concatenate(draws, axis=1)
             y += noise.reshape(K, 1, N, p_max)
-        return cns.pack(*surrogate_all(c, y)), c_grid[-1].copy()
+        P = tables("P", (K, 3, N, width))
+        surrogate_all(c, y, out=cns.split(P))
+        return P, c_grid[-1]
 
     max_conservation = max_asymmetry = 0.0
 
@@ -466,12 +524,12 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         tab = {"Z": z_tab[:n_rows], "sums": sums, "z": lower_tab[:n_rows, :, :, 1:]}
         sample_fields, failures = {}, []
         for kind, spec in kinds.items():
-            coeffs, sample_fields[kind] = spec.flow(cfg, tab)
+            coeffs, sample_fields[kind] = spec.flow(cfg, tab, work[kind])
             for name, (a, B) in coeffs.items():
                 key = f"{kind}.{name}"
                 if key not in upper:
                     upper[key] = np.zeros((block + 1, *a.shape[2:]))
-                D, rho = affine_rk4(h, a[:n_int], None if B is None else B[:n_int])
+                D, rho = affine_rk4(h, a[:n_int], None if B is None else B[:n_int], work[key])
                 # A flow that diverges overflows in the block's later steps;
                 # diverged names its first step.
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -558,11 +616,9 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         invariant_failure = rows.size and check_invariants(
             step0 + rows, *cns.split(lower_tab[rows, 0, :, 0])
         )
-        # The input table is released before the upper pass, whose
-        # block-sized temporaries can then reuse its memory; the samples'
-        # inputs and every evaluation's network sums are all it keeps.
-        inputs, sums = P[rows, 0], P[:n_rows].sum(axis=2)[:, STAGE_INPUT]
-        P = None
+        # The samples' inputs and every evaluation's network sums.
+        inputs = P[rows, 0]
+        sums = np.sum(P[:n_rows], axis=2, out=tables("sums", (n_rows, 3, width)))[:, STAGE_INPUT]
         sample_fields, upper_failures = upper_pass(step0, n_int, n_rows, sums)
         failures = [f for f in (lower_failure, invariant_failure) if f] + upper_failures
         if failures:

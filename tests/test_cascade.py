@@ -73,8 +73,8 @@ def test_cascade_matches_the_coupled_integration(monkeypatch, doc):
     tables, laps = [], []
     surrogate_all, dac = sim.surrogate_all, cns.dac_derivative
 
-    def recorded_inputs(c, y):
-        out = surrogate_all(c, y)
+    def recorded_inputs(c, y, out=None):
+        out = surrogate_all(c, y, out=out)
         tables.append(cns.pack(*out))
         return out
 

@@ -139,6 +139,20 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: decimation=1500 leaves no sample")
         assert not out.exists()
 
+    def test_t_end_off_the_step_grid_refused_before_integrating(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 200.6 steps of h: the runner would integrate 201, to t = 0.201.
+        monkeypatch.setattr(cli, "analysis_report", _never)
+        monkeypatch.setattr(cli, "run_scenario", _never)
+        out = tmp_path / "bad"
+        scenario = ROOT / "scenarios" / "nominal_switched.json"
+        code = main(["run", "-c", str(scenario), "-o", str(out), "--set", "t_end=0.2006"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_end=0.2006 is not a whole number of steps of h=0.001")
+        assert not out.exists()
+
     def test_auto_gain_without_positive_bound_is_rejected(self, tmp_path, capsys):
         # Constant regressors give gamma = 0, so the bound asks for k_min = 0:
         # no auto gain, and the message says to give k.

@@ -33,6 +33,21 @@ class TestLoadConfig:
         np.testing.assert_array_equal(cfg.gamma_drem, np.ones(2))
         assert cfg.drem_filters.r == 1
 
+    @pytest.mark.parametrize("t_end, h", [(0.2006, 1e-3), (1.0, 3e-3), (0.0105, 1e-3)])
+    def test_t_end_off_the_step_grid_refused(self, t_end, h):
+        # The runner integrates round(t_end / h) steps, so these would end
+        # at another time than t_end.
+        doc = {**base_doc(), "t_end": t_end, "h": h}
+        with pytest.raises(ConfigError, match=rf"t_end={t_end:g} .* steps of h={h:g}"):
+            load_config(doc)
+
+    @pytest.mark.parametrize("t_end, h", [(0.055, 1e-3), (0.3, 1e-3), (1.0, 2.5e-4), (0.7, 0.007)])
+    def test_whole_step_t_end_loads(self, t_end, h):
+        # t_end / h is a whole number up to rounding (0.7 / 0.007 is
+        # 99.99999999999999 in floating point).
+        cfg = load_config({**base_doc(), "t_end": t_end, "h": h, "decimation": 1})
+        assert cfg.t_end == t_end and cfg.h == h
+
     def test_unknown_key_rejected(self):
         doc = base_doc()
         doc["tend"] = 5.0  # typo for t_end

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hiera_est.consensus import pack, split
 from hiera_est.estimators import (
+    Buffers,
     DremFilterBank,
     adjugate,
     centralized_ge_flow,
@@ -15,6 +16,7 @@ from hiera_est.estimators import (
     drem_scalarize,
     drem_simple_scalarize,
     ge_derivative,
+    ge_flow,
 )
 from hiera_est.signals import sample_coefficients, surrogate_all
 
@@ -339,3 +341,114 @@ class TestScalarize:
             expected = gains[mu] * phi * (Y[:, mu] - phi * theta_hat[:, mu])
             np.testing.assert_allclose(dd[:, mu], expected, atol=1e-12)
 
+
+
+class TestBuffers:
+    def test_rows_reused_and_reallocated(self):
+        buffers = Buffers()
+        a = buffers("x", (4, 2, 3), 2)
+        assert a.shape == (4, 2, 3) and not a.any()
+        # The entry axes lead in memory: the row axis varies fastest.
+        assert a.strides[0] < a.strides[2] < a.strides[1]
+        a[:] = 1.0
+        fewer = buffers("x", (3, 2, 3), 2)
+        assert fewer.shape == (3, 2, 3) and np.shares_memory(fewer, a)
+        for shape in ((5, 2, 3), (3, 3, 3)):  # more rows, another entry shape
+            other = buffers("x", shape, 2)
+            assert other.shape == shape and not np.shares_memory(other, a)
+        assert buffers("y", (2, 3)).flags.c_contiguous  # lead = 0: row order
+
+
+# The batched contractions against np.matmul applied one matrix at a time.
+CONTRACTION_TOL = 1e-13
+
+
+def per_matrix(fn, batch, *arrays):
+    """fn's outputs on each batch element of the arrays, stacked back to the
+    batch: the per-matrix reference."""
+    outs = [fn(*(a[i] for a in arrays)) for i in np.ndindex(batch)]
+    return [np.reshape([o[k] for o in outs], (*batch, *np.shape(outs[0][k])))
+            for k in range(len(outs[0]))]
+
+
+def fresh_and_reused(kernel, batch, *arrays):
+    """kernel's outputs on its own fresh arrays, then through Buffers that
+    served a block with one more row first (as the runner's last, shorter
+    block is served): copies of both."""
+    runs = [[np.copy(x) for x in kernel(*arrays)]]
+    if batch:
+        buffers = Buffers()
+        kernel(*(np.concatenate([a, a[:1]]) for a in arrays), buffers=buffers)
+        runs.append([np.copy(x) for x in kernel(*arrays, buffers=buffers)])
+    return runs
+
+
+def assert_within(got, ref, bound):
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= CONTRACTION_TOL * bound)
+
+
+class TestContractionsMatchPerMatrixProducts:
+    """Every flow and scalarization over n = 1..4 and zero to three leading
+    block axes, against the same equations evaluated one matrix at a time
+    with np.matmul. Errors are judged against the magnitude of the summed
+    terms: |gain| |C|^T |[C | y]| entry by entry for the products, and
+    ||[G | rhs]||_F^n (an n-fold product of Gram entries) for the mixing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        batch=st.lists(st.integers(1, 3), max_size=3).map(tuple),
+        r=st.integers(0, 2),
+        log_scale=st.floats(-3.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernels(self, n, batch, r, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        Z = scale * rng.normal(size=(*batch, n * n + n))
+        z = scale * rng.normal(size=(*batch, r, n * n + n))
+        M = scale * rng.normal(size=(*batch, n, n))
+        v = scale * rng.normal(size=(*batch, n))
+        gain = rng.normal(size=(n, n))  # not symmetric: a transposed gain shows
+
+        def ge_ref(row):
+            C, y = split(row)
+            aug = np.column_stack([C, y])
+            G = gain @ (C.T @ aug)
+            bound = np.abs(gain) @ (np.abs(C).T @ np.abs(aug))
+            return G[:, n], G[:, :n], bound[:, n], bound[:, :n]
+
+        a_ref, B_ref, a_bound, B_bound = per_matrix(ge_ref, batch, Z)
+        for a, B in fresh_and_reused(lambda Z, **kw: ge_flow(Z, gain, **kw), batch, Z):
+            assert_within(a, a_ref, a_bound)
+            assert_within(B, B_ref, B_bound)
+
+        a, B = centralized_ge_flow(M, v, gain)
+        a_ref, B_ref = per_matrix(lambda m, w: (gain @ w, gain @ m), batch, M, v)
+        assert_within(a, a_ref, (np.abs(gain) @ np.abs(v)[..., None])[..., 0])
+        assert_within(B, B_ref, np.abs(gain) @ np.abs(M))
+
+        def mix_ref(aug):
+            mixed = adjugate(aug[:, :n]) @ aug
+            return mixed[0, 0], mixed[:, n], np.linalg.norm(aug) ** n
+
+        def extend_ref(row, rows):
+            A = np.vstack([np.column_stack(split(x)) for x in (row, *rows)])
+            return mix_ref(A[:, :n].T @ A)
+
+        phi_ref, Y_ref, bound = per_matrix(extend_ref, batch, Z, z)
+
+        def extended(Z, z, **kw):
+            return drem_scalarize(drem_extend(Z, z, **kw), **kw)
+
+        for phi, Y in fresh_and_reused(extended, batch, Z, z):
+            assert_within(phi, phi_ref, bound)
+            assert_within(Y, Y_ref, bound[..., None])
+
+        phi_ref, Y_ref, bound = per_matrix(
+            lambda row: mix_ref(np.column_stack(split(row))), batch, Z
+        )
+        for phi, Y in fresh_and_reused(drem_simple_scalarize, batch, Z):
+            assert_within(phi, phi_ref, bound)
+            assert_within(Y, Y_ref, bound[..., None])

@@ -83,8 +83,102 @@ class TestRk4:
         with pytest.raises(ValueError):
             rk4_step(lambda t, s: s, np.zeros(1), 0.0, 0.0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+        log_h=st.floats(-4.0, 0.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_textbook_step_bit_for_bit_and_read_only(self, shape, log_h, seed):
+        # rk4_step forms the stages in one buffer and sums the slopes in
+        # another: it must give state + h/6 (k1 + 2k2 + 2k3 + k4) bit for
+        # bit and write neither its state nor what its field returns, for a
+        # field that returns its argument, one that returns a view of a
+        # table, and a random time-varying linear one.
+        rng = np.random.default_rng(seed)
+        h, t = 10.0**log_h, rng.uniform(0, 10)
+        state = rng.normal(size=shape)
+        table = rng.normal(size=(3, *shape))
+        A = rng.normal(size=(shape[-1], shape[-1]))
+        state0, table0 = state.copy(), table.copy()
+        fields = {
+            "identity": lambda t, s: s,
+            "table": lambda t, s: table[1],
+            "linear": lambda t, s: s @ A.T + t,
+        }
+        for name, f in fields.items():
+            k1 = f(t, state)
+            k2 = f(t + 0.5 * h, state + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, state + 0.5 * h * k2)
+            k4 = f(t + h, state + h * k3)
+            want = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            np.testing.assert_array_equal(rk4_step(f, state, t, h), want, err_msg=name)
+            np.testing.assert_array_equal(state, state0, err_msg=name)
+            np.testing.assert_array_equal(table, table0, err_msg=name)
+
+
+def rk4_map_reference(h, a, B):
+    """(D, rho) of RK4's one-step map of x' = a_c - B_c x for one matrix,
+    a (4, n) and B (4, n, n) or None, with np.matmul stage by stage; and
+    the same sums over |a| and |B|, which bound their terms."""
+    stages = ((1, 0.5, 2.0), (2, 0.5, 2.0), (3, 1.0, 1.0))
+    if B is None:
+        w = np.array([1.0, 2.0, 2.0, 1.0])[:, None]
+        return None, h / 6.0 * (w * a).sum(0), None, h / 6.0 * (w * np.abs(a)).sum(0)
+    alpha, M, alpha_b, M_b = a[0], -B[0], np.abs(a[0]), np.abs(B[0])
+    D, rho, D_b, rho_b = M, alpha, M_b, alpha_b
+    for c, f, w in stages:
+        alpha = a[c] - f * h * (B[c] @ alpha)
+        alpha_b = np.abs(a[c]) + f * h * (np.abs(B[c]) @ alpha_b)
+        M = -f * h * (B[c] @ M) - B[c]
+        M_b = f * h * (np.abs(B[c]) @ M_b) + np.abs(B[c])
+        D, rho, D_b, rho_b = D + w * M, rho + w * alpha, D_b + w * M_b, rho_b + w * alpha_b
+    return h / 6.0 * D, h / 6.0 * rho, h / 6.0 * D_b, h / 6.0 * rho_b
+
 
 class TestAffineRk4:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        form=st.sampled_from(["full", "diagonal", "zero"]),
+        rows=st.integers(1, 3),
+        extra=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+        log_h=st.floats(-4.0, 0.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_map_matches_per_matrix_products(self, n, form, rows, extra, log_h, seed):
+        # The map's contractions over the whole block against np.matmul one
+        # matrix at a time, over n = 1..4 and any block axes; fresh, and
+        # through buffers that served a block with one more row first.
+        # Errors are judged against the terms' magnitudes, entry by entry.
+        rng = np.random.default_rng(seed)
+        h = 10.0**log_h
+        a = rng.normal(size=(rows, 4, *extra, n))
+        B = {
+            "full": rng.normal(size=(rows, 4, *extra, n, n)),
+            "diagonal": rng.normal(size=(rows, 4, *extra, n)),
+            "zero": None,
+        }[form]
+        D_ref, rho_ref = np.zeros((rows, *extra, n, n)), np.zeros((rows, *extra, n))
+        D_bound, rho_bound = np.zeros_like(D_ref), np.zeros_like(rho_ref)
+        for i in np.ndindex(rows, *extra):
+            at = (i[0], slice(None), *i[1:])
+            B1 = None if B is None else B[at] if form == "full" else np.stack(
+                [np.diag(b) for b in B[at]])
+            D1, rho_ref[i], D_bound[i], rho_bound[i] = rk4_map_reference(h, a[at], B1)
+            D_ref[i] = 0.0 if D1 is None else D1
+        if form == "diagonal":
+            D_ref, D_bound = np.diagonal(D_ref, 0, -2, -1), np.diagonal(D_bound, 0, -2, -1)
+        buffers = estimators.Buffers()
+        sim.affine_rk4(h, *(x if x is None else np.concatenate([x, x[:1]]) for x in (a, B)),
+                       buffers=buffers)
+        for D, rho in (sim.affine_rk4(h, a, B), sim.affine_rk4(h, a, B, buffers)):
+            assert (D is None) == (B is None)
+            assert np.all(np.abs(rho - rho_ref) <= 1e-13 * rho_bound)
+            if D is not None:
+                assert D.shape == D_ref.shape
+                assert np.all(np.abs(D - D_ref) <= 1e-13 * D_bound)
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 4),
@@ -200,6 +294,22 @@ class TestRunScenario:
         # each stage time is on the half-step grid, spelled one way, once
         half = 0.5 * cfg.h
         assert sorted(times) == [m * half for m in range(2 * n_steps + 1)]
+
+    @pytest.mark.parametrize("block", [sim.INPUT_BLOCK, 7, 1])
+    def test_minor_faults_do_not_grow_with_the_horizon(self, monkeypatch, block):
+        # The block-sized arrays are allocated once per run, so a longer
+        # run faults in no more pages per block; its extra second adds only
+        # the longer trace. Each horizon is counted on its second run.
+        resource = pytest.importorskip("resource")
+        monkeypatch.setattr(sim, "INPUT_BLOCK", block)
+        faults = {}
+        for t_end in (1.0, 2.0):
+            cfg = load_config(workloads.degraded_doc(5, t_end=t_end))
+            run_scenario(cfg)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run_scenario(cfg)
+            faults[t_end] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults[2.0] - faults[1.0] < 1000, faults
 
     @staticmethod
     def noisy_doc():
@@ -323,8 +433,8 @@ class TestRunScenario:
         # takes it past the divergence limit.
         original = getattr(estimators, flow)
 
-        def blown(*args):
-            a, B = original(*args)
+        def blown(*args, **kwargs):
+            a, B = original(*args, **kwargs)
             a[(..., *index)] += 1e18
             return a, B
 
@@ -347,8 +457,8 @@ class TestRunScenario:
         # keeps theta bounded.
         original = getattr(estimators, scalarize)
 
-        def huge(arg):
-            phi, Y = original(arg)
+        def huge(arg, **kwargs):
+            phi, Y = original(arg, **kwargs)
             return np.full_like(phi, 1e10), Y
 
         monkeypatch.setattr(estimators, scalarize, huge)
@@ -363,7 +473,7 @@ class TestRunScenario:
         (N, n) array, with `blow` added to agent 2's entry 1; and the
         running integral of a constant 1e18, an (N,) array with B = None."""
 
-        def flow(cfg, tab):
+        def flow(cfg, tab, buffers):
             _, yhat = consensus.split(tab["Z"])
             a = yhat.copy()
             a[..., 2, 1] += blow
@@ -410,8 +520,8 @@ class TestRunScenario:
         assert sim.INPUT_BLOCK > 20
         ge_flow = estimators.ge_flow
 
-        def blown(out, gamma):
-            a, B = ge_flow(out, gamma)
+        def blown(out, gamma, buffers=None):
+            a, B = ge_flow(out, gamma, buffers)
             a[blow_step, :, 0, 0] += 1e18
             return a, B
 
@@ -576,10 +686,10 @@ class TestRunScenario:
         for name in seen:
             fn = getattr(estimators, name)
 
-            def recorded(arg, _fn=fn, _name=name):
+            def recorded(arg, _fn=fn, _name=name, **kwargs):
                 # the rows themselves: the runner reuses its tables
                 seen[_name].append(np.copy(arg))
-                return _fn(arg)
+                return _fn(arg, **kwargs)
 
             monkeypatch.setattr(estimators, name, recorded)
         outputs = []

@@ -10,10 +10,10 @@ and perfbench's tracer hooks. All operations are batched over agents
 such as every RK4 stage row of a block of steps. Each product of small
 matrices is one np.einsum contraction over the whole batch, not one
 matrix product per matrix. The flows and scalarizations write their
-block-sized arrays with out= into a Buffers, work arrays kept from call
-to call (the runner keeps one per kind for a run; a call without one
-gets fresh arrays), whose entry axes lead in memory so that each
-contraction loops over the long batch axes. The extension estimator
+block-sized arrays with out= into the Buffers every caller passes, work
+arrays kept from call to call (the runner keeps one per kind for a run),
+whose entry axes lead in memory so that each contraction loops over the
+long batch axes. The extension estimator
 stacks the consensus output atop its first-order filtered copies into one
 extended regression A = [Cf | yf], and scalarizes it with two products:
 Cf^T A = [G | Cf^T yf] gives the Gram G and the right-hand side at once,
@@ -80,9 +80,7 @@ class Buffers:
         return a[: shape[0]]
 
 
-def ge_flow(
-    Z: np.ndarray, gain: np.ndarray, buffers: Buffers | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def ge_flow(Z: np.ndarray, gain: np.ndarray, buffers: Buffers) -> tuple[np.ndarray, np.ndarray]:
     """Gradient flow as the affine flow theta' = a - B theta, per agent and row.
 
     a = gain Chat^T yhat and B = gain Chat^T Chat, read off two contractions
@@ -90,7 +88,6 @@ def ge_flow(
     Z (`buffers`' "aug"), into "gram", then gain times it, written over the
     rows, which it no longer needs.
     """
-    buffers = Buffers() if buffers is None else buffers
     n = cns.split(Z)[1].shape[-1]
     shape = (*Z.shape[:-1], n, n + 1)
     aug = _augment(Z, buffers("aug", shape, 2))
@@ -101,7 +98,7 @@ def ge_flow(
 
 def ge_derivative(theta_hat: np.ndarray, Z: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """Gradient-flow update gain Chat^T (yhat - Chat theta_hat), as a - B theta_hat of ge_flow."""
-    a, B = ge_flow(Z, gain)
+    a, B = ge_flow(Z, gain, Buffers())
     return a - np.einsum("...ij,...j->...i", B, theta_hat)
 
 
@@ -161,14 +158,13 @@ def drem_filter_derivative(bank: DremFilterBank, z: np.ndarray, Z: np.ndarray) -
     return bank.alphas[:, None] * Z[:, None] - bank.betas[:, None] * z
 
 
-def drem_extend(Z: np.ndarray, z: np.ndarray, buffers: Buffers | None = None) -> np.ndarray:
+def drem_extend(Z: np.ndarray, z: np.ndarray, buffers: Buffers) -> np.ndarray:
     """The extended regression A = [Cf | yf], shape (..., N, (r+1)n, n+1).
 
     Row block 0 is [Chat | yhat], block j the j-th filtered copy [zC | zy]:
     the augmented rows of the packed rows Z and z, over any leading axes
     the two share, written into `buffers`' "extended".
     """
-    buffers = Buffers() if buffers is None else buffers
     r, n = z.shape[-2], cns.split(Z)[1].shape[-1]
     ext = buffers("extended", (*Z.shape[:-1], r + 1, n, n + 1), 3)
     _augment(Z, ext[..., 0, :, :])
@@ -212,25 +208,21 @@ def _mix(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.einsum("...ij,...j->...i", adj, B[..., n]))
 
 
-def drem_scalarize(A: np.ndarray, buffers: Buffers | None = None) -> tuple[np.ndarray, np.ndarray]:
+def drem_scalarize(A: np.ndarray, buffers: Buffers) -> tuple[np.ndarray, np.ndarray]:
     """Scalarize the extended regression A = [Cf | yf] through the Gram adjugate.
 
     [G | Cf^T yf] = Cf^T A in one contraction (into `buffers`' "gram"),
     then phi = det(G) and Y = adj(G) Cf^T yf; well-defined (phi = 0) when
     G is singular.
     """
-    buffers = Buffers() if buffers is None else buffers
     n = A.shape[-1] - 1
     gram = buffers("gram", (*A.shape[:-2], n, n + 1), 2)
     return _mix(np.einsum("...ki,...kj->...ij", A[..., :n], A, out=gram))
 
 
-def drem_simple_scalarize(
-    Z: np.ndarray, buffers: Buffers | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def drem_simple_scalarize(Z: np.ndarray, buffers: Buffers) -> tuple[np.ndarray, np.ndarray]:
     """Filterless scalarization using the square consensus output [Chat | yhat]
     directly, augmented into `buffers`' "aug"."""
-    buffers = Buffers() if buffers is None else buffers
     n = cns.split(Z)[1].shape[-1]
     return _mix(_augment(Z, buffers("aug", (*Z.shape[:-1], n, n + 1), 2)))
 

@@ -16,14 +16,16 @@ the packed outputs Z = P - S[:, 0] of each of RK4's four evaluations into
 The upper state is one array per flow, "<kind>.<name>", holding its state
 at each step of the block. The upper pass calls each kind's flow once over
 all the block's stage rows to get its coefficients (a, B), turns them into
-RK4's one-step maps
-x+ = x + (D x + rho) (affine_rk4), and scans the steps with one product and
-one add each. Its n x n products are np.einsum contractions over the whole
-block. The block tables, the input tables and the upper pass's work
-arrays are per-run buffers (estimators.Buffers), sized on the first,
-largest block and written with out=; the later blocks reuse them, so a
-GE run faults in no more memory per block as it gets longer. Samples, invariant checks and diagnostics are read off the
-tables, batched per block; every state array, lower or upper, is guarded
+RK4's one-step maps x+ = x + (D x + rho) (affine_rk4), and scans the steps
+with one product and one add each. [D | rho] is rk4_increment of the
+homogeneous flow [X | x]' = [0 | a] - B [X | x] from [I | 0], the one RK4
+tableau, which rk4_step adds to the lower state. The n x n products are
+np.einsum contractions over the whole block. The block tables, the input
+tables and the upper pass's work arrays are per-run buffers
+(estimators.Buffers), sized on the first, largest block and written with
+out=; the later blocks reuse them, so a GE run faults in no more memory
+per block as it gets longer. Samples, invariant checks and diagnostics are
+read off the tables, batched per block; every state array, lower or upper, is guarded
 and named by one rule (diverged), and the failure that comes first in time
 is raised. Discontinuous inputs (topology switches, packet-loss masks,
 measurement noise) are frozen over each step, evaluated at the step's start
@@ -44,7 +46,6 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -99,20 +100,19 @@ def _entry_name(block: str, agent: int | None, entry: tuple[int, ...]) -> str:
     return f"{block}[{', '.join(str(j) for j in index)}]"
 
 
-def rk4_step(field, state: np.ndarray, t: float, h: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of ds/dt = field(t, s).
+def rk4_increment(field, state: np.ndarray, t: float, h: float, acc, stage) -> np.ndarray:
+    """RK4's increment h/6 (k1 + 2 k2 + 2 k3 + k4) of ds/dt = field(t, s)
+    from `state`, summed in that order into `acc` and returned.
 
-    state + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order, with one
-    stage buffer and one accumulator; the field's arrays are read, never
-    written, and it may return its argument. Each stage state is formed
-    from the doubled slope 2k the sum takes: (h/4)(2k) and (h/2)(2k) round
-    as (h/2)k and hk do, so the step is the textbook one bit for bit.
+    Each stage state is formed in `stage` from the doubled slope 2k the sum
+    takes: (h/4)(2k) and (h/2)(2k) round as (h/2)k and hk do, so the
+    increment is the textbook one bit for bit. acc and stage are written
+    before they are read; state and the field's arrays are read, never
+    written, and the field may return its argument or a view of a table.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
     k = field(t, state)
-    acc = np.array(k, dtype=float)
-    stage = np.multiply(k, 0.5 * h)
+    np.copyto(acc, k)
+    np.multiply(k, 0.5 * h, out=stage)
     stage += state
     for t_c, f in ((t + 0.5 * h, 0.25 * h), (t + 0.5 * h, 0.5 * h)):
         np.multiply(field(t_c, stage), 2.0, out=stage)
@@ -121,6 +121,15 @@ def rk4_step(field, state: np.ndarray, t: float, h: float) -> np.ndarray:
         stage += state
     acc += field(t + h, stage)
     acc *= h / 6.0
+    return acc
+
+
+def rk4_step(field, state: np.ndarray, t: float, h: float) -> np.ndarray:
+    """One classical 4th-order Runge-Kutta step of ds/dt = field(t, s):
+    state + rk4_increment, on fresh arrays."""
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    acc = rk4_increment(field, state, t, h, np.empty(state.shape), np.empty(state.shape))
     acc += state
     return acc
 
@@ -130,57 +139,50 @@ def rk4_step(field, state: np.ndarray, t: float, h: float) -> np.ndarray:
 STAGE_INPUT = (0, 1, 1, 2)
 
 
-def _products(full: bool):
-    """(apply, compose): M v and M N of a full coefficient M, each one
-    contraction over the whole batch; of a diagonal one, elementwise."""
-    if full:
-        return partial(np.einsum, "...ij,...j->...i"), partial(np.einsum, "...ij,...jk->...ik")
-    return np.multiply, np.multiply
-
-
-def affine_rk4(
-    h: float, a: np.ndarray, B: np.ndarray | None = None, buffers: est.Buffers | None = None
-):
+def affine_rk4(h: float, a: np.ndarray, B: np.ndarray | None, buffers: est.Buffers):
     """RK4's one-step map x+ = x + (D x + rho) of the affine flow x' = a - B x.
 
     a holds the flow's coefficient at each of RK4's four evaluations of K
     steps, shape (K, 4, ..., n); B is None for B = 0, of a's shape for a
-    diagonal B, or (K, 4, ..., n, n). Each stage derivative is affine in the
-    step's start x, k_c = alpha_c + M_c x, so (D, rho) are RK4's weighted
-    sums of the M_c and alpha_c: D is None, diagonal or full as B is. Every
-    array is written with out= into `buffers` (an estimators.Buffers).
+    diagonal B, or (K, 4, ..., n, n). [D | rho] is rk4_increment of the
+    homogeneous flow [X | x]' = [0 | a] - B [X | x] from [I | 0], whose
+    field reads the four evaluations' (a, B) in call order: for a full B
+    the state is (K, ..., n, n + 1); for a diagonal one (K, ..., n, 2), from
+    [1 | 0]; for B = 0 it is rho alone, from 0. D is None, diagonal or full
+    as B is. Every array is written with out= into `buffers` (an
+    estimators.Buffers).
     """
-    buffers = est.Buffers() if buffers is None else buffers
     full = B is not None and B.ndim > a.ndim
     vec = (len(a), *a.shape[2:])
-    mat = (*vec, vec[-1]) if full else vec
-    lead = int(full)  # the contractions' operands lead with their entry axes
-    rho_sum, wk = buffers("rho_sum", vec, lead), buffers("wk", vec, lead)
-    np.copyto(rho_sum, a[:, 0])
+    n = vec[-1]
     if B is None:
-        for c, w in ((1, 2.0), (2, 2.0), (3, 1.0)):
-            rho_sum += np.multiply(a[:, c], w, out=wk)
-        return None, np.multiply(rho_sum, h / 6.0, out=buffers("rho", vec))
-    apply, compose = _products(full)
-    D_sum, M, T = (buffers(key, mat, 2 * lead) for key in ("D_sum", "M", "T"))
-    alpha = buffers("alpha", vec, lead)
-    np.negative(B[:, 0], out=M)
-    np.copyto(D_sum, M)
-    prev = a[:, 0]
-    for c, f, w in ((1, 0.5, 2.0), (2, 0.5, 2.0), (3, 1.0, 1.0)):
-        # Stage c starts at x + f h k_(c-1), so k_c = a_c - B_c (x + f h k_(c-1)).
-        apply(B[:, c], prev, out=wk)
-        wk *= f * h
-        prev = np.subtract(a[:, c], wk, out=alpha)
-        rho_sum += np.multiply(alpha, w, out=wk)
-        compose(B[:, c], M, out=T)
-        T *= -f * h
-        T -= B[:, c]
-        M, T = T, M
-        D_sum += np.multiply(M, w, out=T)
-    # The scan reads the map step by step, so it is written in row order.
-    D = np.multiply(D_sum, h / 6.0, out=buffers("D", mat))
-    return D, np.multiply(rho_sum, h / 6.0, out=buffers("rho", vec))
+        hom, origin, lead = vec, 0.0, 0
+    elif full:  # entry axes first, for the contraction
+        hom, origin, lead = (*vec, n + 1), np.eye(n, n + 1), 2
+    else:  # each column one block, so the scan reads D and rho in row order
+        hom, origin, lead = (*vec, 2), (1.0, 0.0), 1
+    k, acc, stage, start = (buffers(key, hom, lead) for key in ("k", "acc", "stage", "start"))
+    start[:] = origin
+    columns = iter(range(4))
+
+    def field(t, Y):
+        c = next(columns)
+        if B is None:
+            return a[:, c]
+        if full:
+            np.einsum("...ij,...jk->...ik", B[:, c], Y, out=k)
+        else:
+            np.multiply(B[:, c, ..., None], Y, out=k)
+        np.negative(k, out=k)
+        k[..., -1] += a[:, c]
+        return k
+
+    rk4_increment(field, start, 0.0, h, acc, stage)
+    if not full:
+        return (None, acc) if B is None else (acc[..., 0], acc[..., 1])
+    D, rho = buffers("D", (*vec, n)), buffers("rho", vec)
+    D[:], rho[:] = acc[..., :n], acc[..., n]
+    return D, rho
 
 
 def _affine_scan(x: np.ndarray, D: np.ndarray | None, rho: np.ndarray):
@@ -189,9 +191,9 @@ def _affine_scan(x: np.ndarray, D: np.ndarray | None, rho: np.ndarray):
     if D is None:
         np.add.accumulate(np.concatenate([x[:1], rho]), axis=0, out=x)
         return
-    apply, _ = _products(D.ndim > rho.ndim)
     for j in range(len(rho)):
-        np.add(x[j], apply(D[j], x[j]) + rho[j], out=x[j + 1])
+        Dx = np.einsum("...ij,...j->...i", D[j], x[j]) if D.ndim > rho.ndim else D[j] * x[j]
+        np.add(x[j], Dx + rho[j], out=x[j + 1])
 
 
 @dataclass
@@ -245,7 +247,8 @@ class TraceSet:
 class Estimator:
     """One estimator kind, declared once, by its flow.
 
-    flow(cfg, tab, buffers) reads the block tables (see run_scenario) and
+    flow(cfg, tab, buffers) reads the block tables tab (packed outputs "Z",
+    packed inputs "P", filter rows "z"; see run_scenario's upper_pass) and
     writes its arrays into the kind's estimators.Buffers; it returns a
     dict of the kind's affine flows x' = a - B x of the upper layer, each
     as its coefficients (a, B) at every (K, 4, ...) stage row, B as
@@ -261,6 +264,14 @@ class Estimator:
     flow: Callable
     per_agent: bool = True
     filtered: bool = False
+
+
+def _centralized_flows(cfg, tab, buffers) -> tuple[dict, dict]:
+    """The centralized kind's flow of theta, on the network sums of the
+    block's packed inputs at RK4's four evaluations of each step."""
+    P = tab["P"]
+    sums = np.sum(P, axis=2, out=buffers("sums", (len(P), 3, P.shape[-1])))[:, STAGE_INPUT]
+    return {"theta": est.centralized_ge_flow(*cns.split(sums), cfg.gamma_centralized)}, {}
 
 
 def _decoupled_flows(cfg, phi, Y) -> tuple[dict, dict]:
@@ -286,12 +297,7 @@ ESTIMATORS = {
             cfg, *est.drem_simple_scalarize(tab["Z"], buffers=buffers)
         ),
     ),
-    "centralized": Estimator(
-        flow=lambda cfg, tab, buffers: ({"theta": est.centralized_ge_flow(
-            *cns.split(tab["sums"]), cfg.gamma_centralized
-        )}, {}),
-        per_agent=False,
-    ),
+    "centralized": Estimator(flow=_centralized_flows, per_agent=False),
 }
 
 # The trace field of a flow's samples, where it is not the flow's name.
@@ -511,17 +517,18 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
             )
         return dS
 
-    def upper_pass(step0: int, n_int: int, n_rows: int, sums):
+    def upper_pass(step0: int, n_int: int, n_rows: int):
         """Every kind's coefficients over the block's n_rows table rows in one
         flow call, and each flow's array advanced over its n_int steps by its
         RK4 maps. The flows read the tables tab: "Z", the (K, 4, N, n^2 + n)
-        packed outputs; "sums", the network sums (K, 4, n^2 + n) of the
-        packed inputs; and "z", the filter rows (K, 4, N, r, n^2 + n).
+        packed outputs; "P", the (K, 3, N, n^2 + n) packed inputs at each
+        step's half-step stages (STAGE_INPUT maps evaluations to them); and
+        "z", the filter rows (K, 4, N, r, n^2 + n).
         Returns each kind's sample fields and the divergence of every guarded
         array as (key, SimulationDiverged)."""
         if not n_rows:
             return {}, []
-        tab = {"Z": z_tab[:n_rows], "sums": sums, "z": lower_tab[:n_rows, :, :, 1:]}
+        tab = {"Z": z_tab[:n_rows], "P": P[:n_rows], "z": lower_tab[:n_rows, :, :, 1:]}
         sample_fields, failures = {}, []
         for kind, spec in kinds.items():
             coeffs, sample_fields[kind] = spec.flow(cfg, tab, work[kind])
@@ -538,11 +545,10 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
                     failures.append(diverged(key, upper[key][1:n_int + 1], spec.per_agent, step0))
         return sample_fields, [f for f in failures if f]
 
-    def write_samples(rows, slots, inputs, sample_fields):
-        """Samples `slots` from the block's table rows `rows`, whose packed
-        inputs are `inputs`."""
+    def write_samples(rows, slots, sample_fields):
+        """Samples `slots` from the block's table rows `rows`."""
         Z = z_tab[rows, 0]
-        cbar, ybar = cns.average_reference(*cns.split(inputs))
+        cbar, ybar = cns.average_reference(*cns.split(P[rows, 0]))
         cons_err[slots], yhat_err[slots] = cns.consensus_error(Z, cbar, ybar)
         resid_norm[slots] = np.linalg.norm(cns.residual(Z, theta), axis=-1)
         samples = [(*block.split("."), x[rows]) for block, x in upper.items()] + [
@@ -616,15 +622,12 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         invariant_failure = rows.size and check_invariants(
             step0 + rows, *cns.split(lower_tab[rows, 0, :, 0])
         )
-        # The samples' inputs and every evaluation's network sums.
-        inputs = P[rows, 0]
-        sums = np.sum(P[:n_rows], axis=2, out=tables("sums", (n_rows, 3, width)))[:, STAGE_INPUT]
-        sample_fields, upper_failures = upper_pass(step0, n_int, n_rows, sums)
+        sample_fields, upper_failures = upper_pass(step0, n_int, n_rows)
         failures = [f for f in (lower_failure, invariant_failure) if f] + upper_failures
         if failures:
             raise min(failures, key=lambda f: f[0])[1]
         if rows.size:
-            write_samples(rows, (step0 + rows) // dec, inputs, sample_fields)
+            write_samples(rows, (step0 + rows) // dec, sample_fields)
         for x in upper.values():
             x[0] = x[n_int]
 

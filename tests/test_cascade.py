@@ -38,8 +38,9 @@ def coupled_reference(cfg, tables, laps):
         v = {key: a.reshape(s) for (key, s), a in zip(shapes.items(), np.split(flat, cuts))}
         rows = P[step, c]
         out = rows - v["S"]
-        phi = {"drem": est.drem_scalarize(est.drem_extend(out, v["z"])),
-               "drem_simple": est.drem_simple_scalarize(out)}
+        phi = {"drem": est.drem_scalarize(est.drem_extend(out, v["z"], est.Buffers()),
+                                          est.Buffers()),
+               "drem_simple": est.drem_simple_scalarize(out, est.Buffers())}
         a, B = est.centralized_ge_flow(*cns.split(rows.sum(axis=0)), cfg.gamma_centralized)
         d = {"S": cns.dac_derivative(out, laps[4 * step], k, cfg.epsilon),
              "z": est.drem_filter_derivative(cfg.drem_filters, v["z"], out),

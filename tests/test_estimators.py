@@ -179,7 +179,7 @@ class TestFilterBank:
         bank = default_filter_bank(3)
         z = rng.normal(size=(2, bank.r, 12))
         zC, zy = split(z)
-        a = drem_extend(out, z)
+        a = drem_extend(out, z, Buffers())
         assert a.shape == (2, 9, 4)
         cf, yf = a[..., :3], a[..., 3]
         chat, yhat = split(out)
@@ -261,7 +261,7 @@ class TestScalarize:
         theta = np.array([1.5, -2.0])
         cf = rng.normal(size=(3, 5, 2))
         yf = np.einsum("ami,i->am", cf, theta)
-        phi, Y = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1))
+        phi, Y = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1), Buffers())
         np.testing.assert_allclose(
             Y, phi[:, None] * theta, rtol=1e-9, atol=1e-9
         )
@@ -271,7 +271,7 @@ class TestScalarize:
         theta = np.array([0.5, 1.0, -1.0])
         chat = rng.normal(size=(2, 3, 3))
         out = pack(chat, np.einsum("aij,j->ai", chat, theta))
-        phi, Y = drem_simple_scalarize(out)
+        phi, Y = drem_simple_scalarize(out, Buffers())
         np.testing.assert_allclose(phi, np.linalg.det(chat))
         np.testing.assert_allclose(Y, phi[:, None] * theta, rtol=1e-9)
 
@@ -287,7 +287,7 @@ class TestScalarize:
         yf = rng.normal(size=(n_agents, rows))
         gram = np.einsum("ami,amj->aij", cf, cf)
         tol = SCALED_TOL * frobenius(gram) ** n
-        phi, _ = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1))
+        phi, _ = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1), Buffers())
         assert np.all(np.abs(phi - np.linalg.det(gram)) <= tol)
 
     @settings(max_examples=300, deadline=None)
@@ -310,7 +310,7 @@ class TestScalarize:
             cf = cf[..., :-1] @ rng.normal(size=(n_agents, n - 1, n))
         cf *= 10.0 ** log_scales[0]
         yf = 10.0 ** log_scales[1] * rng.normal(size=(n_agents, rows))
-        phi, Y = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1))
+        phi, Y = drem_scalarize(np.concatenate([cf, yf[..., None]], axis=-1), Buffers())
         assert phi.shape == (n_agents,) and Y.shape == (n_agents, n)
         gram = np.einsum("ami,amj->aij", cf, cf)
         rhs = np.einsum("ami,am->ai", cf, yf)
@@ -327,14 +327,14 @@ class TestScalarize:
     def test_simple_phi_is_determinant(self, chat):
         out = pack(chat, np.ones(chat.shape[:2]))
         tol = SCALED_TOL * frobenius(chat) ** chat.shape[-1]
-        phi, _ = drem_simple_scalarize(out)
+        phi, _ = drem_simple_scalarize(out, Buffers())
         assert np.all(np.abs(phi - np.linalg.det(chat)) <= tol)
 
     def test_derivative_decoupled(self):
         # each component evolves independently through its own scalar gain
         rng = np.random.default_rng(8)
         theta_hat = rng.normal(size=(2, 3))
-        phi, Y = drem_simple_scalarize(make_output(rng, 2, 3))
+        phi, Y = drem_simple_scalarize(make_output(rng, 2, 3), Buffers())
         gains = np.array([1.0, 2.0, 4.0])
         dd = drem_derivative(theta_hat, phi, Y, gains)
         for mu in range(3):
@@ -372,10 +372,10 @@ def per_matrix(fn, batch, *arrays):
 
 
 def fresh_and_reused(kernel, batch, *arrays):
-    """kernel's outputs on its own fresh arrays, then through Buffers that
+    """kernel's outputs through new Buffers, then through Buffers that
     served a block with one more row first (as the runner's last, shorter
     block is served): copies of both."""
-    runs = [[np.copy(x) for x in kernel(*arrays)]]
+    runs = [[np.copy(x) for x in kernel(*arrays, buffers=Buffers())]]
     if batch:
         buffers = Buffers()
         kernel(*(np.concatenate([a, a[:1]]) for a in arrays), buffers=buffers)

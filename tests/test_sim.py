@@ -116,6 +116,37 @@ class TestRk4:
             np.testing.assert_array_equal(state, state0, err_msg=name)
             np.testing.assert_array_equal(table, table0, err_msg=name)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+        log_h=st.floats(-4.0, 0.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_increment_writes_its_buffers_before_reading_them(self, shape, log_h, seed):
+        # rk4_increment into buffers left full of NaN, as reused buffers
+        # are left full of an earlier block's values: the increment must be
+        # finite and the textbook h/6 (k1 + 2k2 + 2k3 + k4), state and the
+        # field's table must stay unchanged, and rk4_step must be state plus
+        # the increment, bit for bit.
+        rng = np.random.default_rng(seed)
+        h, t = 10.0**log_h, rng.uniform(0, 10)
+        state = rng.normal(size=shape)
+        table = rng.normal(size=(3, *shape))
+        state0, table0 = state.copy(), table.copy()
+        for name, f in {"identity": lambda t, s: s, "table": lambda t, s: table[1]}.items():
+            k1 = f(t, state)
+            k2 = f(t + 0.5 * h, state + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, state + 0.5 * h * k2)
+            k4 = f(t + h, state + h * k3)
+            want = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            acc, stage = np.full(shape, np.nan), np.full(shape, np.nan)
+            got = sim.rk4_increment(f, state, t, h, acc, stage)
+            assert got is acc and np.all(np.isfinite(got)), name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            np.testing.assert_array_equal(state, state0, err_msg=name)
+            np.testing.assert_array_equal(table, table0, err_msg=name)
+            np.testing.assert_array_equal(rk4_step(f, state, t, h), state + got, err_msg=name)
+
 
 def rk4_map_reference(h, a, B):
     """(D, rho) of RK4's one-step map of x' = a_c - B_c x for one matrix,
@@ -148,8 +179,9 @@ class TestAffineRk4:
     )
     def test_map_matches_per_matrix_products(self, n, form, rows, extra, log_h, seed):
         # The map's contractions over the whole block against np.matmul one
-        # matrix at a time, over n = 1..4 and any block axes; fresh, and
-        # through buffers that served a block with one more row first.
+        # matrix at a time, over n = 1..4 and any block axes; through new
+        # buffers, and through buffers that served a block with one more row
+        # first.
         # Errors are judged against the terms' magnitudes, entry by entry.
         rng = np.random.default_rng(seed)
         h = 10.0**log_h
@@ -172,7 +204,8 @@ class TestAffineRk4:
         buffers = estimators.Buffers()
         sim.affine_rk4(h, *(x if x is None else np.concatenate([x, x[:1]]) for x in (a, B)),
                        buffers=buffers)
-        for D, rho in (sim.affine_rk4(h, a, B), sim.affine_rk4(h, a, B, buffers)):
+        for D, rho in (sim.affine_rk4(h, a, B, estimators.Buffers()),
+                       sim.affine_rk4(h, a, B, buffers)):
             assert (D is None) == (B is None)
             assert np.all(np.abs(rho - rho_ref) <= 1e-13 * rho_bound)
             if D is not None:
@@ -216,7 +249,7 @@ class TestAffineRk4:
         want = np.reshape(want, (steps + 1, n_agents, n))
         got = np.empty_like(want)
         got[0] = want[0]
-        D, rho = sim.affine_rk4(h, a, B)
+        D, rho = sim.affine_rk4(h, a, B, estimators.Buffers())
         assert (D is None) == (B is None)
         sim._affine_scan(got, D, rho)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())

@@ -172,14 +172,16 @@ def drem_extend(Z: np.ndarray, z: np.ndarray, buffers: Buffers) -> np.ndarray:
     return ext.reshape(*Z.shape[:-1], (r + 1) * n, n + 1)
 
 
-def adjugate(G: np.ndarray) -> np.ndarray:
+def adjugate(G: np.ndarray, buffers: Buffers) -> np.ndarray:
     """Classical adjugate, adj(G) G = det(G) I, defined for singular G too.
 
     Closed form for n = 3 (row i is the cross product of columns i+1 and
-    i+2). For every other n, one batched determinant of all n^2 minors (at
-    n = 1, one 0x0 minor of determinant 1). No branch depends on the values,
-    so rank-deficient and badly scaled input takes the same path as any
-    other. Supports batched input (..., n, n).
+    i+2), every array written into `buffers`: G copied to "adj.g", its
+    entries gathered into "adj.factors", the two products into "adj" and
+    "adj.product". For every other n, one batched determinant of all n^2
+    minors (at n = 1, one 0x0 minor of determinant 1). No branch depends on
+    the values, so rank-deficient and badly scaled input takes the same path
+    as any other. Supports batched input (..., n, n).
     """
     g = np.asarray(G, dtype=float)
     n = g.shape[-1]
@@ -187,8 +189,14 @@ def adjugate(G: np.ndarray) -> np.ndarray:
         raise ValueError("adjugate needs square matrices")
     batch = g.shape[:-2]
     if n == 3:
-        t = g.reshape(*batch, 9)[..., _ADJ3_FLAT]
-        return t[..., 0, :, :] * t[..., 1, :, :] - t[..., 2, :, :] * t[..., 3, :, :]
+        g3 = buffers("adj.g", (*batch, 3, 3))
+        g3[...] = g  # a contiguous copy, whose flat view is no further copy
+        # mode="clip" (the indices are in range) writes out directly; "raise" buffers it.
+        t = np.take(g3.reshape(*batch, 9), _ADJ3_FLAT, axis=-1, mode="clip",
+                    out=buffers("adj.factors", (*batch, 4, 3, 3)))
+        adj = np.multiply(t[..., 0, :, :], t[..., 1, :, :], out=buffers("adj", (*batch, 3, 3)))
+        adj -= np.multiply(t[..., 2, :, :], t[..., 3, :, :], out=buffers("adj.product", (*batch, 3, 3)))
+        return adj
 
     idx = np.arange(n)
     # others[i] lists the indices 0..n-1 without i.
@@ -199,11 +207,11 @@ def adjugate(G: np.ndarray) -> np.ndarray:
     return sign * np.linalg.det(minors)
 
 
-def _mix(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mix(B: np.ndarray, buffers: Buffers) -> tuple[np.ndarray, np.ndarray]:
     """adj(G) B = [phi I | Y] for B = [G | rhs], read off two contractions:
     phi = det(G), entry (0, 0), and Y, column n."""
     n = B.shape[-2]
-    adj = adjugate(B[..., :n])
+    adj = adjugate(B[..., :n], buffers)
     return (np.einsum("...j,...j->...", adj[..., 0, :], B[..., :, 0]),
             np.einsum("...ij,...j->...i", adj, B[..., n]))
 
@@ -217,14 +225,14 @@ def drem_scalarize(A: np.ndarray, buffers: Buffers) -> tuple[np.ndarray, np.ndar
     """
     n = A.shape[-1] - 1
     gram = buffers("gram", (*A.shape[:-2], n, n + 1), 2)
-    return _mix(np.einsum("...ki,...kj->...ij", A[..., :n], A, out=gram))
+    return _mix(np.einsum("...ki,...kj->...ij", A[..., :n], A, out=gram), buffers)
 
 
 def drem_simple_scalarize(Z: np.ndarray, buffers: Buffers) -> tuple[np.ndarray, np.ndarray]:
     """Filterless scalarization using the square consensus output [Chat | yhat]
     directly, augmented into `buffers`' "aug"."""
     n = cns.split(Z)[1].shape[-1]
-    return _mix(_augment(Z, buffers("aug", (*Z.shape[:-1], n, n + 1), 2)))
+    return _mix(_augment(Z, buffers("aug", (*Z.shape[:-1], n, n + 1), 2)), buffers)
 
 
 def drem_flow(

@@ -12,6 +12,18 @@ as it is: `analyze_scenario` gives alpha(T), beta, gamma and k_min, and
 `pe_level` gives one signal's alpha as a float. `check_window` is the one
 rule for a window T on the analysis grid; scenario validation applies it to
 analysis.T_grid.
+
+Every analysis constant is the extreme of a batch: the smallest eigenvalue
+over the windows of one T, the largest over the grid times of a block.
+`extreme_eig` gives it as np.linalg.eigvalsh gives it, bit for bit, but
+hands LAPACK only the candidates of a screen: for n = 3 each matrix's
+extreme eigenvalue has a closed form (O. K. Smith, Commun. ACM 1961), whose
+error stays within SCREEN_RTOL (|q| + 2p) of eigvalsh's (J. Kopp, Int. J.
+Mod. Phys. C 2008 bounds the loss near repeated eigenvalues), and only the
+matrices whose interval can hold the batch extreme go to eigvalsh. gamma's
+svd is screened the same way, by the largest eigenvalue of the 3x3 Gram of
+each centered derivative stack. Other n, and batches the screen cannot
+prune, take every matrix.
 """
 
 from __future__ import annotations
@@ -30,6 +42,13 @@ DEFAULT_ALPHA_THRESHOLD = 1e-3
 # amortise numpy's per-call cost, few enough that the (block, N, p_max, n)
 # temporaries stay small next to the run itself.
 GRID_BLOCK = 256
+# The closed form's error margin, relative to each matrix's scale |q| + 2p.
+# Near a repeated eigenvalue the arccos loses half the digits of r: the
+# error is about 2p sqrt(2 dr)/3, some 3e-8 p, far inside the margin.
+SCREEN_RTOL = 1e-6
+# And an absolute floor, above the scale (about 1e-154) where the squares in p
+# underflow.
+SCREEN_ATOL = 1e-140
 
 
 def _grid_blocks(horizon: float, grid_step: float) -> list[np.ndarray]:
@@ -41,6 +60,56 @@ def _grid_blocks(horizon: float, grid_step: float) -> list[np.ndarray]:
 def _grams(f: np.ndarray) -> np.ndarray:
     """F^T F of every matrix in a stack (..., p, n) -> (..., n, n)."""
     return np.swapaxes(f, -1, -2) @ f
+
+
+def sym3_extreme(mats: np.ndarray, largest: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form smallest (or largest) eigenvalue of each symmetric 3x3
+    matrix of a stack (M, 3, 3), and its error margin, both shape (M,).
+
+    With q = tr(A)/3, p = sqrt(tr((A - qI)^2)/6) and r = det((A - qI)/p)/2,
+    clipped to [-1, 1], the eigenvalues are q + 2p cos(arccos(r)/3 + 2 pi j/3):
+    j = 0 the largest, j = 1 the smallest. p = 0 gives q. A matrix too large
+    to square gets a non-finite estimate, which never prunes.
+    """
+    d0, d1, d2 = mats[:, 0, 0], mats[:, 1, 1], mats[:, 2, 2]
+    u, v, w = mats[:, 1, 0], mats[:, 2, 0], mats[:, 2, 1]  # the triangle eigvalsh reads
+    q = (d0 + d1 + d2) / 3.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        b0, b1, b2 = d0 - q, d1 - q, d2 - q
+        p = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * (u * u + v * v + w * w)) / 6.0)
+        s = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0)
+        b0, b1, b2, u, v, w = b0 * s, b1 * s, b2 * s, u * s, v * s, w * s
+        r = np.clip(0.5 * (b0 * (b1 * b2 - w * w) - u * (u * b2 - w * v) + v * (u * w - b1 * v)),
+                    -1.0, 1.0)
+        angle = np.arccos(r) / 3.0 + (0.0 if largest else 2.0 * np.pi / 3.0)
+        return q + 2.0 * p * np.cos(angle), SCREEN_RTOL * (np.abs(q) + 2.0 * p) + SCREEN_ATOL
+
+
+def _screen(mats: np.ndarray, largest: bool):
+    """The matrices of a stack (M, n, n) whose extreme eigenvalue can be the
+    stack's extreme: a boolean mask, or slice(None) for every matrix (any n
+    but 3, or nothing pruned).
+
+    Each closed-form estimate and its margin give an interval that holds
+    the eigenvalue eigvalsh gives; a matrix is dropped only when its whole
+    interval lies short of another's (for the smallest, mirrored). A NaN
+    estimate is never dropped.
+    """
+    if mats.shape[-1] != 3:
+        return slice(None)
+    est, margin = sym3_extreme(mats, largest)
+    if not largest:
+        est = -est
+    keep = ~(est + margin < np.fmax.reduce(est - margin))
+    return slice(None) if keep.all() else keep
+
+
+def extreme_eig(mats: np.ndarray, largest: bool = False) -> float:
+    """The smallest (or largest) eigenvalue over a stack of symmetric
+    matrices (M, n, n), the same float as eigvalsh of the whole stack gives:
+    only the screen's candidates go to np.linalg.eigvalsh."""
+    eigs = np.linalg.eigvalsh(mats[_screen(mats, largest)])
+    return float(eigs[:, -1].max() if largest else eigs[:, 0].min())
 
 
 def check_window(T: float, horizon: float, grid_step: float):
@@ -57,7 +126,7 @@ def check_window(T: float, horizon: float, grid_step: float):
 
 
 def _window_min_eigs(grams_at: Callable, windows, horizon: float, grid_step: float) -> list:
-    """Per-window smallest eigenvalues of the sliding Gram integrals, one array per T.
+    """The smallest eigenvalue over each T's windows of the sliding Gram integrals.
 
     grams_at(ts) gives F(t)^T F(t) at a block of grid times, shape (len(ts), n, n).
     The window start slides over [0, horizon - T] at grid resolution; each
@@ -72,7 +141,7 @@ def _window_min_eigs(grams_at: Callable, windows, horizon: float, grid_step: flo
     cum = np.zeros_like(grams)
     np.cumsum(0.5 * grid_step * (grams[1:] + grams[:-1]), axis=0, out=cum[1:])
     ms = [int(round(T / grid_step)) for T in windows]
-    return [np.linalg.eigvalsh(cum[m:] - cum[:-m])[:, 0] for m in ms]
+    return [extreme_eig(cum[m:] - cum[:-m]) for m in ms]
 
 
 def pe_level(
@@ -92,8 +161,8 @@ def pe_level(
     def grams_at(ts):
         return _grams(np.stack([np.atleast_2d(np.asarray(signal(t), dtype=float)) for t in ts]))
 
-    (min_eigs,) = _window_min_eigs(grams_at, [T], horizon, grid_step)
-    return max(float(min_eigs.min()), 0.0)
+    (min_eig,) = _window_min_eigs(grams_at, [T], horizon, grid_step)
+    return max(min_eig, 0.0)
 
 
 def estimate_assumption_bounds(
@@ -107,7 +176,10 @@ def estimate_assumption_bounds(
     beta bounds the norm of the network average of the surrogate matrices;
     gamma bounds the norm of the consensus-direction-free stacked surrogate
     derivative, computed with the analytic derivative of the sinusoidal
-    entries. Both are grid maxima times the inflation factor.
+    entries. Both are grid maxima times the inflation factor; gamma's svd
+    runs on the grid times the screen keeps for the largest eigenvalue of
+    each stack's Gram, whose square root is the stack's largest singular
+    value.
     """
     if horizon <= 0 or grid_step <= 0:
         raise ValueError("horizon and grid_step must be positive")
@@ -118,8 +190,9 @@ def estimate_assumption_bounds(
         ct = np.swapaxes(c, -1, -2)
         cpd = np.swapaxes(cd, -1, -2) @ c + ct @ cd
         centered = (cpd - cpd.mean(axis=1, keepdims=True)).reshape(len(tb), -1, gen.n_params)
-        beta = max(beta, float(np.linalg.eigvalsh((ct @ c).mean(axis=1))[:, -1].max()))
-        gamma = max(gamma, float(np.linalg.svd(centered, compute_uv=False)[:, 0].max()))
+        beta = max(beta, extreme_eig((ct @ c).mean(axis=1), largest=True))
+        keep = _screen(_grams(centered), largest=True)
+        gamma = max(gamma, float(np.linalg.svd(centered[keep], compute_uv=False)[:, 0].max()))
     return inflation * beta, inflation * gamma
 
 
@@ -223,7 +296,7 @@ def analyze_scenario(
         return _grams(gen.evaluate_all(tb).reshape(len(tb), -1, gen.n_params)[:, gen.real_rows])
 
     min_eigs = _window_min_eigs(stacked_grams, T_grid, horizon, grid_step)
-    curve = [(float(T), max(float(e.min()), 0.0)) for T, e in zip(T_grid, min_eigs)]
+    curve = [(float(T), max(e, 0.0)) for T, e in zip(T_grid, min_eigs)]
     chosen = next(((T, a) for T, a in curve if a > alpha_threshold), None)
     beta, gamma = estimate_assumption_bounds(gen, horizon, grid_step, inflation)
     lam_m = schedule.lambda_g_min

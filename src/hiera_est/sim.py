@@ -169,6 +169,10 @@ def affine_rk4(h: float, a: np.ndarray, B: np.ndarray | None, buffers: est.Buffe
         c = next(columns)
         if B is None:
             return a[:, c]
+        if c == 0:  # at the start [I | 0] (diagonal: [1 | 0]) the slope is [-B | a]
+            np.negative(B[:, 0], out=k[..., :n] if full else k[..., 0])
+            k[..., -1] = a[:, 0]
+            return k
         if full:
             np.einsum("...ij,...jk->...ik", B[:, c], Y, out=k)
         else:

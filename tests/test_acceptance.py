@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hiera_est as he
-from hiera_est.estimators import adjugate, centralized_ge_flow
+from hiera_est.estimators import Buffers, adjugate, centralized_ge_flow
 from hiera_est.excitation import estimate_assumption_bounds
 from hiera_est.sim import rk4_step
 
@@ -189,7 +189,7 @@ def test_criterion_9_adjugate_identity():
         g = rng.normal(size=(n, n))
         if trial % 5 == 0 and n > 1:
             g[:, -1] = g[:, 0] * (1 + 1e-10)  # near-singular
-        adj = adjugate(g)
+        adj = adjugate(g, Buffers())
         det = np.linalg.det(g)
         scale = max(np.abs(adj @ g).max(), abs(det), 1.0)
         worst = max(worst, np.abs(adj @ g - det * np.eye(n)).max() / scale)

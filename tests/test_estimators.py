@@ -193,21 +193,21 @@ class TestFilterBank:
 class TestAdjugate:
     def test_identity_2x2(self):
         g = np.array([[1.0, 2.0], [3.0, 4.0]])
-        adj = adjugate(g)
+        adj = adjugate(g, Buffers())
         np.testing.assert_allclose(adj, [[4.0, -2.0], [-3.0, 1.0]])
 
     def test_singular_matrix_defined(self):
         g = np.outer([1.0, 2.0], [1.0, 2.0])  # rank 1
-        adj = adjugate(g)
+        adj = adjugate(g, Buffers())
         np.testing.assert_allclose(adj @ g, np.zeros((2, 2)), atol=1e-12)
 
     def test_scalar_case(self):
-        np.testing.assert_array_equal(adjugate(np.array([[7.0]])), [[1.0]])
+        np.testing.assert_array_equal(adjugate(np.array([[7.0]]), Buffers()), [[1.0]])
 
     def test_batched(self):
         rng = np.random.default_rng(4)
         g = rng.normal(size=(5, 3, 3))
-        adj = adjugate(g)
+        adj = adjugate(g, Buffers())
         dets = np.linalg.det(g)
         for i in range(5):
             np.testing.assert_allclose(
@@ -218,18 +218,18 @@ class TestAdjugate:
         rng = np.random.default_rng(5)
         g = rng.normal(size=(6, 6)) + 6 * np.eye(6)
         np.testing.assert_allclose(
-            adjugate(g) @ g, np.linalg.det(g) * np.eye(6), rtol=1e-9, atol=1e-6
+            adjugate(g, Buffers()) @ g, np.linalg.det(g) * np.eye(6), rtol=1e-9, atol=1e-6
         )
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
-            adjugate(np.zeros((2, 3)))
+            adjugate(np.zeros((2, 3)), Buffers())
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 10_000))
     def test_identity_property(self, n, seed):
         g = np.random.default_rng(seed).normal(size=(n, n))
-        adj = adjugate(g)
+        adj = adjugate(g, Buffers())
         det = np.linalg.det(g)
         scale = max(np.abs(adj @ g).max(), abs(det), 1.0)
         np.testing.assert_allclose(
@@ -240,7 +240,7 @@ class TestAdjugate:
     @given(square_batches())
     def test_identity_scaled_property(self, g):
         n = g.shape[-1]
-        adj = adjugate(g)
+        adj = adjugate(g, Buffers())
         assert adj.shape == g.shape
         det = np.linalg.det(g)[..., None, None]
         tol = SCALED_TOL * frobenius(g)[..., None, None] ** n
@@ -251,7 +251,7 @@ class TestAdjugate:
     def test_matches_cofactor_reference(self, g):
         n = g.shape[-1]
         tol = SCALED_TOL * frobenius(g)[..., None, None] ** (n - 1)
-        assert np.all(np.abs(adjugate(g) - cofactor_adjugate(g)) <= tol)
+        assert np.all(np.abs(adjugate(g, Buffers()) - cofactor_adjugate(g)) <= tol)
 
 
 class TestScalarize:
@@ -430,7 +430,7 @@ class TestContractionsMatchPerMatrixProducts:
         assert_within(B, B_ref, np.abs(gain) @ np.abs(M))
 
         def mix_ref(aug):
-            mixed = adjugate(aug[:, :n]) @ aug
+            mixed = adjugate(aug[:, :n], Buffers()) @ aug
             return mixed[0, 0], mixed[:, n], np.linalg.norm(aug) ** n
 
         def extend_ref(row, rows):

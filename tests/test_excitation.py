@@ -1,19 +1,30 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hiera_est import sim
+from hiera_est.config import load_config
 from hiera_est.excitation import (
     GRID_BLOCK,
     analyze_scenario,
     consensus_error_bound,
     estimate_assumption_bounds,
+    extreme_eig,
     gain_bound,
     gain_margins,
     pe_level,
     quantized_bounds,
+    sym3_extreme,
 )
 from hiera_est.graph import constant_schedule, topology_from_edges
 from hiera_est.signals import RegressorGenerator, sample_coefficients
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestPeLevel:
@@ -242,8 +253,17 @@ def test_analyze_scenario_window_past_last_grid_time_rejected(monkeypatch):
 
 
 def test_blocked_analysis_matches_per_time_reference(monkeypatch):
+    check_blocked_analysis(monkeypatch, n=2)
+
+
+def test_blocked_analysis_matches_per_time_reference_n3(monkeypatch):
+    # n = 3 takes the closed-form screen for alpha, beta and gamma.
+    check_blocked_analysis(monkeypatch, n=3)
+
+
+def check_blocked_analysis(monkeypatch, n):
     # Uneven rows, and a grid of three blocks whose last block is partial.
-    gen = sample_coefficients(2, 3, [1, 2, 3], [0, 2], [0.5, 3.0], seed=11)
+    gen = sample_coefficients(n, 3, [1, 2, 3], [0, 2], [0.5, 3.0], seed=11)
     topo = topology_from_edges(3, [(0, 1), (1, 2)])
     step = 0.01
     n_pts = 2 * GRID_BLOCK + 101
@@ -272,6 +292,13 @@ def test_blocked_analysis_matches_per_time_reference(monkeypatch):
     ref = [pe_level(stacked, T, horizon, step) for T in T_grid]
     np.testing.assert_allclose(alphas, ref, rtol=1e-12)
     assert min(ref) > 0
+    # Every window to eigvalsh, one grid time at a time: no screen.
+    grams = np.stack([stacked(t).T @ stacked(t) for t in np.arange(n_pts) * step])
+    cum = np.concatenate([np.zeros((1, n, n)), np.cumsum(0.5 * step * (grams[1:] + grams[:-1]), axis=0)])
+    windows = [cum[m:] - cum[:-m] for m in (int(round(T / step)) for T in T_grid)]
+    np.testing.assert_allclose(
+        alphas, [max(np.linalg.eigvalsh(w)[:, 0].min(), 0.0) for w in windows], rtol=1e-12
+    )
 
     beta = gamma = 0.0
     for t in np.arange(n_pts) * step:
@@ -286,3 +313,90 @@ def test_blocked_analysis_matches_per_time_reference(monkeypatch):
         beta = max(beta, np.linalg.eigvalsh(sum(cps) / len(cps))[-1])
         gamma = max(gamma, np.linalg.norm(np.vstack([m - mean_cpd for m in cpd]), 2))
     np.testing.assert_allclose([report["beta"], report["gamma"]], [beta, gamma], rtol=1e-12)
+
+
+def spectral_matrix(eigs, seed):
+    """Q diag(eigs) Q^T for a random orthogonal Q, exactly symmetric."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    a = (q * eigs) @ q.T
+    return np.tril(a) + np.tril(a, -1).T
+
+
+@st.composite
+def spectra(draw):
+    """Three eigenvalues at a scale of 1e-8..1e8: distinct, repeated, nearly
+    repeated (relative gap 1e-12), with zeros, of mixed sign."""
+    lam = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    pattern = draw(st.sampled_from(["any", "pair", "triple", "near_pair", "near_triple", "zero", "zeros"]))
+    if pattern == "pair":
+        lam[1] = lam[0]
+    elif pattern == "triple":
+        lam[1] = lam[2] = lam[0]
+    elif pattern == "near_pair":
+        lam[1] = lam[0] * (1 + 1e-12)
+    elif pattern == "near_triple":
+        lam[1], lam[2] = lam[0] * (1 + 1e-12), lam[0] * (1 - 1e-12)
+    elif pattern == "zero":
+        lam[0] = 0.0
+    elif pattern == "zeros":
+        lam[0] = lam[1] = 0.0
+    return np.array(lam) * 10.0 ** draw(st.floats(-8.0, 8.0))
+
+
+class TestScreen:
+    @settings(max_examples=400, deadline=None)
+    @given(eigs=spectra(), seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_within_its_margin_of_eigvalsh(self, eigs, seed):
+        a = spectral_matrix(eigs, seed)[None]
+        ref = np.linalg.eigvalsh(a)[0]
+        for largest, want in ((False, ref[0]), (True, ref[-1])):
+            est, margin = sym3_extreme(a, largest)
+            assert abs(est[0] - want) <= margin[0], (largest, est[0], want, margin[0])
+
+    def test_zero_matrix_and_exact_multiple_of_identity(self):
+        a = np.stack([np.zeros((3, 3)), 2.5 * np.eye(3)])
+        for largest in (False, True):
+            est, margin = sym3_extreme(a, largest)
+            np.testing.assert_array_equal(est, [0.0, 2.5])
+            assert np.all(margin > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eigs=spectra(),
+        size=st.integers(1, 40),
+        spread=st.floats(-16.0, 0.0),
+        ties=st.integers(0, 5),
+        largest=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_screened_extreme_is_the_whole_batch_extreme(
+        self, eigs, size, spread, ties, largest, seed
+    ):
+        # Matrices near one spectrum (relative spread 1e-16..1), some drawn
+        # again exactly so that the extreme ties.
+        rng = np.random.default_rng(seed)
+        base = spectral_matrix(eigs, seed)
+        scale = max(np.abs(eigs).max(), 1e-300)
+        noise = rng.normal(size=(size, 3, 3)) * scale * 10.0**spread
+        mats = base + np.tril(noise) + np.swapaxes(np.tril(noise, -1), -1, -2)
+        mats = np.concatenate([mats, mats[rng.integers(0, size, ties)]])
+        eigvals = np.linalg.eigvalsh(mats)
+        whole = eigvals[:, -1].max() if largest else eigvals[:, 0].min()
+        assert extreme_eig(mats, largest) == whole
+
+    def test_nominal_analysis_hands_lapack_few_matrices(self, monkeypatch):
+        # The screen leaves a handful of the 11 885 windows and 2 x 2 501
+        # grid times of nominal_switched's analysis, and the report stays.
+        cfg = load_config(json.loads((SCENARIOS / "nominal_switched.json").read_text()))
+        expected = sim.analysis_report(cfg)
+        handed = []
+        for name in ("eigvalsh", "svd"):
+            fn = getattr(np.linalg, name)
+
+            def counted(a, *args, fn=fn, **kwargs):
+                handed.append(int(np.prod(np.shape(a)[:-2])))
+                return fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert sim.analysis_report(cfg) == expected
+        assert 0 < sum(handed) < 100, handed

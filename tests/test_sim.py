@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -342,6 +344,35 @@ class TestRunScenario:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             run_scenario(cfg)
             faults[t_end] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults[2.0] - faults[1.0] < 1000, faults
+
+    def test_drem_minor_faults_do_not_grow_with_the_horizon(self):
+        # The same for a DREM run (nominal_switched), whose kinds write their
+        # scalarization and adjugate into per-run buffers too. Each horizon
+        # is counted in a new interpreter, whose allocator has not yet been
+        # shaped by other tests, on its second run.
+        pytest.importorskip("resource")
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "import resource, sys\n"
+            "from pathlib import Path\n"
+            "from hiera_est.config import load_config\n"
+            "from hiera_est.sim import run_scenario\n"
+            "from perfbench import workloads\n"
+            "cfg = load_config(workloads.nominal_doc(Path(sys.argv[1]), float(sys.argv[2])))\n"
+            "run_scenario(cfg)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_scenario(cfg)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+        faults = {
+            t_end: int(subprocess.run(
+                [sys.executable, "-c", script, str(root), str(t_end)],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout)
+            for t_end in (1.0, 2.0)
+        }
         assert faults[2.0] - faults[1.0] < 1000, faults
 
     @staticmethod

@@ -13,17 +13,16 @@ as it is: `analyze_scenario` gives alpha(T), beta, gamma and k_min, and
 rule for a window T on the analysis grid; scenario validation applies it to
 analysis.T_grid.
 
-Every analysis constant is the extreme of a batch: the smallest eigenvalue
-over the windows of one T, the largest over the grid times of a block.
-`extreme_eig` gives it as np.linalg.eigvalsh gives it, bit for bit, but
-hands LAPACK only the candidates of a screen: for n = 3 each matrix's
-extreme eigenvalue has a closed form (O. K. Smith, Commun. ACM 1961), whose
-error stays within SCREEN_RTOL (|q| + 2p) of eigvalsh's (J. Kopp, Int. J.
-Mod. Phys. C 2008 bounds the loss near repeated eigenvalues), and only the
-matrices whose interval can hold the batch extreme go to eigvalsh. gamma's
-svd is screened the same way, by the largest eigenvalue of the 3x3 Gram of
-each centered derivative stack. Other n, and batches the screen cannot
-prune, take every matrix.
+Every analysis constant is an extreme eigenvalue of a batch of symmetric
+Grams: alpha(T) the smallest of sum_i C_i^T C_i integrated over the windows
+of T, beta the largest of that Gram over N, and gamma the root of the
+largest of D^T D for the centered derivative stack D. The Gram squares D, so gamma holds while c^4
+is finite (coefficients up to about 1e75). `extreme_eig` gives each extreme
+as np.linalg.eigvalsh gives it, bit for bit, but hands LAPACK only the
+candidates of a screen: for n = 3 each matrix's extreme eigenvalue has a
+closed form (O. K. Smith, Commun. ACM 1961), whose error stays within
+SCREEN_RTOL (|q| + 2p) of eigvalsh's (J. Kopp, Int. J. Mod. Phys. C 2008
+bounds the loss near repeated eigenvalues). Other n take every matrix.
 """
 
 from __future__ import annotations
@@ -62,6 +61,12 @@ def _grams(f: np.ndarray) -> np.ndarray:
     return np.swapaxes(f, -1, -2) @ f
 
 
+def _stacked_grams(gen: RegressorGenerator, c: np.ndarray) -> np.ndarray:
+    """sum_i C_i^T C_i at each time of a block of padded stacks c, shape
+    (B, N, p_max, n) -> (B, n, n): the Gram of the stacked real rows."""
+    return _grams(c.reshape(len(c), -1, gen.n_params)[:, gen.real_rows])
+
+
 def sym3_extreme(mats: np.ndarray, largest: bool) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form smallest (or largest) eigenvalue of each symmetric 3x3
     matrix of a stack (M, 3, 3), and its error margin, both shape (M,).
@@ -85,30 +90,24 @@ def sym3_extreme(mats: np.ndarray, largest: bool) -> tuple[np.ndarray, np.ndarra
         return q + 2.0 * p * np.cos(angle), SCREEN_RTOL * (np.abs(q) + 2.0 * p) + SCREEN_ATOL
 
 
-def _screen(mats: np.ndarray, largest: bool):
-    """The matrices of a stack (M, n, n) whose extreme eigenvalue can be the
-    stack's extreme: a boolean mask, or slice(None) for every matrix (any n
-    but 3, or nothing pruned).
-
-    Each closed-form estimate and its margin give an interval that holds
-    the eigenvalue eigvalsh gives; a matrix is dropped only when its whole
-    interval lies short of another's (for the smallest, mirrored). A NaN
-    estimate is never dropped.
-    """
-    if mats.shape[-1] != 3:
-        return slice(None)
-    est, margin = sym3_extreme(mats, largest)
-    if not largest:
-        est = -est
-    keep = ~(est + margin < np.fmax.reduce(est - margin))
-    return slice(None) if keep.all() else keep
-
-
 def extreme_eig(mats: np.ndarray, largest: bool = False) -> float:
     """The smallest (or largest) eigenvalue over a stack of symmetric
-    matrices (M, n, n), the same float as eigvalsh of the whole stack gives:
-    only the screen's candidates go to np.linalg.eigvalsh."""
-    eigs = np.linalg.eigvalsh(mats[_screen(mats, largest)])
+    matrices (M, n, n), the same float as eigvalsh of the whole stack gives.
+
+    For n = 3 each closed-form estimate and its margin give an interval
+    holding eigvalsh's eigenvalue; a matrix is dropped only when its whole
+    interval lies short of another's (for the smallest, mirrored). A
+    non-finite estimate is never dropped.
+    """
+    if mats.shape[-1] == 3:
+        est, margin = sym3_extreme(mats, largest)
+        if not largest:
+            est = -est
+        with np.errstate(over="ignore", invalid="ignore"):
+            keep = ~(est + margin < np.fmax.reduce(est - margin))
+        if not keep.all():
+            mats = mats[keep]
+    eigs = np.linalg.eigvalsh(mats)
     return float(eigs[:, -1].max() if largest else eigs[:, 0].min())
 
 
@@ -173,27 +172,24 @@ def estimate_assumption_bounds(
 ) -> tuple[float, float]:
     """Sampled sup-norm bounds (beta, gamma) of the surrogate signals.
 
-    beta bounds the norm of the network average of the surrogate matrices;
-    gamma bounds the norm of the consensus-direction-free stacked surrogate
-    derivative, computed with the analytic derivative of the sinusoidal
-    entries. Both are grid maxima times the inflation factor; gamma's svd
-    runs on the grid times the screen keeps for the largest eigenvalue of
-    each stack's Gram, whose square root is the stack's largest singular
-    value.
+    beta bounds the norm of the network average of the surrogate matrices,
+    the largest eigenvalue of sum_i C_i^T C_i over N; gamma bounds the norm
+    of the consensus-direction-free stacked surrogate derivative D, the
+    square root of the largest eigenvalue of D^T D, with the analytic
+    derivative of the sinusoidal entries. Both are grid maxima times the
+    inflation factor.
     """
     if horizon <= 0 or grid_step <= 0:
         raise ValueError("horizon and grid_step must be positive")
-    beta = gamma = 0.0
+    n_beta = gamma_sq = 0.0
     for tb in _grid_blocks(horizon, grid_step):
         c = gen.evaluate_all(tb)  # (B, N, p_max, n)
-        cd = gen.evaluate_all_dot(tb)
-        ct = np.swapaxes(c, -1, -2)
-        cpd = np.swapaxes(cd, -1, -2) @ c + ct @ cd
+        x = np.swapaxes(c, -1, -2) @ gen.evaluate_all_dot(tb)  # d/dt(C^T C) = x + x^T
+        cpd = x + np.swapaxes(x, -1, -2)
         centered = (cpd - cpd.mean(axis=1, keepdims=True)).reshape(len(tb), -1, gen.n_params)
-        beta = max(beta, extreme_eig((ct @ c).mean(axis=1), largest=True))
-        keep = _screen(_grams(centered), largest=True)
-        gamma = max(gamma, float(np.linalg.svd(centered[keep], compute_uv=False)[:, 0].max()))
-    return inflation * beta, inflation * gamma
+        n_beta = max(n_beta, extreme_eig(_stacked_grams(gen, c), largest=True))
+        gamma_sq = max(gamma_sq, extreme_eig(_grams(centered), largest=True))
+    return inflation * (n_beta / gen.n_agents), inflation * math.sqrt(gamma_sq)
 
 
 def _check_constants(n, n_agents, beta, gamma, T, alpha):
@@ -291,13 +287,11 @@ def analyze_scenario(
     alpha_threshold and reports the gain bound at the family's worst-case
     connectivity. gain_margins adds the margins at a chosen gain.
     """
-
-    def stacked_grams(tb):  # the real rows of the padded stack
-        return _grams(gen.evaluate_all(tb).reshape(len(tb), -1, gen.n_params)[:, gen.real_rows])
-
-    min_eigs = _window_min_eigs(stacked_grams, T_grid, horizon, grid_step)
+    min_eigs = _window_min_eigs(
+        lambda tb: _stacked_grams(gen, gen.evaluate_all(tb)), T_grid, horizon, grid_step
+    )
     curve = [(float(T), max(e, 0.0)) for T, e in zip(T_grid, min_eigs)]
-    chosen = next(((T, a) for T, a in curve if a > alpha_threshold), None)
+    chosen = min(((T, a) for T, a in curve if a > alpha_threshold), default=None)
     beta, gamma = estimate_assumption_bounds(gen, horizon, grid_step, inflation)
     lam_m = schedule.lambda_g_min
     lam_max = schedule.lambda_max_family

@@ -406,7 +406,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
 
     half_h = 0.5 * h
 
-    def input_tables(step: int, K: int, c_prev):
+    def input_tables(step: int, K: int):
         """The packed inputs the field reads over the K steps from `step` on.
 
         Step s's RK4 stages c = 0, 1 (twice), 2 visit the half-step grid
@@ -414,18 +414,11 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         spelling of each time, so t + h and (s+1)*h share it. P[j, c] is
         the packed surrogate [C^T C | C^T y] at stage c of step step + j,
         with y = C theta + eta. The regressors are evaluated once per grid
-        time up to t_end; the first time is the previous block's last, whose
-        stack c_prev is carried over. The last step only reads its stage 0,
-        so its other stages repeat it. Returns P and the stack at the block's
-        last grid time, a view of its buffer that the next call reads first.
+        time of the block up to t_end, in one call. The last step only reads
+        its stage 0, so its other stages repeat it.
         """
         m_end = min(2 * (step + K), 2 * n_steps)
-        carried = c_prev is not None
-        times = np.arange(2 * step + carried, m_end + 1) * half_h
-        c_grid = tables("c_grid", (carried + len(times), N, p_max, n))
-        if carried:
-            c_grid[0] = c_prev  # the previous block's last row of this buffer
-        c_grid[carried:] = gen.evaluate_all(times)
+        c_grid = gen.evaluate_all(np.arange(2 * step, m_end + 1) * half_h)
         stages = np.minimum(2 * np.arange(K)[:, None] + np.arange(3), len(c_grid) - 1)
         # The stages are in range; numpy buffers `out` only in mode "raise".
         c = np.take(c_grid, stages, axis=0, out=tables("c", (K, 3, N, p_max, n)), mode="clip")
@@ -442,7 +435,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
             y += noise.reshape(K, 1, N, p_max)
         P = tables("P", (K, 3, N, width))
         surrogate_all(c, y, out=cns.split(P))
-        return P, c_grid[-1]
+        return P
 
     max_conservation = max_asymmetry = 0.0
 
@@ -571,11 +564,10 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     links_up = 0
     next_loss_t = 0.0
     prev_topo_idx = -1
-    c_last = None
 
     for step0 in range(0, n_steps + 1, block):
         K = min(block, n_steps + 1 - step0)
-        P, c_last = input_tables(step0, K, c_last)
+        P = input_tables(step0, K)
         n_int = n_rows = 0  # the block's steps integrated, and table rows written
         lower_failure = None
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 from hiera_est import sim
 from hiera_est.config import load_config
 from hiera_est.excitation import (
+    DEFAULT_ALPHA_THRESHOLD,
     GRID_BLOCK,
     analyze_scenario,
     consensus_error_bound,
@@ -223,6 +225,21 @@ def test_analyze_scenario_report():
     assert report["quantized"]["r_eps"] == 0.0
 
 
+@pytest.mark.parametrize("T_grid", [[0.8, 0.4, 0.2], [0.4, 0.2, 0.8, 0.2]])
+def test_analyze_picks_the_smallest_passing_window_in_any_grid_order(T_grid):
+    gen = sample_coefficients(2, 4, 1, [0, 3], [0.5, 2.5], seed=9)
+    schedule = constant_schedule(topology_from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+    kw = dict(horizon=4.0, grid_step=0.002)
+    increasing = analyze_scenario(gen, schedule, T_grid=[0.2, 0.4, 0.8], **kw)
+    report = analyze_scenario(gen, schedule, T_grid=T_grid, **kw)
+    assert all(p["alpha"] > DEFAULT_ALPHA_THRESHOLD for p in report["alpha_curve"])
+    assert [p["T"] for p in report["alpha_curve"]] == T_grid
+    assert (report["T"], report["alpha"], report["k_min"]) == (
+        increasing["T"], increasing["alpha"], increasing["k_min"]
+    )
+    assert report["T"] == 0.2
+
+
 def test_analyze_scenario_not_pe():
     # single direction regressor: never PE regardless of T
     gen = sample_coefficients(2, 2, 1, [0, 0], [0, 0], seed=0)  # all zeros
@@ -261,9 +278,21 @@ def test_blocked_analysis_matches_per_time_reference_n3(monkeypatch):
     check_blocked_analysis(monkeypatch, n=3)
 
 
-def check_blocked_analysis(monkeypatch, n):
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("scale", [1e-60, 1e40, 1e60])
+def test_blocked_analysis_at_extreme_coefficient_scales(monkeypatch, n, scale):
+    # gamma's Gram scales as c^4 and the n = 3 screen's squares as c^8,
+    # which overflow at 1e40: the screen then keeps every matrix, and warns
+    # of nothing (pytest turns a RuntimeWarning into an error).
+    check_blocked_analysis(monkeypatch, n, scale)
+
+
+def check_blocked_analysis(monkeypatch, n, scale=1.0):
     # Uneven rows, and a grid of three blocks whose last block is partial.
     gen = sample_coefficients(n, 3, [1, 2, 3], [0, 2], [0.5, 3.0], seed=11)
+    gen = dataclasses.replace(gen, **{
+        f: tuple(scale * a for a in getattr(gen, f)) for f in ("offset", "sin_amp", "cos_amp")
+    })
     topo = topology_from_edges(3, [(0, 1), (1, 2)])
     step = 0.01
     n_pts = 2 * GRID_BLOCK + 101
@@ -385,18 +414,20 @@ class TestScreen:
         assert extreme_eig(mats, largest) == whole
 
     def test_nominal_analysis_hands_lapack_few_matrices(self, monkeypatch):
-        # The screen leaves a handful of the 11 885 windows and 2 x 2 501
-        # grid times of nominal_switched's analysis, and the report stays.
+        # alpha, beta and gamma all go through eigvalsh, never svd, and the
+        # screen leaves a handful of the 11 885 windows and 2 x 2 501 grid
+        # times of nominal_switched's analysis; the report stays.
         cfg = load_config(json.loads((SCENARIOS / "nominal_switched.json").read_text()))
         expected = sim.analysis_report(cfg)
-        handed = []
-        for name in ("eigvalsh", "svd"):
+        handed = {"eigvalsh": [], "svd": []}
+        for name in handed:
             fn = getattr(np.linalg, name)
 
-            def counted(a, *args, fn=fn, **kwargs):
-                handed.append(int(np.prod(np.shape(a)[:-2])))
+            def counted(a, *args, fn=fn, name=name, **kwargs):
+                handed[name].append(int(np.prod(np.shape(a)[:-2])))
                 return fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         assert sim.analysis_report(cfg) == expected
-        assert 0 < sum(handed) < 100, handed
+        assert handed["svd"] == []
+        assert 0 < sum(handed["eigvalsh"]) < 100, handed

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiera_est import consensus, estimators, sim
-from hiera_est.config import ConfigError, load_config
+from hiera_est.config import ConfigError, apply_overrides, load_config
 from hiera_est.signals import RegressorGenerator
 from hiera_est.sim import (
     CONSERVATION_TOL,
@@ -30,6 +30,8 @@ from hiera_est.sim import (
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from perfbench import workloads  # noqa: E402
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def small_doc(**over):
@@ -51,6 +53,11 @@ def small_doc(**over):
     }
     doc.update(over)
     return doc
+
+
+def scenario_doc(name, *overrides):
+    """A shipped scenario's document, with --set style overrides."""
+    return apply_overrides(json.loads((SCENARIOS / f"{name}.json").read_text()), list(overrides))
 
 
 @pytest.fixture(scope="module")
@@ -310,8 +317,8 @@ class TestRunScenario:
     ):
         # RK4 visits t, t+h/2 (twice) and t+h; t+h is the next step's t, and a
         # new noise draw held from there on reuses its regressors. Each block
-        # of steps evaluates its stage times in one call, and the time a
-        # block shares with the next is evaluated once.
+        # of steps evaluates its own stage times, clipped at t_end, in one
+        # call, so the time a block shares with the next is evaluated by both.
         times, calls = [], [0]
         evaluate_all = RegressorGenerator.evaluate_all
 
@@ -324,11 +331,45 @@ class TestRunScenario:
         cfg = load_config(small_doc(noise_sd=noise_sd, t_end=0.1))
         run_scenario(cfg)
         n_steps = 100
-        assert len(times) == per_step * n_steps + 1
-        assert calls[0] == -(-(n_steps + 1) // sim.INPUT_BLOCK)
-        # each stage time is on the half-step grid, spelled one way, once
+        n_blocks = -(-(n_steps + 1) // sim.INPUT_BLOCK)
+        assert len(times) == per_step * n_steps + n_blocks
+        assert calls[0] == n_blocks
+        # each stage time is on the half-step grid, spelled one way
         half = 0.5 * cfg.h
-        assert sorted(times) == [m * half for m in range(2 * n_steps + 1)]
+        assert sorted(set(times)) == [m * half for m in range(2 * n_steps + 1)]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            scenario_doc(
+                "nominal_switched",
+                'estimators=["ge","drem","drem_simple","centralized"]',
+                "gamma_centralized=1e-4",
+            ),
+            scenario_doc("packet_loss"),
+            scenario_doc("noisy"),
+            workloads.degraded_doc(3),
+        ],
+        ids=["nominal_all_kinds", "packet_loss", "noisy", "degraded_3"],
+    )
+    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self, doc):
+        # 0.33 and 0.5 end mid-block on a sample, 0.337 on a step that is not
+        # a sample, and 0.64 leaves a one-step last block: the last sample,
+        # the inputs clipped at t_end and the last block's noise draw.
+        long = run_scenario(load_config(apply_overrides(doc, ["t_end=1.0"])))
+        for t_end in (0.33, 0.337, 0.5, 0.64):
+            short = run_scenario(load_config(apply_overrides(doc, [f"t_end={t_end}"])))
+            S = len(short.t)
+            assert S == int(round(t_end / doc["h"])) // doc["decimation"] + 1
+            for key in ("t", "sigma", "links", "cons_err", "yhat_err", "resid_norm"):
+                np.testing.assert_array_equal(getattr(short, key), getattr(long, key)[:S], (t_end, key))
+            assert short.estimators.keys() == long.estimators.keys()
+            for kind, tr in short.estimators.items():
+                for f in dataclasses.fields(tr):
+                    a, b = getattr(tr, f.name), getattr(long.estimators[kind], f.name)
+                    assert (a is None) == (b is None), (t_end, kind, f.name)
+                    if a is not None:
+                        np.testing.assert_array_equal(a, b[:S], (t_end, kind, f.name))
 
     @pytest.mark.parametrize("block", [sim.INPUT_BLOCK, 7, 1])
     def test_minor_faults_do_not_grow_with_the_horizon(self, monkeypatch, block):

@@ -7,6 +7,7 @@ divergence during integration, 4 unwritable output location.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -74,7 +75,7 @@ def _run_one(doc: dict, outdir: str) -> dict:
 def cmd_run(args) -> int:
     doc = _load_doc(args.config, args.set)
     summary = _run_one(doc, args.output)
-    print(json.dumps(summary, indent=2))
+    print(json.dumps(summary, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -84,7 +85,7 @@ def cmd_analyze(args) -> int:
     report = analysis_report(cfg)
     if cfg.k != "auto":
         _add_gain_margins(report, cfg, float(cfg.k))
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -92,7 +93,7 @@ def cmd_gain_bound(args) -> int:
     value = exc.gain_bound(
         args.n, args.N, args.beta, args.gamma, args.T, args.alpha, args.lambda_g
     )
-    print(json.dumps({"k_min": value}))
+    print(json.dumps({"k_min": value}, allow_nan=False))
     return EXIT_OK
 
 
@@ -102,7 +103,7 @@ def cmd_feasibility(args) -> int:
     qb = exc.quantized_bounds(
         consts, args.k, args.lambda_g, args.lambda_max, args.epsilon, args.theta_norm
     )
-    print(json.dumps(qb))
+    print(json.dumps(qb, allow_nan=False))
     return EXIT_OK
 
 
@@ -160,13 +161,12 @@ def cmd_sweep(args) -> int:
         rows.append(row)
 
     base.mkdir(parents=True, exist_ok=True)
-    cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in cols))
-    (base / "sweep.csv").write_text("\n".join(lines) + "\n")
+    with open(base / "sweep.csv", "w", newline="") as f:  # csv quotes a field with a comma
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows(row.values() for row in rows)
 
-    print(json.dumps({"axis": args.axis, "runs": rows}, indent=2))
+    print(json.dumps({"axis": args.axis, "runs": rows}, indent=2, allow_nan=False))
     return EXIT_OK
 
 

@@ -16,8 +16,10 @@ analysis.T_grid.
 Every analysis constant is an extreme eigenvalue of a batch of symmetric
 Grams: alpha(T) the smallest of sum_i C_i^T C_i integrated over the windows
 of T, beta the largest of that Gram over N, and gamma the root of the
-largest of D^T D for the centered derivative stack D. The Gram squares D, so gamma holds while c^4
-is finite (coefficients up to about 1e75). `extreme_eig` gives each extreme
+largest of D^T D for the centered derivative stack D. The Gram squares D,
+so gamma holds while c^4 is finite (coefficients up to about 1e75); the
+grid passes form their Grams with overflow ignored, and `extreme_eig`
+refuses a Gram that is not finite. `extreme_eig` gives each extreme
 as np.linalg.eigvalsh gives it, bit for bit, but hands LAPACK only the
 candidates of a screen: for n = 3 each matrix's extreme eigenvalue has a
 closed form (O. K. Smith, Commun. ACM 1961), whose error stays within
@@ -97,8 +99,14 @@ def extreme_eig(mats: np.ndarray, largest: bool = False) -> float:
     For n = 3 each closed-form estimate and its margin give an interval
     holding eigvalsh's eigenvalue; a matrix is dropped only when its whole
     interval lies short of another's (for the smallest, mirrored). A
-    non-finite estimate is never dropped.
+    non-finite estimate is never dropped; a stack with an entry that is not
+    finite (an overflowed Gram) is refused with a ValueError.
     """
+    if not np.isfinite(mats).all():
+        raise ValueError(
+            "the analysis Grams overflow: the regressor coefficients are too large "
+            "(the analysis holds coefficients up to about 1e75)"
+        )
     if mats.shape[-1] == 3:
         est, margin = sym3_extreme(mats, largest)
         if not largest:
@@ -135,12 +143,13 @@ def _window_min_eigs(grams_at: Callable, windows, horizon: float, grid_step: flo
     for T in windows:
         check_window(T, horizon, grid_step)
 
-    grams = np.concatenate([grams_at(tb) for tb in _grid_blocks(horizon, grid_step)])
-    # Cumulative trapezoid: cum[k] = integral of the Gram from 0 to ts[k].
-    cum = np.zeros_like(grams)
-    np.cumsum(0.5 * grid_step * (grams[1:] + grams[:-1]), axis=0, out=cum[1:])
-    ms = [int(round(T / grid_step)) for T in windows]
-    return [extreme_eig(cum[m:] - cum[:-m]) for m in ms]
+    with np.errstate(over="ignore", invalid="ignore"):  # extreme_eig refuses the overflow
+        grams = np.concatenate([grams_at(tb) for tb in _grid_blocks(horizon, grid_step)])
+        # Cumulative trapezoid: cum[k] = integral of the Gram from 0 to ts[k].
+        cum = np.zeros_like(grams)
+        np.cumsum(0.5 * grid_step * (grams[1:] + grams[:-1]), axis=0, out=cum[1:])
+        ms = [int(round(T / grid_step)) for T in windows]
+        return [extreme_eig(cum[m:] - cum[:-m]) for m in ms]
 
 
 def pe_level(
@@ -184,12 +193,26 @@ def estimate_assumption_bounds(
     n_beta = gamma_sq = 0.0
     for tb in _grid_blocks(horizon, grid_step):
         c = gen.evaluate_all(tb)  # (B, N, p_max, n)
-        x = np.swapaxes(c, -1, -2) @ gen.evaluate_all_dot(tb)  # d/dt(C^T C) = x + x^T
-        cpd = x + np.swapaxes(x, -1, -2)
-        centered = (cpd - cpd.mean(axis=1, keepdims=True)).reshape(len(tb), -1, gen.n_params)
-        n_beta = max(n_beta, extreme_eig(_stacked_grams(gen, c), largest=True))
-        gamma_sq = max(gamma_sq, extreme_eig(_grams(centered), largest=True))
+        with np.errstate(over="ignore", invalid="ignore"):  # extreme_eig refuses the overflow
+            x = np.swapaxes(c, -1, -2) @ gen.evaluate_all_dot(tb)  # d/dt(C^T C) = x + x^T
+            cpd = x + np.swapaxes(x, -1, -2)
+            centered = (cpd - cpd.mean(axis=1, keepdims=True)).reshape(len(tb), -1, gen.n_params)
+            n_beta = max(n_beta, extreme_eig(_stacked_grams(gen, c), largest=True))
+            gamma_sq = max(gamma_sq, extreme_eig(_grams(centered), largest=True))
     return inflation * (n_beta / gen.n_agents), inflation * math.sqrt(gamma_sq)
+
+
+def _finite(name: str, formula: Callable[[], float]) -> float:
+    """formula(), refused with a ValueError that names the quantity when the
+    constants overflow it (a product past the float range, a float ** that
+    raises, or a division by a product that underflowed to 0)."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not finite: the constants overflow a float")
+    return value
 
 
 def _check_constants(n, n_agents, beta, gamma, T, alpha):
@@ -215,14 +238,16 @@ def gain_bound(
 
     Returns 2 n N^2 beta gamma T^2 / (lambda_g alpha^2). Any gain strictly
     above this value preserves the stacked regressor's excitation at every
-    agent's consensus output.
+    agent's consensus output. A bound past the float range is refused.
     """
     if lambda_g <= 0:
         raise ValueError("lambda_g must be positive")
     if alpha <= 0:
         raise ValueError("alpha must be positive (regressor not persistently exciting)")
     _check_constants(n, n_agents, beta, gamma, T, alpha)
-    return 2.0 * n * n_agents**2 * beta * gamma * T**2 / (lambda_g * alpha**2)
+    return _finite(
+        "k_min", lambda: 2.0 * n * n_agents**2 * beta * gamma * T**2 / (lambda_g * alpha**2)
+    )
 
 
 def consensus_error_bound(n: int, gamma: float, k: float, lambda_g: float) -> float:
@@ -231,7 +256,7 @@ def consensus_error_bound(n: int, gamma: float, k: float, lambda_g: float) -> fl
         raise ValueError("k and lambda_g must be positive")
     if gamma < 0 or n <= 0:
         raise ValueError("invalid constants")
-    return n * gamma / (k * lambda_g)
+    return _finite("consensus error ceiling", lambda: n * gamma / (k * lambda_g))
 
 
 def quantized_bounds(
@@ -248,7 +273,8 @@ def quantized_bounds(
     report does). feasible holds iff alpha^2/(T N^2) exceeds
     2 beta T (n gamma/(k lambda_g) + eps n^2 sqrt(N) lambda_max / lambda_g);
     b_eps is the quantized consensus-error ceiling and r_eps the ceiling on
-    the regression-identity residual induced by the quantization step.
+    the regression-identity residual induced by the quantization step. Each
+    value past the float range is refused.
     """
     if lambda_g <= 0:
         raise ValueError("lambda_g must be positive")
@@ -256,19 +282,19 @@ def quantized_bounds(
         raise ValueError("invalid constants")
     n, N, T = c["n"], c["n_agents"], c["T"]
     _check_constants(n, N, c["beta"], c["gamma"], T, c["alpha"])
-    lhs = c["alpha"] ** 2 / (T * N**2)
-    b_eps = (
+    lhs = _finite("alpha^2/(T N^2)", lambda: c["alpha"] ** 2 / (T * N**2))
+    b_eps = _finite("b_eps", lambda: (
         consensus_error_bound(n, c["gamma"], k, lambda_g)
         + epsilon * n**2 * math.sqrt(N) * lambda_max / lambda_g
-    )
-    rhs = 2.0 * c["beta"] * T * b_eps
-    r_eps = (
+    ))
+    rhs = _finite("2 beta T b_eps", lambda: 2.0 * c["beta"] * T * b_eps)
+    r_eps = _finite("r_eps", lambda: (
         epsilon
         * math.sqrt(n * N)
         * lambda_max
         * (math.sqrt(n) * theta_norm + 1.0)
         / lambda_g
-    )
+    ))
     return {"feasible": bool(lhs > rhs), "margin": lhs - rhs, "b_eps": b_eps, "r_eps": r_eps}
 
 

@@ -25,9 +25,10 @@ tables and the upper pass's work arrays are per-run buffers
 (estimators.Buffers), sized on the first, largest block and written with
 out=; the later blocks reuse them, so a GE run faults in no more memory
 per block as it gets longer. Samples, invariant checks and diagnostics are
-read off the tables, batched per block; every state array, lower or upper, is guarded
-and named by one rule (diverged), and the failure that comes first in time
-is raised. Discontinuous inputs (topology switches, packet-loss masks,
+read off the tables, batched per block: one rule (_first_excess) finds and
+names the failing entry of each check (divergence, drift of the consensus
+sums, loss of symmetry), and the failure that comes first in time is
+raised. Discontinuous inputs (topology switches, packet-loss masks,
 measurement noise) are frozen over each step, evaluated at the step's start
 for all four stages, so the per-step field stays smooth.
 
@@ -245,8 +246,6 @@ class TraceSet:
         np.savetxt(path, np.hstack(columns), delimiter=",", header=",".join(header), comments="")
 
 
-
-
 @dataclass(frozen=True)
 class Estimator:
     """One estimator kind, declared once, by its flow.
@@ -308,11 +307,44 @@ ESTIMATORS = {
 _SAMPLED_AS = {"theta": "theta_hat", "phi_int": "phi_sq_int"}
 
 
-def _failure_key(step: int, order: int, value: float = 0.0) -> tuple:
-    """When a failure is raised: by the step it follows, a divergence (order
-    0) before an invariant failure (1) found at the same step, and the
-    larger |value| (NaN the largest) of two divergences."""
-    return step, order, -np.inf if np.isnan(value) else -abs(value)
+def _failure_key(step: int, order: int) -> tuple:
+    """When a failure is raised: by the step of the state it reads, and at
+    step s a divergence (order 0, after step s - 1) before a drift of the
+    consensus sums (1) before a loss of symmetry (2) at the sample."""
+    return step, order
+
+
+def _first_excess(arrays, limit: float, steps, order: int):
+    """The first state entry past `limit` in a list of named arrays.
+
+    arrays holds (name, x, per_agent), x[j] read at step steps[j]. At the
+    first step at which any |entry| passes the limit, its largest |entry|
+    (NaN passes every limit and is the largest; the earlier array wins an
+    exact tie) as (_failure_key(step, order), name, agent, entry, value):
+    agent None without an agent axis, entry the index past it, value the
+    signed entry; None if no entry passes. Also returns the largest |entry|
+    over all steps (0.0 if none).
+    """
+    peaks = np.array([np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
+                      for _, x, _ in arrays])  # (array, step)
+    largest = float(peaks.max(initial=0.0))
+    over = np.flatnonzero(~(peaks <= limit).all(axis=0))
+    if not over.size:
+        return None, largest
+    j = int(over[0])
+    name, x, per_agent = arrays[int(np.argmax(peaks[:, j]))]  # argmax: NaN, else the first
+    index = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(x[j])), x.shape[1:]))
+    agent, entry = (index[0], index[1:]) if per_agent else (None, index)
+    return (_failure_key(int(steps[j]), order), name, agent, entry, float(x[j][index])), largest
+
+
+# Each check's error and message, by its order in _failure_key.
+_FAILURES = (
+    (SimulationDiverged, "state component '{where}' diverged at t={t:g} (value {value:.3e})"),
+    (InvariantViolation, "consensus-state sums drifted at t={t:g}: {value:.3e} in {where}"),
+    (InvariantViolation,
+     "integrator state lost symmetry at t={t:g}: {value:.3e} in {where} at agent {agent}"),
+)
 
 
 def analysis_report(cfg: ScenarioConfig) -> dict:
@@ -386,15 +418,15 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     # Block tables. Row j is the block's step step0 + j and column ev RK4's
     # evaluation ev of it: the lower state S and the outputs Z at every
     # evaluation, and each upper array's state at every step (row 0 the
-    # block's first), allocated by the first upper pass. Every other
-    # block-sized array is a per-run buffer too, written with out=: the
-    # input tables', each kind's flow's (work[kind]) and each flow's RK4
-    # map's (work["<kind>.<name>"]).
+    # block's first), allocated by the first upper pass with guarded, the
+    # per_agent of each flow with a B. Every other block-sized array is a
+    # per-run buffer too, written with out=: the input tables', each kind's
+    # flow's (work[kind]) and each flow's RK4 map's (work["<kind>.<name>"]).
     block = INPUT_BLOCK
     state = np.zeros((N, 1 + r, width))
-    lower_tab = np.empty((block, 4, *state.shape))
+    lower_tab = np.empty((block + 1, 4, *state.shape))
     z_tab = np.empty((block, 4, N, width))
-    upper = {}
+    upper, guarded = {}, {}
     tables = est.Buffers()
     work = defaultdict(est.Buffers)
 
@@ -437,65 +469,6 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         surrogate_all(c, y, out=cns.split(P))
         return P
 
-    max_conservation = max_asymmetry = 0.0
-
-    def check_invariants(steps, X, x):
-        """The state-sum and symmetry checks of the samples at `steps`, from
-        their consensus states X and x: updates the maxima, and returns the
-        first failure as (key, InvariantViolation), or None."""
-        nonlocal max_conservation, max_asymmetry
-        sum_X, sum_x = np.abs(X.sum(axis=1)), np.abs(x.sum(axis=1))
-        x_sum, xs_sum = sum_X.max(axis=(1, 2)), sum_x.max(axis=1)
-        agent_asym = np.max(np.abs(X - X.swapaxes(-1, -2)), axis=(2, 3))
-        asym = agent_asym.max(axis=1)
-        drifted = (x_sum > CONSERVATION_TOL) | (xs_sum > CONSERVATION_TOL)
-        bad = np.flatnonzero(drifted | (asym > SYMMETRY_TOL))
-        if not bad.size:
-            max_conservation = max(max_conservation, x_sum.max(), xs_sum.max())
-            max_asymmetry = max(max_asymmetry, asym.max())
-            return None
-        f = bad[0]
-        step = int(steps[f])
-        t = step * h
-        if drifted[f]:
-            block, sums = ("X", sum_X[f]) if x_sum[f] >= xs_sum[f] else ("x", sum_x[f])
-            entry = np.unravel_index(np.argmax(sums), sums.shape)
-            error = InvariantViolation(
-                f"consensus-state sums drifted at t={t:g}: "
-                f"max|sum X|={x_sum[f]:.3e}, max|sum x|={xs_sum[f]:.3e}",
-                block, None, tuple(int(j) for j in entry), t, float(max(x_sum[f], xs_sum[f])),
-            )
-        else:
-            agent = int(np.argmax(agent_asym[f]))
-            skew = np.abs(X[f, agent] - X[f, agent].T)
-            entry = tuple(int(j) for j in np.unravel_index(np.argmax(skew), skew.shape))
-            error = InvariantViolation(
-                f"integrator state lost symmetry at t={t:g}: {asym[f]:.3e} "
-                f"in {_entry_name('X', agent, entry)} at agent {agent}",
-                "X", agent, entry, t, float(asym[f]),
-            )
-        return _failure_key(step, 1), error
-
-    def diverged(block: str, x: np.ndarray, per_agent: bool, step0: int):
-        """The divergence of array `block`, whose states after steps step0,
-        step0 + 1, ... are x[0], x[1], ...: at the first step with an entry
-        past the limit, its largest |entry| (NaN the largest), named by its
-        index in the array, as (key, SimulationDiverged); None if none is."""
-        peak = np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
-        over = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))  # NaN is over
-        if not over.size:
-            return None
-        j = int(over[0])
-        index = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(x[j])), x.shape[1:]))
-        agent, entry = (index[0], index[1:]) if per_agent else (None, index)
-        step, value = step0 + j, float(x[j][index])
-        t = step * h + h
-        return _failure_key(step + 1, 0, value), SimulationDiverged(
-            f"state component '{_entry_name(block, agent, entry)}' diverged "
-            f"at t={t:g} (value {value:.3e})",
-            block, agent, entry, t, value,
-        )
-
     def field(t: float, S: np.ndarray) -> np.ndarray:
         """The lower layer's derivative: dac_derivative in each agent's row 0
         and drem_filter_derivative in its filter rows. Evaluation ev of a
@@ -514,33 +487,32 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
             )
         return dS
 
-    def upper_pass(step0: int, n_int: int, n_rows: int):
+    def upper_pass(n_int: int, n_rows: int):
         """Every kind's coefficients over the block's n_rows table rows in one
         flow call, and each flow's array advanced over its n_int steps by its
         RK4 maps. The flows read the tables tab: "Z", the (K, 4, N, n^2 + n)
         packed outputs; "P", the (K, 3, N, n^2 + n) packed inputs at each
         step's half-step stages (STAGE_INPUT maps evaluations to them); and
-        "z", the filter rows (K, 4, N, r, n^2 + n).
-        Returns each kind's sample fields and the divergence of every guarded
-        array as (key, SimulationDiverged)."""
+        "z", the filter rows (K, 4, N, r, n^2 + n). Returns each kind's
+        sample fields."""
         if not n_rows:
-            return {}, []
+            return {}
         tab = {"Z": z_tab[:n_rows], "P": P[:n_rows], "z": lower_tab[:n_rows, :, :, 1:]}
-        sample_fields, failures = {}, []
+        sample_fields = {}
         for kind, spec in kinds.items():
             coeffs, sample_fields[kind] = spec.flow(cfg, tab, work[kind])
             for name, (a, B) in coeffs.items():
                 key = f"{kind}.{name}"
                 if key not in upper:
                     upper[key] = np.zeros((block + 1, *a.shape[2:]))
+                    if B is not None:
+                        guarded[key] = spec.per_agent
                 D, rho = affine_rk4(h, a[:n_int], None if B is None else B[:n_int], work[key])
                 # A flow that diverges overflows in the block's later steps;
-                # diverged names its first step.
+                # the block's check names its first step.
                 with np.errstate(over="ignore", invalid="ignore"):
                     _affine_scan(upper[key][:n_int + 1], D, rho)
-                if B is not None:
-                    failures.append(diverged(key, upper[key][1:n_int + 1], spec.per_agent, step0))
-        return sample_fields, [f for f in failures if f]
+        return sample_fields
 
     def write_samples(rows, slots, sample_fields):
         """Samples `slots` from the block's table rows `rows`."""
@@ -564,15 +536,15 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     links_up = 0
     next_loss_t = 0.0
     prev_topo_idx = -1
+    max_conservation = max_asymmetry = 0.0
 
     for step0 in range(0, n_steps + 1, block):
         K = min(block, n_steps + 1 - step0)
         P = input_tables(step0, K)
         n_int = n_rows = 0  # the block's steps integrated, and table rows written
-        lower_failure = None
 
         # Lower pass: one RK4 step of the lower layer per step, up to its
-        # first divergence.
+        # first divergence, which stops it before NaN reaches the upper pass.
         for step in range(step0, step0 + K):
             t = step * h
             topo_idx = active_topology(cfg.schedule, min(t, cfg.t_end))
@@ -599,12 +571,6 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
                 state = rk4_step(field, state, t, h)
                 n_int = n_rows = n_int + 1
                 if not np.abs(state).max() <= DIVERGENCE_LIMIT:  # NaN is over
-                    # The lower state's named split views; an earlier view
-                    # wins an exact tie.
-                    views = (*cns.split(state[:, 0]), *cns.split(state[:, 1:]))
-                    found = [diverged(name, v[None], True, step)
-                             for name, v in zip(("X", "x", "drem.zC", "drem.zy"), views)]
-                    lower_failure = min((f for f in found if f), key=lambda f: f[0])
                     break
             elif step % dec == 0:  # the last sample has no step after it
                 field(t, state)
@@ -612,16 +578,34 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
                 lower_tab[j, 1:], z_tab[j, 1:] = lower_tab[j, 0], z_tab[j, 0]
                 n_rows += 1
 
-        # The block's samples, checked on their lower states; then the upper
-        # pass. The failure that comes first in time is raised.
+        lower_tab[n_int, 0] = state  # rows 1..n_int: the lower state after each step
         rows = np.arange(-step0 % dec, n_rows, dec)
-        invariant_failure = rows.size and check_invariants(
-            step0 + rows, *cns.split(lower_tab[rows, 0, :, 0])
-        )
-        sample_fields, upper_failures = upper_pass(step0, n_int, n_rows)
-        failures = [f for f in (lower_failure, invariant_failure) if f] + upper_failures
+        sample_fields = upper_pass(n_int, n_rows)
+
+        # The block's checks, one rule each: every lower and guarded upper
+        # array after each step, the sums and the symmetry of X at the
+        # samples. The failure that comes first in time is raised.
+        after = lower_tab[1:n_int + 1, 0]
+        views = (*cns.split(after[:, :, 0]), *cns.split(after[:, :, 1:]))
+        X, x = cns.split(lower_tab[rows, 0, :, 0])
+        checks = [
+            ([(name, v, True) for name, v in zip(("X", "x", "drem.zC", "drem.zy"), views)]
+             + [(key, upper[key][1:n_int + 1], per_agent) for key, per_agent in guarded.items()],
+             DIVERGENCE_LIMIT, step0 + 1 + np.arange(n_int)),
+            ([("X", np.abs(X.sum(axis=1)), False), ("x", np.abs(x.sum(axis=1)), False)],
+             CONSERVATION_TOL, step0 + rows),
+            ([("X", np.abs(X - X.swapaxes(-1, -2)), True)], SYMMETRY_TOL, step0 + rows),
+        ]
+        found = [_first_excess(*check, order) for order, check in enumerate(checks)]
+        max_conservation = max(max_conservation, found[1][1])
+        max_asymmetry = max(max_asymmetry, found[2][1])
+        failures = [failure for failure, _ in found if failure]
         if failures:
-            raise min(failures, key=lambda f: f[0])[1]
+            (step, order), name, agent, entry, value = min(failures, key=lambda f: f[0])
+            error, text = _FAILURES[order]
+            where, t = _entry_name(name, agent, entry), step * h
+            raise error(text.format(where=where, t=t, value=value, agent=agent),
+                        name, agent, entry, t, value)
         if rows.size:
             write_samples(rows, (step0 + rows) // dec, sample_fields)
         for x in upper.values():
@@ -739,7 +723,6 @@ def write_run_dir(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(outdir / "traces.csv")
-    (outdir / "metrics.json").write_text(json.dumps(metrics, indent=2))
-    if constants is not None:
-        (outdir / "constants.json").write_text(json.dumps(constants, indent=2))
-    (outdir / "config-echo.json").write_text(json.dumps(cfg.echo(), indent=2))
+    for name, doc in (("metrics", metrics), ("constants", constants), ("config-echo", cfg.echo())):
+        if doc is not None:
+            (outdir / f"{name}.json").write_text(json.dumps(doc, indent=2, allow_nan=False))

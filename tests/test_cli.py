@@ -1,5 +1,8 @@
+import csv
 import dataclasses
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +417,24 @@ class TestSweep:
         assert (out / "epsilon=0" / "traces.csv").exists()
         assert (out / "epsilon=0.018" / "traces.csv").exists()
 
+    def test_output_path_with_a_comma(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "sw,eep"
+        code = main(
+            [
+                "sweep", "-c", str(scenario_file), "-o", str(out),
+                "--axis", "epsilon", "--values", "0,0.018", "--set", "t_end=0.1",
+            ]
+        )
+        assert code == EXIT_OK
+        with open(out / "sweep.csv", newline="") as f:
+            header = next(csv.reader(f))
+            f.seek(0)
+            rows = list(csv.DictReader(f))
+        assert [(r["value"], r["outdir"]) for r in rows] == [
+            ("0.0", str(out / "epsilon=0")), ("0.018", str(out / "epsilon=0.018"))
+        ]
+        assert all(len(r) == len(header) and None not in r for r in rows)
+
     def test_bad_values(self, scenario_file, tmp_path):
         code = main(
             [
@@ -553,3 +574,36 @@ def test_every_json_output_holds_plain_values(
     for doc in written:
         bad = {type(x).__name__ for x in leaves(doc) if type(x) not in PLAIN}
         assert not bad, bad
+        infinite = [x for x in leaves(doc) if type(x) is float and not math.isfinite(x)]
+        assert not infinite, infinite
+
+
+NOMINAL = str(ROOT / "scenarios" / "nominal_switched.json")
+HUGE = ["--n", "3", "--N", "10", "--beta", "1e300", "--gamma", "1e300", "--T", "1",
+        "--alpha", "1", "--lambda-g", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # beta and gamma are finite, their product in k_min is not
+        (["analyze", "-c", NOMINAL, "--set", "coeff_range=[0,1e76]"], "k_min is not finite"),
+        # the gamma Gram (c^4) overflows
+        (["analyze", "-c", NOMINAL, "--set", "coeff_range=[0,1e80]"], "analysis Grams overflow"),
+        (["run", "-c", NOMINAL, "-o", "{tmp}/run", "--set", "coeff_range=[0,1e80]"],
+         "analysis Grams overflow"),
+        (["gain-bound", *HUGE], "k_min is not finite"),
+        (["feasibility", *HUGE, "--k", "1e-300", "--lambda-max", "1e300", "--epsilon", "1e300"],
+         "consensus error ceiling is not finite"),
+    ],
+    ids=["analyze-k_min", "analyze-gram", "run-gram", "gain-bound", "feasibility"],
+)
+def test_values_past_the_float_range_refused(argv, message, tmp_path, capsys):
+    # Each printed Infinity, or failed with numpy's warning and LAPACK's
+    # error, before it was refused.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == EXIT_VALIDATION
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,30 @@ class TestEstimateBounds:
         b1, g1 = estimate_assumption_bounds(gen, 2.0, 0.01, inflation=1.0)
         b2, g2 = estimate_assumption_bounds(gen, 2.0, 0.01, inflation=1.1)
         np.testing.assert_allclose([b2, g2], [1.1 * b1, 1.1 * g1], rtol=1e-12)
+
+
+REF = dict(beta=20.769, gamma=8.3966, alpha=51.326, T=0.16, n=3, n_agents=10)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: gain_bound(3, 10, 1e300, 1e300, 1.0, 1.0, 1.0), "k_min"),
+        (lambda: gain_bound(3, 10, 1.0, 1.0, 1e200, 1.0, 1.0), "k_min"),  # T**2 raises
+        (lambda: gain_bound(3, 10, 1.0, 1.0, 1.0, 1e-200, 1.0), "k_min"),  # alpha**2 is 0
+        (lambda: consensus_error_bound(3, 1e300, 1e-300, 1.0), "consensus error ceiling"),
+        (lambda: quantized_bounds({**REF, "alpha": 1e200}, 2.806, 0.367, 4.0, 0.0, 0.0),
+         "alpha^2/(T N^2)"),
+        (lambda: quantized_bounds(REF, 2.806, 0.367, 1e300, 1e300, 0.0), "b_eps"),
+        (lambda: quantized_bounds({**REF, "beta": 1e307}, 2.806, 0.367, 4.0, 1e3, 0.0),
+         "2 beta T b_eps"),
+        (lambda: quantized_bounds(REF, 2.806, 0.367, 4.0, 1.0, 1e307), "r_eps"),
+        (lambda: extreme_eig(np.full((2, 3, 3), np.inf)), "the analysis Grams overflow"),
+    ],
+)
+def test_values_past_the_float_range_refused_by_name(call, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)}"):
+        call()
 
 
 class TestQuantizedBounds:

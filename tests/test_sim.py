@@ -264,6 +264,57 @@ class TestAffineRk4:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
+ENTRIES = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def named_arrays(draw):
+    """1-4 named arrays over the same random steps, each with or without
+    an agent axis, of entries that repeat, tie and pass any limit."""
+    n_steps = draw(st.integers(0, 4))
+    steps = draw(st.lists(st.integers(0, 50), min_size=n_steps, max_size=n_steps))
+    arrays = []
+    for i in range(draw(st.integers(1, 4))):
+        shape = (n_steps, *draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        flat = draw(st.lists(ENTRIES, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        arrays.append((f"a{i}", np.array(flat, dtype=float).reshape(shape), draw(st.booleans())))
+    return arrays, steps
+
+
+def first_excess_by_loops(arrays, limit, steps, order):
+    """_first_excess as plain loops: over steps, then arrays in order, then
+    flat indices, keeping the largest |entry| (NaN the largest, the first
+    of equals)."""
+    largest = 0.0
+    for _, x, _ in arrays:
+        for v in np.abs(x).flat:
+            if np.isnan(v) or v > largest:
+                largest = v
+    for j, step in enumerate(steps):
+        best = None
+        for name, x, per_agent in arrays:
+            for flat, v in enumerate(x[j].flat):
+                if best is None or (np.isnan(abs(v)) and not np.isnan(best[0])) or abs(v) > best[0]:
+                    best = (abs(v), name, per_agent, np.unravel_index(flat, x.shape[1:]), v)
+        if best is not None and not best[0] <= limit:
+            _, name, per_agent, index, v = best
+            index = tuple(int(i) for i in index)
+            agent, entry = (index[0], index[1:]) if per_agent else (None, index)
+            return ((int(step), order), name, agent, entry, float(v)), float(largest)
+    return None, float(largest)
+
+
+class TestFirstExcess:
+    @given(named_arrays(), st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.integers(0, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_plain_loops(self, drawn, limit, order):
+        arrays, steps = drawn
+        got = sim._first_excess(arrays, limit, np.array(steps, dtype=int), order)
+        want = first_excess_by_loops(arrays, limit, steps, order)
+        # repr compares NaN with NaN, and tells -0.0 and types apart
+        assert repr(got) == repr(want)
+
+
 class TestRunScenario:
     def test_deterministic(self, small_trace):
         again = run_scenario(load_config(small_doc()))
@@ -644,6 +695,39 @@ class TestRunScenario:
         monkeypatch.setattr(sim.cns, "dac_derivative", drifting)
         with pytest.raises(error, match=message):
             run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.1)))
+
+    @pytest.mark.parametrize(
+        "lower, upper, block",
+        [
+            (1e19, 1e18, "X"),
+            (1e18, 1e19, "probe.theta"),
+            (np.nan, 1e19, "X"),
+            (1e19, np.nan, "probe.theta"),
+        ],
+        ids=["lower-larger", "upper-larger", "lower-nan", "upper-nan"],
+    )
+    def test_same_step_divergences_raise_the_larger(self, monkeypatch, lower, upper, block):
+        # Agent 1's X[0, 0] (lower layer) and the probe kind's theta[2, 1]
+        # (upper layer) both pass the limit in the first step; whichever
+        # layer holds it, the larger |value| is raised, NaN the largest.
+        dac = consensus.dac_derivative
+
+        def blown(out, lap, k, eps=0.0):
+            d = dac(out, lap, k, eps)
+            d[1, 0] += lower
+            return d
+
+        monkeypatch.setattr(sim.cns, "dac_derivative", blown)
+        monkeypatch.setitem(sim.ESTIMATORS, "probe", sim.Estimator(flow=self.probe_flow(upper)))
+        with pytest.raises(SimulationDiverged, match=r"diverged at t=0\.001 ") as err:
+            run_scenario(load_config(small_doc(estimators=["probe"], t_end=0.01)))
+        e = err.value
+        assert e.block == block
+        if np.isnan(lower) or np.isnan(upper):
+            assert np.isnan(e.value)
+        else:
+            assert (e.agent, e.entry) == ((1, (0, 0)) if block == "X" else (2, (1,)))
+            assert abs(e.value) > 5e14
 
     @pytest.mark.parametrize(
         "n, filt, column", [(n, f, c) for n in (1, 2, 3) for f in (0, 1) for c in range(n * n + n)]

@@ -8,7 +8,6 @@ from a family as a piecewise-constant, right-continuous function of time.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,10 +166,12 @@ def constant_schedule(topo: Topology) -> SwitchingSchedule:
     )
 
 
-def active_topology(schedule: SwitchingSchedule, t: float) -> int:
-    """Topology index active at time t (right-continuous at switch instants)."""
-    if t < 0:
+def active_topology(schedule: SwitchingSchedule, t):
+    """Topology index active at time t (right-continuous at switch instants):
+    an int for a scalar t, an int array for an array of times."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    starts = [s for s, _ in schedule.segments]
-    k = bisect_right(starts, t) - 1
-    return schedule.segments[k][1]
+    starts, graphs = np.array(schedule.segments).T
+    k = np.searchsorted(starts, t, side="right") - 1
+    return graphs.astype(int)[k] if k.ndim else int(graphs[k])

@@ -8,18 +8,25 @@ layer's stage values, so the runner makes two passes over each block of
 INPUT_BLOCK steps. The lower state is one array S of shape
 (N, 1 + r, n^2 + n): row 0 is each agent's consensus row [vec(X_i) | x_i],
 rows 1..r its DREM filter rows [vec(zC) | zy] (r = 0 when no kind reads
-them). The lower pass steps S with rk4_step, once per step; its field
-returns consensus.dac_derivative in row 0 and
-estimators.drem_filter_derivative in the filter rows, and writes S and
-the packed outputs Z = P - S[:, 0] of each of RK4's four evaluations into
-(K, 4, ...) block tables, which every layer reads as plain packed arrays.
+them). The lower field is consensus.dac_derivative in row 0 and
+estimators.drem_filter_derivative in the filter rows. At eps > 0 (a
+quantized field) the lower pass steps S with rk4_step, once per step. At
+eps = 0 the field is linear, S' = A S + B P(t), with A and B fixed between
+the run's network events (network_events: graph switches and loss
+redraws), so RK4's step and each of its stage states are fixed matrices
+applied to [S_j; P_j] (linear_rk4); the pass forms them once per event,
+through the field, and steps each segment of a block with one product for
+the input terms, a scan S_j+1 = S_j + (D S_j + E P_j) and one product for
+the stage states. Either pass writes S and the packed outputs
+Z = P - S[:, 0] of each of RK4's four evaluations into (K, 4, ...) block
+tables, which every layer reads as plain packed arrays.
 The upper state is one array per flow, "<kind>.<name>", holding its state
 at each step of the block. The upper pass calls each kind's flow once over
 all the block's stage rows to get its coefficients (a, B), turns them into
 RK4's one-step maps x+ = x + (D x + rho) (affine_rk4), and scans the steps
 with one product and one add each. [D | rho] is rk4_increment of the
 homogeneous flow [X | x]' = [0 | a] - B [X | x] from [I | 0], the one RK4
-tableau, which rk4_step adds to the lower state. The n x n products are
+tableau, which also gives the lower layer's steps and maps. The n x n products are
 np.einsum contractions over the whole block. The block tables, the input
 tables and the upper pass's work arrays are per-run buffers
 (estimators.Buffers), sized on the first, largest block and written with
@@ -190,6 +197,39 @@ def affine_rk4(h: float, a: np.ndarray, B: np.ndarray | None, buffers: est.Buffe
     return D, rho
 
 
+def linear_rk4(derivative, N: int, rows: int, h: float, buffers: est.Buffers):
+    """RK4's one-step map and stage maps of a linear field S' = f(S, P).
+
+    The state S is (N, rows, w), agent-major, and P_c (N, w) the step's input
+    at half-step stage c, read by evaluation e at c = STAGE_INPUT[e]; the
+    field is derivative(S, P_c - S[:, 0]), linear in S and P_c together,
+    with one map for every one of the w columns. Over the flat (agent, row)
+    axis of size M = N rows, the step from S_j with inputs P_j is
+    S_j + [D | E] U_j and its evaluation e reads the stage state T_e U_j,
+    U_j = [S_j; P_j0; P_jm; P_j1] of size C = M + 3N: [D | E] is
+    rk4_increment of the homogeneous form from [I | 0], whose width axis
+    carries the C basis columns, and T_e is the state evaluation e is
+    given (T_0 = [I | 0]). Returns [D | E], (M, C), and T_1..T_3 stacked,
+    (3M, C), written into `buffers` (an estimators.Buffers).
+    """
+    M = N * rows
+    C = M + 3 * N
+    start, acc, stage = (buffers(key, (N, rows, C)) for key in ("start", "acc", "stage"))
+    np.copyto(start.reshape(M, C), np.eye(M, C))
+    inputs = np.eye(3 * N, C, M).reshape(3, N, C)  # P_c's basis columns
+    stages = buffers("stages", (3, M, C))
+    evals = iter(range(4))
+
+    def field(t, Y):
+        e = next(evals)
+        if e:
+            stages[e - 1] = Y.reshape(M, C)
+        return derivative(Y, inputs[STAGE_INPUT[e]] - Y[:, 0])
+
+    rk4_increment(field, start, 0.0, h, acc, stage)
+    return acc.reshape(M, C), stages.reshape(3 * M, C)
+
+
 def _affine_scan(x: np.ndarray, D: np.ndarray | None, rho: np.ndarray):
     """x[j + 1] = x[j] + (D[j] x[j] + rho[j]) for every step j of rho, in place:
     x[0] is the start, and D is affine_rk4's (None, diagonal or full)."""
@@ -347,6 +387,48 @@ _FAILURES = (
 )
 
 
+def network_events(cfg: ScenarioConfig, n_steps: int):
+    """The run's network events over steps 0..n_steps, in time order.
+
+    An event is a step at which the Laplacian changes: step 0, each graph
+    switch (active_topology at the step's time, clipped at t_end) and, with
+    packet loss, each redraw of the loss mask. A switch forces a redraw;
+    otherwise the mask is redrawn at the first step at least
+    loss_resample_dt - h/2 after the last draw, with one uniform per edge of
+    the graph (i < j, row-major) from the run's loss stream. Returns the
+    arrays (steps, graphs, links) of each event's step, graph index and
+    number of links up, and its Laplacian (consensus.effective_laplacian),
+    built once per event, stacked (events, N, N).
+    """
+    h, topologies = cfg.h, cfg.schedule.topologies
+    t = np.arange(n_steps + 1) * h
+    graph = active_topology(cfg.schedule, np.minimum(t, cfg.t_end))
+    switches = np.flatnonzero(np.diff(graph, prepend=-1))
+    edges = [np.nonzero(np.triu(topo.adjacency)) for topo in topologies]
+    if cfg.p_loss == 0:
+        steps, masks = switches, [None] * len(switches)
+        links = [len(edges[g][0]) for g in graph[switches]]
+    else:
+        loss_rng = loss_stream(cfg.seed)
+        steps, masks, links = [], [], []
+        step = 0
+        while step <= n_steps:
+            iu, ju = edges[graph[step]]
+            down = loss_rng.random(len(iu)) < cfg.p_loss
+            mask = np.ones((cfg.n_agents,) * 2, dtype=bool)
+            mask[iu[down], ju[down]] = mask[ju[down], iu[down]] = False
+            steps.append(step)
+            masks.append(mask)
+            links.append(len(iu) - int(down.sum()))
+            next_switch = switches[np.searchsorted(switches, step, side="right"):][:1]
+            next_draw = np.searchsorted(t, t[step] + cfg.loss_resample_dt - 0.5 * h)
+            step = min(max(next_draw, step + 1), *next_switch, n_steps + 1)
+    steps = np.asarray(steps, dtype=int)
+    laps = np.array([cns.effective_laplacian(topologies[g], mask)
+                     for g, mask in zip(graph[steps], masks)])
+    return steps, graph[steps], np.asarray(links, dtype=int), laps
+
+
 def analysis_report(cfg: ScenarioConfig) -> dict:
     """The excitation report of a scenario: one pass of the analysis."""
     a: AnalysisConfig = cfg.analysis
@@ -407,9 +489,12 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
 
     n_steps = int(round(cfg.t_end / h))
     n_samples = n_steps // dec + 1
-    ts = np.empty(n_samples)
-    sigmas = np.empty(n_samples, dtype=int)
-    links = np.zeros(n_samples, dtype=int)
+    # The network: the Laplacian in force at each step (event_at), and the
+    # sampled graph and links up.
+    ev_steps, ev_graphs, ev_links, laps = network_events(cfg, n_steps)
+    event_at = np.searchsorted(ev_steps, np.arange(n_steps + 1), side="right") - 1
+    ts = np.arange(n_samples) * dec * h
+    sigmas, links = ev_graphs[event_at[::dec]], ev_links[event_at[::dec]]
     cons_err = np.empty((n_samples, N))
     yhat_err = np.empty((n_samples, N))
     resid_norm = np.empty((n_samples, N))
@@ -424,7 +509,9 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     # flow's (work[kind]) and each flow's RK4 map's (work["<kind>.<name>"]).
     block = INPUT_BLOCK
     state = np.zeros((N, 1 + r, width))
-    lower_tab = np.empty((block + 1, 4, *state.shape))
+    M = N * (1 + r)  # the lower state's rows, flat (agent, row)
+    lower_flat = np.empty((block + 1, 4 * M, width))  # evaluation-major
+    lower_tab = lower_flat.reshape(block + 1, 4, *state.shape)
     z_tab = np.empty((block, 4, N, width))
     upper, guarded = {}, {}
     tables = est.Buffers()
@@ -434,7 +521,6 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     noise_rngs = (
         [noise_stream(cfg.seed, i) for i in range(N)] if cfg.noise_sd > 0 else None
     )
-    loss_rng = loss_stream(cfg.seed) if cfg.p_loss > 0 else None
 
     half_h = 0.5 * h
 
@@ -469,23 +555,76 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         surrogate_all(c, y, out=cns.split(P))
         return P
 
-    def field(t: float, S: np.ndarray) -> np.ndarray:
-        """The lower layer's derivative: dac_derivative in each agent's row 0
-        and drem_filter_derivative in its filter rows. Evaluation ev of a
-        step writes its state and outputs to table row (step - step0, ev).
-        ev, step, step0, P and lap are the current evaluation's, step's and
-        block's."""
-        nonlocal ev
-        j, e = step - step0, ev
-        ev += 1
-        lower_tab[j, e] = S
-        Z = np.subtract(P[j, STAGE_INPUT[e]], S[:, 0], out=z_tab[j, e])
+    def derivative(S: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """The lower layer's derivative at state S and outputs Z = P - S[:, 0]:
+        dac_derivative in each agent's row 0 and drem_filter_derivative in
+        its filter rows, through the current Laplacian lap."""
         dS = cns.dac_derivative(Z, lap, k, cfg.epsilon)[:, None]
         if r:
             dS = np.concatenate(
                 [dS, est.drem_filter_derivative(cfg.drem_filters, S[:, 1:], Z)], axis=1
             )
         return dS
+
+    def field(t: float, S: np.ndarray) -> np.ndarray:
+        """The lower layer's field, for rk4_step. Evaluation ev of a step
+        writes its state and outputs to table row (step - step0, ev). ev,
+        step, step0 and P are the current evaluation's, step's and block's."""
+        nonlocal ev
+        j, e = step - step0, ev
+        ev += 1
+        lower_tab[j, e] = S
+        return derivative(S, np.subtract(P[j, STAGE_INPUT[e]], S[:, 0], out=z_tab[j, e]))
+
+    def mapped_pass(K: int) -> tuple[int, int]:
+        """The lower pass at eps = 0, where the field is linear: the block's
+        steps from step0 by RK4's maps (linear_rk4 of derivative), formed
+        once per network event, in one pass per event's segment of the
+        block: every step's input term E P_j in one product, the scan S_j+1
+        = S_j + (D S_j + E P_j), and the states of evaluations 1..3, T U_j,
+        in one product. Stops after the first step that diverges, as the
+        stepped pass does. Writes the tables as the stepped pass does and
+        returns the steps integrated and the table rows written."""
+        nonlocal lap, formed, maps
+        n = min(K, n_steps - step0)
+        P_flat = P.reshape(K, 3 * N, width)
+        U = tables("U", (block + 1, C, width))  # row j: [S_j; P_j]
+        U[:K, M:] = P_flat
+        S = U[:, :M]
+        S[0] = state.reshape(M, width)
+        v, dS = tables("v", (block, M, width)), tables("dS", (M, width))
+        first, diverged = event_at[step0], False
+        bounds = [step0, *ev_steps[first + 1:event_at[step0 + n - 1] + 1], step0 + n] if n else []
+        for e, a, b in zip(range(first, len(laps)), bounds, bounds[1:]):
+            a, b = a - step0, b - step0
+            if formed != e:
+                lap, formed = laps[e], e
+                maps = linear_rk4(derivative, N, 1 + r, h, work["lower"])
+            DE, T = maps
+            # A state that diverges may overflow in the segment's later
+            # steps; the pass keeps the steps up to its first.
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(DE[:, M:], P_flat[a:b], out=v[a:b])
+                for j in range(a, b):
+                    np.matmul(DE[:, :M], S[j], out=dS)
+                    dS += v[j]
+                    np.add(S[j], dS, out=S[j + 1])
+            after = S[a + 1:b + 1]
+            diverged = not (after.max() <= DIVERGENCE_LIMIT and after.min() >= -DIVERGENCE_LIMIT)
+            if diverged:  # NaN is over
+                over = ~(np.abs(after).max(axis=(1, 2)) <= DIVERGENCE_LIMIT)
+                b = n = a + 1 + int(np.argmax(over))
+            np.matmul(T, U[a:b], out=lower_flat[a:b, M:])
+            if diverged:
+                break
+        state[...] = S[n].reshape(state.shape)
+        # The last sample has no step after it.
+        n_rows = n + (not diverged and n == K - 1 and n_steps % dec == 0)
+        lower_flat[:n_rows, :M] = S[:n_rows]
+        lower_tab[n:n_rows, 1:] = lower_tab[n:n_rows, :1]  # its evaluations repeat the first
+        np.take(P[:n_rows], STAGE_INPUT, axis=1, out=z_tab[:n_rows], mode="clip")
+        z_tab[:n_rows] -= lower_tab[:n_rows, :, :, 0]
+        return n, n_rows
 
     def upper_pass(n_int: int, n_rows: int):
         """Every kind's coefficients over the block's n_rows table rows in one
@@ -530,53 +669,35 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
                 rec[name] = np.empty((n_samples, *value.shape[1:]))
             rec[name][slots] = value
 
-    # Each graph's edges (i < j, row-major), for drawing its loss mask.
-    graph_edges = [np.nonzero(np.triu(topo.adjacency)) for topo in cfg.schedule.topologies]
-    mask = None
-    links_up = 0
-    next_loss_t = 0.0
-    prev_topo_idx = -1
+    exact = cfg.epsilon == 0
+    C = M + 3 * N  # the columns of linear_rk4's maps
+    lap = maps = None
+    formed = -1  # the event whose maps are formed
     max_conservation = max_asymmetry = 0.0
 
     for step0 in range(0, n_steps + 1, block):
         K = min(block, n_steps + 1 - step0)
         P = input_tables(step0, K)
-        n_int = n_rows = 0  # the block's steps integrated, and table rows written
-
-        # Lower pass: one RK4 step of the lower layer per step, up to its
-        # first divergence, which stops it before NaN reaches the upper pass.
-        for step in range(step0, step0 + K):
-            t = step * h
-            topo_idx = active_topology(cfg.schedule, min(t, cfg.t_end))
-            switched = topo_idx != prev_topo_idx  # always at step 0
-            prev_topo_idx = topo_idx
-            # A switch forces a redraw of the loss mask.
-            redraw = loss_rng is not None and (switched or t >= next_loss_t - 0.5 * h)
-            iu, ju = graph_edges[topo_idx]
-            if redraw:
-                down = loss_rng.random(len(iu)) < cfg.p_loss
-                mask = np.ones((N, N), dtype=bool)
-                mask[iu[down], ju[down]] = mask[ju[down], iu[down]] = False
-                links_up = len(iu) - int(down.sum())
-                next_loss_t = t + cfg.loss_resample_dt
-            elif switched:
-                links_up = len(iu)
-            if switched or redraw:
-                lap = cns.effective_laplacian(cfg.schedule.topologies[topo_idx], mask)
-            if step % dec == 0:
-                ts[step // dec], sigmas[step // dec], links[step // dec] = t, topo_idx, links_up
-
-            ev = 0
-            if step < n_steps:
-                state = rk4_step(field, state, t, h)
-                n_int = n_rows = n_int + 1
-                if not np.abs(state).max() <= DIVERGENCE_LIMIT:  # NaN is over
-                    break
-            elif step % dec == 0:  # the last sample has no step after it
-                field(t, state)
-                j = step - step0  # its other evaluations repeat the first
-                lower_tab[j, 1:], z_tab[j, 1:] = lower_tab[j, 0], z_tab[j, 0]
-                n_rows += 1
+        if exact:
+            n_int, n_rows = mapped_pass(K)
+        else:
+            # Stepped lower pass (eps > 0, a quantized field): one RK4 step
+            # per step, up to its first divergence, which stops it before
+            # NaN reaches the upper pass.
+            n_int = n_rows = 0  # the block's steps integrated, and table rows written
+            for step in range(step0, step0 + K):
+                lap = laps[event_at[step]]
+                ev = 0
+                if step < n_steps:
+                    state = rk4_step(field, state, step * h, h)
+                    n_int = n_rows = n_int + 1
+                    if not np.abs(state).max() <= DIVERGENCE_LIMIT:  # NaN is over
+                        break
+                elif step % dec == 0:  # the last sample has no step after it
+                    field(step * h, state)
+                    j = step - step0  # its other evaluations repeat the first
+                    lower_tab[j, 1:], z_tab[j, 1:] = lower_tab[j, 0], z_tab[j, 0]
+                    n_rows += 1
 
         lower_tab[n_int, 0] = state  # rows 1..n_int: the lower state after each step
         rows = np.arange(-step0 % dec, n_rows, dec)

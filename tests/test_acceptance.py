@@ -130,6 +130,16 @@ def test_criterion_5_conservation_and_symmetry(nominal, quantized_ladder, lossy)
            f"max|sum|={cons:.2e}, max asym={asym:.2e}")
 
 
+def test_criterion_5_exact_runs_drift_far_below_the_tolerance(nominal, lossy):
+    # The two 20 s runs at epsilon = 0 step the lower layer by RK4's maps in
+    # increment form, S + (D S + v). Their sums drift about 1e-10, 100 times
+    # under the tolerance; a scan of the full map, R S + v, drifted 7.5e-10.
+    drift = {"nominal": nominal[1].max_conservation_err, "lossy": lossy[1].max_conservation_err}
+    ok = max(drift.values()) < 3e-10
+    report(5, "state-sum drift of the exact-link runs under 3e-10", ok,
+           ", ".join(f"{name} {value:.2e}" for name, value in drift.items()))
+
+
 def test_criterion_6_pe_oracle():
     sig = lambda t: np.array([[np.sin(t), np.cos(t)]])
     w = he.pe_level(sig, T=2 * np.pi, horizon=4 * np.pi, grid_step=2 * np.pi / 1000)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -20,6 +21,9 @@ from hiera_est.cli import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench import tracing, workloads  # noqa: E402
 
 
 def _never(*args):
@@ -213,6 +217,21 @@ class TestRun:
             return d
 
         monkeypatch.setattr(sim.cns, "dac_derivative", leaky)
+        # At epsilon > 0 the runner calls the field at every stage of every step.
+        code = main(["run", "-c", str(scenario_file), "-o", str(tmp_path / "leak"),
+                     "--set", "epsilon=1e-9"])
+        assert code == EXIT_DIVERGENCE == 3
+        assert "sums drifted at t=0.01:" in capsys.readouterr().err
+
+    def test_invariant_violation_exit_at_eps0(self, scenario_file, tmp_path, monkeypatch, capsys):
+        # The same at epsilon = 0, where the runner steps the lower layer by
+        # RK4's maps: a Laplacian whose columns do not sum to zero.
+        laplacian = sim.cns.effective_laplacian
+
+        def leaky(topo, mask=None):
+            return laplacian(topo, mask) + np.eye(topo.n_agents)
+
+        monkeypatch.setattr(sim.cns, "effective_laplacian", leaky)
         code = main(["run", "-c", str(scenario_file), "-o", str(tmp_path / "leak")])
         assert code == EXIT_DIVERGENCE == 3
         assert "sums drifted at t=0.01:" in capsys.readouterr().err
@@ -401,6 +420,28 @@ class TestFeasibility:
 
 
 class TestSweep:
+    def test_traced_sweep_workers_send_their_spans_back(self, tmp_path):
+        # perfbench's cli_analyze_sweep workload, traced: analyze, then an
+        # epsilon sweep on two workers. Each worker's spans come back to the
+        # parent: one analysis for analyze and one per member, one run per
+        # member, time waiting on the pool, and one rk4_step per step of
+        # each member at epsilon > 0 (at epsilon = 0 the lower layer is
+        # stepped by RK4's maps, without rk4_step).
+        wl = workloads.CliAnalyzeSweep(ROOT, scratch=tmp_path)
+        tracer = tracing.Tracer()
+        with tracing.instrument(tracer):
+            tracer.begin_run(1)
+            with tracer.span("bench.iteration"):
+                _, got = wl.run()
+        assert got["analyze_rc"] == got["sweep_rc"] == EXIT_OK
+        stats = tracing.run_stats(tracer, "bench.iteration")[1]
+        values = [float(v) for v in workloads.SWEEP_VALUES.split(",")]
+        steps = int(round(workloads.SWEEP_T_END / 1e-3))
+        assert stats.calls["excitation.analyze"] == 1 + len(values)
+        assert stats.calls["sim.run"] == len(values)
+        assert stats.self_s["cli.pool_wait"] > 0
+        assert stats.calls["sim.rk4"] == steps * sum(v > 0 for v in values) == steps * 3
+
     def test_epsilon_axis(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "sweep"
         code = main(

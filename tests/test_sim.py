@@ -33,6 +33,14 @@ from perfbench import workloads  # noqa: E402
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
+# A quantizer step far below every state the tests read. At epsilon > 0 the
+# runner steps the lower layer with one rk4_step of its field per step, so a
+# test that injects through consensus.dac_derivative or
+# estimators.drem_filter_derivative runs at this step; at epsilon = 0 the
+# field is linear and the runner steps it by RK4's maps (see
+# inject_inputs and perturb_laplacians for the seams that path has).
+EPS_STEPPED = 1e-9
+
 
 def small_doc(**over):
     doc = {
@@ -58,6 +66,84 @@ def small_doc(**over):
 def scenario_doc(name, *overrides):
     """A shipped scenario's document, with --set style overrides."""
     return apply_overrides(json.loads((SCENARIOS / f"{name}.json").read_text()), list(overrides))
+
+
+def inject_inputs(monkeypatch, add):
+    """Calls add(step0, Cp, yp) on each block's packed input tables as the
+    runner builds them through sim.surrogate_all: the matrix and vector
+    surrogates, (K, 3, N, n, n) and (K, 3, N, n), of the block's steps from
+    step0 on at their half-step stages. Both lower passes read them."""
+    surrogate_all = sim.surrogate_all
+    step0 = [0]
+
+    def injected(c, y, out=None):
+        out = surrogate_all(c, y, out=out)
+        add(step0[0], *out)
+        step0[0] += len(c)
+        return out
+
+    monkeypatch.setattr(sim, "surrogate_all", injected)
+
+
+def perturb_laplacians(monkeypatch, bump, skip=0):
+    """Adds `bump` to each Laplacian the runner builds (one per network
+    event, through consensus.effective_laplacian) after the first `skip`.
+    A bump whose columns do not sum to zero breaks the conservation of the
+    consensus sums in both lower passes."""
+    laplacian = sim.cns.effective_laplacian
+    built = [0]
+
+    def perturbed(topo, mask=None):
+        built[0] += 1
+        lap = laplacian(topo, mask)
+        return lap + bump if built[0] > skip else lap
+
+    monkeypatch.setattr(sim.cns, "effective_laplacian", perturbed)
+
+
+def rebuilt_doc(t_event, **over):
+    """small_doc whose graph is rebuilt at t_event, as a switch to a copy of itself."""
+    doc = small_doc(**over)
+    edges = doc.pop("topology")["edges"]
+    doc["schedule"] = {"graphs": [{"edges": edges}] * 2,
+                       "segments": [[0.0, 0], [t_event, 1]], "dwell_min": t_event}
+    return doc
+
+
+# Agent 0's Laplacian diagonal plus one: the consensus sums then drift at k
+# times agent 0's outputs.
+LEAK_AT_0 = np.diag([1.0, 0.0, 0.0])
+
+
+# Parameters shared by each fault-injection test of the stepped pass and its
+# twin at epsilon = 0.
+CONSENSUS_COLUMNS = pytest.mark.parametrize(
+    "n, column", [(n, c) for n in (1, 2, 3) for c in range(n * n + n)]
+)
+FILTER_COLUMNS = pytest.mark.parametrize(
+    "n, filt, column", [(n, f, c) for n in (1, 2, 3) for f in (0, 1) for c in range(n * n + n)]
+)
+TIME_ORDER_CASES = pytest.mark.parametrize(
+    "blow_step, drift_from, error, message",
+    [
+        (5, 10, SimulationDiverged, r"'ge\.theta\[0, 0\]' diverged at t=0\.006 "),
+        (15, 1, InvariantViolation, r"sums drifted at t=0\.01:"),
+    ],
+)
+SAME_STEP_CASES = pytest.mark.parametrize(
+    "lower, upper, block",
+    [
+        (1e19, 1e18, "X"),
+        (1e18, 1e19, "probe.theta"),
+        (np.nan, 1e19, "X"),
+        (1e19, np.nan, "probe.theta"),
+    ],
+    ids=["lower-larger", "upper-larger", "lower-nan", "upper-nan"],
+)
+FIRST_SAMPLE_CASES = pytest.mark.parametrize(
+    "bump, message",
+    [("drift_sum", "sums drifted at t=0.06:"), ("break_symmetry", "lost symmetry at t=0.06:")],
+)
 
 
 @pytest.fixture(scope="module")
@@ -543,9 +629,7 @@ class TestRunScenario:
             if hit.size:
                 return name, filt + tuple(int(j) for j in hit[0])
 
-    @pytest.mark.parametrize(
-        "n, column", [(n, c) for n in (1, 2, 3) for c in range(n * n + n)]
-    )
+    @CONSENSUS_COLUMNS
     def test_divergent_consensus_entry_named_by_its_part(self, monkeypatch, n, column):
         # Agent 1's consensus row [vec(X) | x] blows up in one column. Its
         # filter rows follow the consensus outputs, and a tiny gamma_drem
@@ -559,8 +643,28 @@ class TestRunScenario:
 
         monkeypatch.setattr(sim.cns, "dac_derivative", blown)
         doc = small_doc(n=n, theta=[1.0, -2.0, 0.5][:n], estimators=["drem"],
-                        gamma_drem=1e-300, t_end=0.01)
+                        gamma_drem=1e-300, t_end=0.01, epsilon=EPS_STEPPED)
         block, entry = self.lower_entry(n, column, ("X", "x"))
+        name = re.escape(f"{block}[{', '.join(map(str, (1, *entry)))}]")
+        with pytest.raises(SimulationDiverged, match=rf"'{name}' diverged at t=0\.001 ") as err:
+            run_scenario(load_config(doc))
+        e = err.value
+        assert (e.block, e.agent, e.entry, e.t) == (block, 1, entry, 0.001)
+
+    @CONSENSUS_COLUMNS
+    def test_divergent_consensus_input_named_by_its_part(self, monkeypatch, n, column):
+        # The twin at epsilon = 0, where the lower layer is stepped by RK4's
+        # maps: agent 1's input row blows up in one column. Its consensus row
+        # takes k times its degree (2) times that column, its neighbours' k
+        # times it and its filter rows alpha = 1 times it.
+        block, entry = self.lower_entry(n, column, ("X", "x"))
+
+        def blown(step0, Cp, yp):
+            (Cp if block == "X" else yp)[(..., 1, *entry)] += 1e18
+
+        inject_inputs(monkeypatch, blown)
+        doc = small_doc(n=n, theta=[1.0, -2.0, 0.5][:n], estimators=["drem"],
+                        gamma_drem=1e-300, t_end=0.01)
         name = re.escape(f"{block}[{', '.join(map(str, (1, *entry)))}]")
         with pytest.raises(SimulationDiverged, match=rf"'{name}' diverged at t=0\.001 ") as err:
             run_scenario(load_config(doc))
@@ -658,13 +762,7 @@ class TestRunScenario:
         e = err.value
         assert (e.block, e.agent, e.entry, e.t) == ("probe.theta", 2, (1,), 0.001)
 
-    @pytest.mark.parametrize(
-        "blow_step, drift_from, error, message",
-        [
-            (5, 10, SimulationDiverged, r"'ge\.theta\[0, 0\]' diverged at t=0\.006 "),
-            (15, 1, InvariantViolation, r"sums drifted at t=0\.01:"),
-        ],
-    )
+    @TIME_ORDER_CASES
     def test_errors_are_raised_in_time_order(
         self, monkeypatch, blow_step, drift_from, error, message
     ):
@@ -694,18 +792,27 @@ class TestRunScenario:
         monkeypatch.setattr(estimators, "ge_flow", blown)
         monkeypatch.setattr(sim.cns, "dac_derivative", drifting)
         with pytest.raises(error, match=message):
-            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.1)))
+            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.1, epsilon=EPS_STEPPED)))
 
-    @pytest.mark.parametrize(
-        "lower, upper, block",
-        [
-            (1e19, 1e18, "X"),
-            (1e18, 1e19, "probe.theta"),
-            (np.nan, 1e19, "X"),
-            (1e19, np.nan, "probe.theta"),
-        ],
-        ids=["lower-larger", "upper-larger", "lower-nan", "upper-nan"],
-    )
+    @TIME_ORDER_CASES
+    def test_errors_are_raised_in_time_order_at_eps0(
+        self, monkeypatch, blow_step, drift_from, error, message
+    ):
+        # The twin at epsilon = 0: the graph is rebuilt at step drift_from,
+        # and the rebuilt Laplacian leaks, so the sums drift from that step on.
+        ge_flow = estimators.ge_flow
+
+        def blown(out, gamma, buffers=None):
+            a, B = ge_flow(out, gamma, buffers)
+            a[blow_step, :, 0, 0] += 1e18
+            return a, B
+
+        monkeypatch.setattr(estimators, "ge_flow", blown)
+        perturb_laplacians(monkeypatch, LEAK_AT_0, skip=1)
+        with pytest.raises(error, match=message):
+            run_scenario(load_config(rebuilt_doc(drift_from * 1e-3, estimators=["ge"], t_end=0.1)))
+
+    @SAME_STEP_CASES
     def test_same_step_divergences_raise_the_larger(self, monkeypatch, lower, upper, block):
         # Agent 1's X[0, 0] (lower layer) and the probe kind's theta[2, 1]
         # (upper layer) both pass the limit in the first step; whichever
@@ -720,7 +827,9 @@ class TestRunScenario:
         monkeypatch.setattr(sim.cns, "dac_derivative", blown)
         monkeypatch.setitem(sim.ESTIMATORS, "probe", sim.Estimator(flow=self.probe_flow(upper)))
         with pytest.raises(SimulationDiverged, match=r"diverged at t=0\.001 ") as err:
-            run_scenario(load_config(small_doc(estimators=["probe"], t_end=0.01)))
+            run_scenario(load_config(
+                small_doc(estimators=["probe"], t_end=0.01, epsilon=EPS_STEPPED)
+            ))
         e = err.value
         assert e.block == block
         if np.isnan(lower) or np.isnan(upper):
@@ -729,9 +838,29 @@ class TestRunScenario:
             assert (e.agent, e.entry) == ((1, (0, 0)) if block == "X" else (2, (1,)))
             assert abs(e.value) > 5e14
 
-    @pytest.mark.parametrize(
-        "n, filt, column", [(n, f, c) for n in (1, 2, 3) for f in (0, 1) for c in range(n * n + n)]
-    )
+    @SAME_STEP_CASES
+    def test_same_step_divergences_raise_the_larger_at_eps0(
+        self, monkeypatch, lower, upper, block
+    ):
+        # The twin at epsilon = 0: agent 1's input C^T C[0, 0] is raised by
+        # lower / (2 k), so the first step takes its X[0, 0] to about h lower,
+        # as the per-step injection does.
+        def blown(step0, Cp, yp):
+            Cp[..., 1, 0, 0] += lower / (2 * 5.0)
+
+        inject_inputs(monkeypatch, blown)
+        monkeypatch.setitem(sim.ESTIMATORS, "probe", sim.Estimator(flow=self.probe_flow(upper)))
+        with pytest.raises(SimulationDiverged, match=r"diverged at t=0\.001 ") as err:
+            run_scenario(load_config(small_doc(estimators=["probe"], k=5.0, t_end=0.01)))
+        e = err.value
+        assert e.block == block
+        if np.isnan(lower) or np.isnan(upper):
+            assert np.isnan(e.value)
+        else:
+            assert (e.agent, e.entry) == ((1, (0, 0)) if block == "X" else (2, (1,)))
+            assert abs(e.value) > 5e14
+
+    @FILTER_COLUMNS
     def test_divergent_filter_entry_named_by_its_channel(self, monkeypatch, n, filt, column):
         # Two filters for every n; each filter's packed row is [vec(zC) | zy].
         # Filter filt of agent 2 blows up in one column. A tiny gamma_drem
@@ -747,8 +876,33 @@ class TestRunScenario:
         doc = small_doc(
             n=n, theta=[1.0, -2.0, 0.5][:n], estimators=["drem"], gamma_drem=1e-300,
             drem_filters={"alphas": [1.0, 1.0], "betas": [1.0, 2.0]}, t_end=0.01,
+            epsilon=EPS_STEPPED,
         )
         block, entry = self.lower_entry(n, column, ("drem.zC", "drem.zy"), (filt,))
+        name = re.escape(f"{block}[{', '.join(map(str, (2, *entry)))}]")
+        with pytest.raises(SimulationDiverged, match=rf"'{name}' diverged at t=0\.001 ") as err:
+            run_scenario(load_config(doc))
+        e = err.value
+        assert (e.block, e.agent, e.entry, e.t) == (block, 2, entry, 0.001)
+
+    @FILTER_COLUMNS
+    def test_divergent_filter_input_named_by_its_channel(self, monkeypatch, n, filt, column):
+        # The twin at epsilon = 0: agent 2's input row blows up in one column,
+        # and filter filt has alpha = 1000, so its row takes 1000 times that
+        # column, the other filter's 1 times and agent 2's consensus row k
+        # times its degree (1).
+        block, entry = self.lower_entry(n, column, ("drem.zC", "drem.zy"), (filt,))
+        inputs = self.lower_entry(n, column, ("C", "y"))[1]
+
+        def blown(step0, Cp, yp):
+            (Cp if block == "drem.zC" else yp)[(..., 2, *inputs)] += 1e18
+
+        inject_inputs(monkeypatch, blown)
+        alphas = [1e3 if f == filt else 1.0 for f in (0, 1)]
+        doc = small_doc(
+            n=n, theta=[1.0, -2.0, 0.5][:n], estimators=["drem"], gamma_drem=1e-300,
+            drem_filters={"alphas": alphas, "betas": [1.0, 2.0]}, t_end=0.01,
+        )
         name = re.escape(f"{block}[{', '.join(map(str, (2, *entry)))}]")
         with pytest.raises(SimulationDiverged, match=rf"'{name}' diverged at t=0\.001 ") as err:
             run_scenario(load_config(doc))
@@ -801,10 +955,7 @@ class TestRunScenario:
         dX[0] += skew  # the sum over agents is kept, X_0 and X_1 turn asymmetric
         dX[1] -= skew
 
-    @pytest.mark.parametrize(
-        "bump, message",
-        [("drift_sum", "sums drifted at t=0.06:"), ("break_symmetry", "lost symmetry at t=0.06:")],
-    )
+    @FIRST_SAMPLE_CASES
     def test_invariant_violation_at_first_sample_after_perturbation(
         self, monkeypatch, bump, message
     ):
@@ -824,7 +975,24 @@ class TestRunScenario:
 
         monkeypatch.setattr(sim.cns, "dac_derivative", perturbed)
         with pytest.raises(InvariantViolation, match=message):
-            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.2)))
+            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.2, epsilon=EPS_STEPPED)))
+
+    @FIRST_SAMPLE_CASES
+    def test_invariant_violation_at_first_sample_after_perturbation_at_eps0(
+        self, monkeypatch, bump, message
+    ):
+        # The twin at epsilon = 0: from the step from t = 0.05 on, the graph
+        # rebuilt there leaks, or agent 1's input C^T C turns asymmetric, so
+        # the state at t = 0.051 is the first off the invariant.
+        if bump == "drift_sum":
+            perturb_laplacians(monkeypatch, LEAK_AT_0, skip=1)
+        else:
+            def skewed(step0, Cp, yp):
+                Cp[max(50 - step0, 0):, :, 1] += np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+            inject_inputs(monkeypatch, skewed)
+        with pytest.raises(InvariantViolation, match=message):
+            run_scenario(load_config(rebuilt_doc(0.05, estimators=["ge"], t_end=0.2)))
 
     def test_symmetry_violation_names_the_most_asymmetric_agent(self, monkeypatch):
         # The sum over agents is kept; agent 2 turns twice as asymmetric as
@@ -841,9 +1009,25 @@ class TestRunScenario:
         with pytest.raises(
             InvariantViolation, match=r"lost symmetry at t=0\.01: .* in X\[2, 0, 1\] at agent 2$"
         ) as err:
-            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.02)))
+            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.02, epsilon=EPS_STEPPED)))
         e = err.value
         assert (e.block, e.agent, e.entry, e.t) == ("X", 2, (0, 1), 0.01)
+        assert e.value > SYMMETRY_TOL
+
+    def test_symmetry_violation_names_the_most_asymmetric_input_agent(self, monkeypatch):
+        # The twin at epsilon = 0: agent 1's input C^T C turns asymmetric; the
+        # Laplacian (degree 2 at agent 1, 1 at its neighbours) makes agent 1
+        # twice as asymmetric as agents 0 and 2, and keeps the sums.
+        def skewed(step0, Cp, yp):
+            Cp[:, :, 1] += np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+        inject_inputs(monkeypatch, skewed)
+        with pytest.raises(
+            InvariantViolation, match=r"lost symmetry at t=0\.01: .* in X\[1, 0, 1\] at agent 1$"
+        ) as err:
+            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.02)))
+        e = err.value
+        assert (e.block, e.agent, e.entry, e.t) == ("X", 1, (0, 1), 0.01)
         assert e.value > SYMMETRY_TOL
 
     def test_conservation_violation_names_the_drifting_entry(self, monkeypatch):
@@ -857,10 +1041,43 @@ class TestRunScenario:
 
         monkeypatch.setattr(sim.cns, "dac_derivative", leaky)
         with pytest.raises(InvariantViolation, match="sums drifted at t=0.01:") as err:
-            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.02)))
+            run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.02, epsilon=EPS_STEPPED)))
         e = err.value
         assert (e.block, e.agent, e.entry, e.t) == ("x", None, (0,), 0.01)
         assert e.value == pytest.approx(0.03)
+
+    def test_both_lower_passes_name_the_same_drifting_entry(self, monkeypatch):
+        # A leaking Laplacian drifts the sums at k times agent 0's outputs;
+        # the mapped pass (epsilon = 0) and the stepped pass name the same
+        # entry at the same sample, with the same value to the quantizer's
+        # rounding.
+        perturb_laplacians(monkeypatch, LEAK_AT_0)
+        errors = []
+        for eps in (0.0, EPS_STEPPED):
+            with pytest.raises(InvariantViolation, match="sums drifted at t=0.01:") as err:
+                run_scenario(load_config(small_doc(estimators=["ge"], t_end=0.02, epsilon=eps)))
+            errors.append(err.value)
+        exact, stepped = errors
+        assert exact.agent is None and exact.t == 0.01
+        assert (exact.block, exact.entry) == (stepped.block, stepped.entry)
+        assert exact.value == pytest.approx(stepped.value, rel=1e-6)
+
+    @pytest.mark.parametrize("n, none", [(3, True), (2, False)])
+    def test_n3_scalarization_makes_no_determinant_call(self, monkeypatch, n, none):
+        # The n = 3 adjugate is closed-form and phi is read off the mixing
+        # product; any other n takes one batched determinant per block.
+        calls = [0]
+        det = np.linalg.det
+
+        def counted(a):
+            calls[0] += 1
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counted)
+        doc = small_doc(n=n, theta=[1.0, -2.0, 0.5][:n], estimators=["drem", "drem_simple"],
+                        t_end=0.1)
+        run_scenario(load_config(doc))
+        assert (calls[0] == 0) == none
 
     @pytest.mark.parametrize("decimation, last_sample_alone", [(10, 1), (7, 0)])
     def test_one_scalarization_per_block(
@@ -890,7 +1107,8 @@ class TestRunScenario:
 
         monkeypatch.setattr(sim.cns, "dac_derivative", evaluated)
         doc = small_doc(
-            estimators=["ge", "drem", "drem_simple"], t_end=0.1, decimation=decimation
+            estimators=["ge", "drem", "drem_simple"], t_end=0.1, decimation=decimation,
+            epsilon=EPS_STEPPED,
         )
         tr = run_scenario(load_config(doc))
         n_steps = 100
@@ -1037,6 +1255,29 @@ class TestMetrics:
         assert all(r < 0 for r in ge["decay_rate"])
         assert m["transient_end"] is not None
         assert m["tail_sup_resid"] < 1e-9
+
+    def test_final_err_is_the_last_sample_error(self, small_trace):
+        m = compute_metrics(small_trace)
+        for kind, tr in small_trace.estimators.items():
+            assert m["per_estimator"][kind]["final_err"] == tr.err_norm[-1].tolist()
+
+    def test_max_conservation_err_is_the_largest_sum_at_the_samples(self, monkeypatch):
+        # The stepped pass's lower state after each step, recorded through
+        # rk4_step. The quantizer keeps X exactly symmetric, so the run's
+        # max_asymmetry differs from its drift.
+        states = [np.zeros((3, 1, 6))]
+        rk4_step = sim.rk4_step
+
+        def recorded(field, state, t, h):
+            states.append(rk4_step(field, state, t, h))
+            return states[-1]
+
+        monkeypatch.setattr(sim, "rk4_step", recorded)
+        tr = run_scenario(load_config(small_doc(estimators=["ge"], epsilon=0.01, t_end=0.5)))
+        X, x = consensus.split(np.array(states)[::10, :, 0])
+        drift = max(np.abs(X.sum(axis=1)).max(), np.abs(x.sum(axis=1)).max())
+        assert tr.max_conservation_err == drift > 0
+        assert tr.max_asymmetry != drift
 
     def test_transient_end_none_when_never_inside(self, small_trace):
         m = compute_metrics(small_trace, ceiling=1e-30)

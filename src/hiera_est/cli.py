@@ -23,9 +23,12 @@ from .graph import GraphError
 from .sim import (
     InvariantViolation,
     SimulationDiverged,
+    analysis_key,
     analysis_report,
+    batches,
     compute_metrics,
     resolve_gain,
+    run_members,
     run_scenario,
     write_run_dir,
 )
@@ -54,13 +57,11 @@ def _add_gain_margins(report: dict, cfg, k: float):
         report.update(exc.gain_margins(report, k, cfg.epsilon, theta_norm))
 
 
-def _run_one(doc: dict, outdir: str) -> dict:
-    """Run a scenario document and write the standard artifact directory."""
-    cfg = load_config(doc)
-    report = analysis_report(cfg)  # the only excitation analysis of the run
-    k = resolve_gain(cfg, report)
+def _write_member(cfg, trace, report: dict, k: float, outdir: str) -> dict:
+    """Write a run's standard artifact directory, from its trace and its
+    analysis report (not modified), at the resolved gain k."""
+    report = dict(report)
     _add_gain_margins(report, cfg, k)
-    trace = run_scenario(dataclasses.replace(cfg, k=k))
     ceiling = None
     if report.get("pe"):
         ceiling = exc.consensus_error_bound(
@@ -70,6 +71,26 @@ def _run_one(doc: dict, outdir: str) -> dict:
     constants = {**report, "k": k, "consensus_error_ceiling": ceiling}
     write_run_dir(outdir, cfg, trace, metrics, constants)
     return {"outdir": str(outdir), "k": k, "metrics": metrics}
+
+
+def _run_one(doc: dict, outdir: str) -> dict:
+    """Run a scenario document and write the standard artifact directory."""
+    cfg = load_config(doc)
+    report = analysis_report(cfg)  # the only excitation analysis of the run
+    k = resolve_gain(cfg, report)
+    trace = run_scenario(dataclasses.replace(cfg, k=k))
+    return _write_member(cfg, trace, report, k, outdir)
+
+
+def _run_batch(docs: list[dict], outdirs: list[str], report: dict) -> list[dict]:
+    """Run a batch of sweep members (see sim.run_members) as one integration,
+    at the gain their shared analysis report resolves, and write each
+    member's artifact directory; one summary per member."""
+    cfgs = [load_config(doc) for doc in docs]
+    k = resolve_gain(cfgs[0], report)
+    traces = run_members([dataclasses.replace(cfg, k=k) for cfg in cfgs])
+    return [_write_member(cfg, trace, report, k, outdir)
+            for cfg, trace, outdir in zip(cfgs, traces, outdirs)]
 
 
 def cmd_run(args) -> int:
@@ -134,16 +155,32 @@ def cmd_sweep(args) -> int:
 
     base = Path(args.output)
     docs = [apply_overrides(doc, [f"{args.axis}={v}"]) for v in values]
-    for v_doc in docs:
-        load_config(v_doc)  # validate before fanning out
+    cfgs = [load_config(v_doc) for v_doc in docs]  # validate before fanning out
     outdirs = [str(base / name) for name in names]
 
-    workers = min(args.jobs, len(docs), _usable_cpus())
+    # One analysis for each distinct input to it, in this process; one task
+    # per batch of members, each handed its members' report.
+    groups = batches(cfgs)
+    keys = [analysis_key(cfgs[batch[0]]) for batch in groups]
+    reports: dict[str, dict] = {}
+    for key, batch in zip(keys, groups):
+        if key not in reports:
+            reports[key] = analysis_report(cfgs[batch[0]])
+    tasks = (
+        [[docs[i] for i in batch] for batch in groups],
+        [[outdirs[i] for i in batch] for batch in groups],
+        [reports[key] for key in keys],
+    )
+    workers = min(args.jobs, len(groups), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, docs, outdirs))
+            done = list(pool.map(_run_batch, *tasks))
     else:
-        results = list(map(_run_one, docs, outdirs))
+        done = list(map(_run_batch, *tasks))
+    results = [None] * len(docs)
+    for batch, summaries in zip(groups, done):
+        for i, summary in zip(batch, summaries):
+            results[i] = summary
 
     rows = []
     for v, res in zip(values, results):
@@ -228,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--values", required=True, help="comma-separated values")
     p_sw.add_argument(
         "--jobs", type=int, default=1,
-        help="parallel workers (at most one per value and per CPU)",
+        help="parallel workers, each running one batch of members at a time (at most "
+             "one per batch and per CPU); the members at epsilon > 0 of an epsilon "
+             "sweep form one batch, every other member one of its own",
     )
     p_sw.set_defaults(func=cmd_sweep)
 

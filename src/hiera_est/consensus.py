@@ -28,11 +28,6 @@ def split(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[..., : nn * nn].reshape(*rows.shape[:-1], nn, nn), rows[..., nn * nn :]
 
 
-def pack(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Packed rows [vec(M) | v] from (..., n, n) matrices and (..., n) vectors."""
-    return np.concatenate([M.reshape(*M.shape[:-2], -1), v], axis=-1)
-
-
 def effective_laplacian(topo: Topology, loss_mask: np.ndarray | None = None) -> np.ndarray:
     """Laplacian of the topology with lost edges removed symmetrically.
 
@@ -46,18 +41,20 @@ def effective_laplacian(topo: Topology, loss_mask: np.ndarray | None = None) -> 
     return laplacian(a)
 
 
-def dac_derivative(Z: np.ndarray, lap: np.ndarray, k: float, eps: float = 0.0) -> np.ndarray:
+def dac_derivative(Z: np.ndarray, lap: np.ndarray, k: float, eps=0.0) -> np.ndarray:
     """Packed integrator-state derivative [vec(dX_i) | dx_i] of the consensus block.
 
     Each agent integrates k times the sum over its active neighbors of the
-    difference of transmitted output rows Z (N, n^2 + n), written through
-    the step's Laplacian lap (see effective_laplacian); transmission applies
-    the floor quantizer at step eps (identity when eps = 0). Both channels
-    take one quantizer call and one Laplacian product.
+    difference of transmitted output rows Z (..., N, n^2 + n), written
+    through the step's Laplacian lap (see effective_laplacian); transmission
+    applies the floor quantizer at step eps (identity when eps = 0; an
+    (E, 1, 1) step column for a member axis E leading Z). Both channels take
+    one quantizer call and one Laplacian product, which broadcasts over the
+    leading axes.
     """
     if k <= 0:
         raise ValueError("consensus gain k must be positive")
-    if lap.shape != (Z.shape[0],) * 2:
+    if lap.shape != (Z.shape[-2],) * 2:
         raise ValueError("output/Laplacian agent count mismatch")
     d = lap @ quantize(Z, eps)
     d *= k

@@ -153,9 +153,10 @@ def drem_filter_derivative(bank: DremFilterBank, z: np.ndarray, Z: np.ndarray) -
     """State derivative of the filter bank driven by the consensus outputs.
 
     z holds each agent's r filtered copies of its packed output row Z,
-    shape (N, r, n^2 + n): one filter equation for both channels.
+    shape (..., N, r, n^2 + n) for Z (..., N, n^2 + n): one filter equation
+    for both channels.
     """
-    return bank.alphas[:, None] * Z[:, None] - bank.betas[:, None] * z
+    return bank.alphas[:, None] * Z[..., None, :] - bank.betas[:, None] * z
 
 
 def drem_extend(Z: np.ndarray, z: np.ndarray, buffers: Buffers) -> np.ndarray:

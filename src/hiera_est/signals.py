@@ -187,18 +187,26 @@ def surrogate_all(
     return cp, yp
 
 
-def quantize(value, eps: float):
+def quantize(value, eps):
     """Floor quantizer Q(s) = eps*floor(s/eps), applied element-wise.
 
-    eps = 0 means identity (exact communication). The error is one-sided:
-    0 <= s - Q(s) < eps.
+    eps is one step, or an array of steps that broadcasts into value's
+    shape: a step column (E, 1, 1) quantizes each member's rows of an
+    (E, N, w) value at its own step. A step of 0 means identity (exact
+    communication). The error is one-sided: 0 <= s - Q(s) < eps.
     """
-    if eps < 0:
-        raise ValueError("quantization step must be nonnegative")
+    steps = np.asarray(eps, dtype=float)
     arr = np.asarray(value, dtype=float)
-    if eps == 0.0:
-        return arr
-    q = np.divide(arr, eps, out=np.empty_like(arr))
+    if not min(steps.flat) > 0:  # builtin min: cheaper than a reduction over a few steps
+        if not (steps >= 0).all():
+            raise ValueError("quantization step must be nonnegative")
+        exact = steps == 0  # rows at step 0 pass unquantized
+        if exact.all():
+            return arr
+        return np.where(exact, arr, quantize(arr, np.where(exact, 1.0, steps)))
+    if steps.size == 1:  # one step: numpy's loops take a 0-d operand fastest
+        steps = steps.reshape(())
+    q = np.divide(arr, steps, out=np.empty_like(arr))
     np.floor(q, out=q)
-    q *= eps
+    q *= steps
     return q

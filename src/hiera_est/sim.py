@@ -5,21 +5,27 @@ reads an estimate, and every estimator of the upper layer is an affine flow
 x' = a(t) - B(t) x driven by the lower layer's outputs. RK4 of the cascade
 is RK4 of the lower layer, followed by RK4 of the upper layer at the lower
 layer's stage values, so the runner makes two passes over each block of
-INPUT_BLOCK steps. The lower state is one array S of shape
-(N, 1 + r, n^2 + n): row 0 is each agent's consensus row [vec(X_i) | x_i],
-rows 1..r its DREM filter rows [vec(zC) | zy] (r = 0 when no kind reads
-them). The lower field is consensus.dac_derivative in row 0 and
-estimators.drem_filter_derivative in the filter rows. At eps > 0 (a
-quantized field) the lower pass steps S with rk4_step, once per step. At
-eps = 0 the field is linear, S' = A S + B P(t), with A and B fixed between
+INPUT_BLOCK steps. The runner integrates a batch of members at once
+(run_members; run_scenario is its one-member case): members that differ
+only in eps > 0 share the network, the inputs and the gain. The lower
+state carries a member axis E ahead of its agent axis, and the upper pass
+reads each member's N agents in turn on one axis of E N agents. The
+lower state is one array S of shape (E, N, 1 + r, n^2 + n): row 0 is each
+agent's consensus row [vec(X_i) | x_i], rows 1..r its DREM filter rows
+[vec(zC) | zy] (r = 0 when no kind reads them). The lower field is
+consensus.dac_derivative in row 0, quantized at each member's own step,
+and estimators.drem_filter_derivative in the filter rows; both read the
+agent axis from the end. At eps > 0 (a quantized field) the lower pass
+steps S with rk4_step, once per step for every member. At eps = 0 (one
+member) the field is linear, S' = A S + B P(t), with A and B fixed between
 the run's network events (network_events: graph switches and loss
 redraws), so RK4's step and each of its stage states are fixed matrices
 applied to [S_j; P_j] (linear_rk4); the pass forms them once per event,
 through the field, and steps each segment of a block with one product for
 the input terms, a scan S_j+1 = S_j + (D S_j + E P_j) and one product for
 the stage states. Either pass writes S and the packed outputs
-Z = P - S[:, 0] of each of RK4's four evaluations into (K, 4, ...) block
-tables, which every layer reads as plain packed arrays.
+Z = P - S[..., 0, :] of each of RK4's four evaluations into (K, 4, E, ...)
+block tables, which every layer reads as plain packed arrays.
 The upper state is one array per flow, "<kind>.<name>", holding its state
 at each step of the block. The upper pass calls each kind's flow once over
 all the block's stage rows to get its coefficients (a, B), turns them into
@@ -34,8 +40,8 @@ out=; the later blocks reuse them, so a GE run faults in no more memory
 per block as it gets longer. Samples, invariant checks and diagnostics are
 read off the tables, batched per block: one rule (_first_excess) finds and
 names the failing entry of each check (divergence, drift of the consensus
-sums, loss of symmetry), and the failure that comes first in time is
-raised. Discontinuous inputs (topology switches, packet-loss masks,
+sums, loss of symmetry) in any member, and the failure that comes first in
+time is raised. Discontinuous inputs (topology switches, packet-loss masks,
 measurement noise) are frozen over each step, evaluated at the step's start
 for all four stages, so the per-step field stays smooth.
 
@@ -83,16 +89,19 @@ INPUT_BLOCK = 32
 class _StateError(RuntimeError):
     """A failure located in the state: block (e.g. 'ge.theta' or 'X'), agent
     (None when the block has no agent axis or the check sums over agents),
-    entry (the index inside the agent's part of the block), time t and the
-    offending value."""
+    entry (the index inside the agent's part of the block), time t, the
+    offending value and member, the failing member's index in its batch
+    (see run_members; 0 for a run_scenario run)."""
 
     def __init__(self, message: str, block: str, agent: int | None,
-                 entry: tuple[int, ...], t: float, value: float):
+                 entry: tuple[int, ...], t: float, value: float, member: int = 0):
         super().__init__(message)
         self.block, self.agent, self.entry, self.t, self.value = block, agent, entry, t, value
+        self.member = member
 
     def __reduce__(self):  # sweep workers send these back through pickle
-        return type(self), (str(self), self.block, self.agent, self.entry, self.t, self.value)
+        return type(self), (str(self), self.block, self.agent, self.entry, self.t, self.value,
+                            self.member)
 
 
 class SimulationDiverged(_StateError):
@@ -299,7 +308,9 @@ class Estimator:
     row. Each flow's state is one array "<kind>.<name>" of a's shape past
     the stage axes. A flow with B = None (B = 0, a running integral that
     grows without bound) is exempt from the divergence guard. per_agent=False
-    marks a kind whose arrays have no agent axis. filtered=True marks a kind
+    marks a kind whose arrays have no agent axis: it reads only the inputs
+    "P", which the members of a batch share, so its arrays have no member
+    axis either and serve every member. filtered=True marks a kind
     that reads the DREM filter bank, which the lower layer then steps with
     the consensus rows. The estimators module is looked up at call time.
     """
@@ -357,25 +368,31 @@ def _failure_key(step: int, order: int) -> tuple:
 def _first_excess(arrays, limit: float, steps, order: int):
     """The first state entry past `limit` in a list of named arrays.
 
-    arrays holds (name, x, per_agent), x[j] read at step steps[j]. At the
-    first step at which any |entry| passes the limit, its largest |entry|
-    (NaN passes every limit and is the largest; the earlier array wins an
-    exact tie) as (_failure_key(step, order), name, agent, entry, value):
-    agent None without an agent axis, entry the index past it, value the
-    signed entry; None if no entry passes. Also returns the largest |entry|
-    over all steps (0.0 if none).
+    arrays holds (name, x, per_agent), x[j] read at step steps[j], with a
+    member axis first, (members, ...), of one length for every array. At
+    the first step at which any |entry| passes the limit, its largest
+    |entry| (NaN passes every limit and is the largest; the earlier array,
+    then the earlier member, wins an exact tie) as
+    (_failure_key(step, order), name, member, agent, entry, value): agent
+    None without an agent axis, entry the index past it, value the signed
+    entry; None if no entry passes. Also returns each member's largest
+    |entry| over all steps (0.0 if none), shape (members,).
     """
-    peaks = np.array([np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
-                      for _, x, _ in arrays])  # (array, step)
-    largest = float(peaks.max(initial=0.0))
-    over = np.flatnonzero(~(peaks <= limit).all(axis=0))
+    peaks = np.array([np.abs(x).max(axis=tuple(range(2, x.ndim)), initial=0.0)
+                      for _, x, _ in arrays])  # (array, step, member)
+    largest = peaks.max(axis=(0, 1), initial=0.0)
+    over = np.flatnonzero(~(peaks <= limit).all(axis=(0, 2)))
     if not over.size:
         return None, largest
     j = int(over[0])
-    name, x, per_agent = arrays[int(np.argmax(peaks[:, j]))]  # argmax: NaN, else the first
-    index = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(x[j])), x.shape[1:]))
+    # argmax: NaN, else the first
+    a, member = (int(i) for i in np.unravel_index(np.argmax(peaks[:, j]), peaks[:, j].shape))
+    name, x, per_agent = arrays[a]
+    at = x[j, member]
+    index = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(at)), at.shape))
     agent, entry = (index[0], index[1:]) if per_agent else (None, index)
-    return (_failure_key(int(steps[j]), order), name, agent, entry, float(x[j][index])), largest
+    return (_failure_key(int(steps[j]), order), name, member, agent, entry,
+            float(at[index])), largest
 
 
 # Each check's error and message, by its order in _failure_key.
@@ -443,6 +460,13 @@ def analysis_report(cfg: ScenarioConfig) -> dict:
     )
 
 
+def analysis_key(cfg: ScenarioConfig) -> str:
+    """What analysis_report reads of cfg, as one string: configs with equal
+    keys have equal reports."""
+    family = (cfg.schedule.lambda_g_min, cfg.schedule.lambda_max_family)
+    return repr([cfg.generator.to_jsonable(), family, vars(cfg.analysis)])
+
+
 def resolve_gain(cfg: ScenarioConfig, report: dict | None = None) -> float:
     """Resolve the consensus gain: explicit value, or safety_factor x bound."""
     if cfg.k != "auto":
@@ -469,8 +493,58 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     before integrating when k * lambda_max_family * h exceeds RK4's
     real-axis stability limit, SimulationDiverged when any state magnitude
     exceeds 1e12, and InvariantViolation on conservation or symmetry
-    failures at decimated samples, whichever comes first in time.
+    failures at decimated samples, whichever comes first in time. It is
+    run_members of one member.
     """
+    return run_members([cfg])[0]
+
+
+def _shared(cfg: ScenarioConfig) -> tuple:
+    """What the members of a batch share: every document key but epsilon, and k."""
+    return {key: value for key, value in cfg.raw.items() if key != "epsilon"}, cfg.k
+
+
+def batches(cfgs: list[ScenarioConfig]) -> list[list[int]]:
+    """The indices of cfgs by batch, as run_members takes them, in order of
+    first member: the members at epsilon > 0 that share every document key
+    but epsilon (and k) form one; every other member runs alone."""
+    out: list[list[int]] = []
+    for i, cfg in enumerate(cfgs):
+        batch = next((b for b in out if cfg.epsilon > 0 and cfgs[b[0]].epsilon > 0
+                      and _shared(cfgs[b[0]]) == _shared(cfg)), None)
+        if batch is None:
+            out.append([i])
+        else:
+            batch.append(i)
+    return out
+
+
+def run_members(cfgs: list[ScenarioConfig]) -> list[TraceSet]:
+    """Integrate the members of a batch at once: one trace per member.
+
+    A batch is one member at any epsilon, or members that all have epsilon
+    > 0 and agree on every document key but epsilon (and on k); anything
+    else is a ValueError. The members share the network events, the input
+    tables, the gain and its stability check, and run as one integration
+    along a member axis E: the lower state is (E, N, 1 + r, n^2 + n),
+    quantized at each member's own step, and each per-agent upper array
+    (..., E N, ...), each member's N agents in turn on one axis; an
+    agent-less kind (the centralized one) reads only the shared inputs, so
+    its one array is every member's. Each member's trace is its
+    run_scenario trace, bit for bit. The checks read every member, and the
+    failure that comes first in time in any member is raised, as
+    run_scenario raises it, with its member (the error's `member`, named by
+    its epsilon when E > 1).
+    """
+    if not cfgs:
+        raise ValueError("run_members needs at least one member")
+    cfg, E = cfgs[0], len(cfgs)
+    epsilons = np.array([c.epsilon for c in cfgs])
+    if E > 1 and not epsilons.all():
+        raise ValueError(f"a batch of {E} members needs epsilon > 0 in each, got "
+                         f"{epsilons.tolist()}; a member at epsilon = 0 runs alone")
+    if any(_shared(c) != _shared(cfg) for c in cfgs[1:]):
+        raise ValueError("the members of a batch must agree on every document key but epsilon")
     n, N = cfg.n, cfg.n_agents
     width = n * n + n
     gen = cfg.generator
@@ -495,9 +569,9 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     event_at = np.searchsorted(ev_steps, np.arange(n_steps + 1), side="right") - 1
     ts = np.arange(n_samples) * dec * h
     sigmas, links = ev_graphs[event_at[::dec]], ev_links[event_at[::dec]]
-    cons_err = np.empty((n_samples, N))
-    yhat_err = np.empty((n_samples, N))
-    resid_norm = np.empty((n_samples, N))
+    cons_err = np.empty((n_samples, E * N))
+    yhat_err = np.empty((n_samples, E * N))
+    resid_norm = np.empty((n_samples, E * N))
     records: dict[str, dict[str, np.ndarray]] = {kind: {} for kind in kinds}
 
     # Block tables. Row j is the block's step step0 + j and column ev RK4's
@@ -508,11 +582,16 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     # per-run buffer too, written with out=: the input tables', each kind's
     # flow's (work[kind]) and each flow's RK4 map's (work["<kind>.<name>"]).
     block = INPUT_BLOCK
-    state = np.zeros((N, 1 + r, width))
-    M = N * (1 + r)  # the lower state's rows, flat (agent, row)
-    lower_flat = np.empty((block + 1, 4 * M, width))  # evaluation-major
-    lower_tab = lower_flat.reshape(block + 1, 4, *state.shape)
-    z_tab = np.empty((block, 4, N, width))
+    state = np.zeros((E, N, 1 + r, width))
+    M = N * (1 + r)  # a member's lower rows, flat (agent, row)
+    lower_tab = np.empty((block + 1, 4, *state.shape))
+    lower_flat = lower_tab.reshape(block + 1, 4 * E * M, width)  # evaluation-major
+    z_tab = np.empty((block, 4, E, N, width))
+    # The upper pass and the samples read the tables with each member's
+    # agents in turn on one axis of E N agents: the flows contract only
+    # entry axes, and at E = 1 the arrays keep a plain agent axis.
+    z_agents = z_tab.reshape(block, 4, E * N, width)
+    lower_agents = lower_tab.reshape(block + 1, 4, E * N, 1 + r, width)
     upper, guarded = {}, {}
     tables = est.Buffers()
     work = defaultdict(est.Buffers)
@@ -556,13 +635,14 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         return P
 
     def derivative(S: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """The lower layer's derivative at state S and outputs Z = P - S[:, 0]:
-        dac_derivative in each agent's row 0 and drem_filter_derivative in
-        its filter rows, through the current Laplacian lap."""
-        dS = cns.dac_derivative(Z, lap, k, cfg.epsilon)[:, None]
+        """The lower layer's derivative at state S (..., N, 1 + r, w) and
+        outputs Z = P - S[..., 0, :]: dac_derivative in each agent's row 0,
+        quantized at each member's step, and drem_filter_derivative in its
+        filter rows, through the current Laplacian lap."""
+        dS = cns.dac_derivative(Z, lap, k, eps_column)[..., None, :]
         if r:
             dS = np.concatenate(
-                [dS, est.drem_filter_derivative(cfg.drem_filters, S[:, 1:], Z)], axis=1
+                [dS, est.drem_filter_derivative(cfg.drem_filters, S[..., 1:, :], Z)], axis=-2
             )
         return dS
 
@@ -574,7 +654,10 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         j, e = step - step0, ev
         ev += 1
         lower_tab[j, e] = S
-        return derivative(S, np.subtract(P[j, STAGE_INPUT[e]], S[:, 0], out=z_tab[j, e]))
+        # P's member axis of 1 broadcasts over E; at E = 1 a 2-D P would
+        # cost numpy a slower loop than the same-rank operands.
+        return derivative(S, np.subtract(P[j, STAGE_INPUT[e], None], S[..., 0, :],
+                                         out=z_tab[j, e]))
 
     def mapped_pass(K: int) -> tuple[int, int]:
         """The lower pass at eps = 0, where the field is linear: the block's
@@ -584,7 +667,8 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         = S_j + (D S_j + E P_j), and the states of evaluations 1..3, T U_j,
         in one product. Stops after the first step that diverges, as the
         stepped pass does. Writes the tables as the stepped pass does and
-        returns the steps integrated and the table rows written."""
+        returns the steps integrated and the table rows written. It steps
+        one member (E = 1), whose flat rows are the tables' own."""
         nonlocal lap, formed, maps
         n = min(K, n_steps - step0)
         P_flat = P.reshape(K, 3 * N, width)
@@ -622,21 +706,21 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         n_rows = n + (not diverged and n == K - 1 and n_steps % dec == 0)
         lower_flat[:n_rows, :M] = S[:n_rows]
         lower_tab[n:n_rows, 1:] = lower_tab[n:n_rows, :1]  # its evaluations repeat the first
-        np.take(P[:n_rows], STAGE_INPUT, axis=1, out=z_tab[:n_rows], mode="clip")
-        z_tab[:n_rows] -= lower_tab[:n_rows, :, :, 0]
+        np.take(P[:n_rows], STAGE_INPUT, axis=1, out=z_tab[:n_rows, :, 0], mode="clip")
+        z_tab[:n_rows] -= lower_tab[:n_rows, ..., 0, :]
         return n, n_rows
 
     def upper_pass(n_int: int, n_rows: int):
         """Every kind's coefficients over the block's n_rows table rows in one
         flow call, and each flow's array advanced over its n_int steps by its
-        RK4 maps. The flows read the tables tab: "Z", the (K, 4, N, n^2 + n)
-        packed outputs; "P", the (K, 3, N, n^2 + n) packed inputs at each
-        step's half-step stages (STAGE_INPUT maps evaluations to them); and
-        "z", the filter rows (K, 4, N, r, n^2 + n). Returns each kind's
-        sample fields."""
+        RK4 maps. The flows read the tables tab: "Z", the (K, 4, E N,
+        n^2 + n) packed outputs; "P", the (K, 3, N, n^2 + n) packed inputs,
+        every member's, at each step's half-step stages (STAGE_INPUT maps
+        evaluations to them); and "z", the filter rows (K, 4, E N, r,
+        n^2 + n). Returns each kind's sample fields."""
         if not n_rows:
             return {}
-        tab = {"Z": z_tab[:n_rows], "P": P[:n_rows], "z": lower_tab[:n_rows, :, :, 1:]}
+        tab = {"Z": z_agents[:n_rows], "P": P[:n_rows], "z": lower_agents[:n_rows, :, :, 1:]}
         sample_fields = {}
         for kind, spec in kinds.items():
             coeffs, sample_fields[kind] = spec.flow(cfg, tab, work[kind])
@@ -655,7 +739,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
 
     def write_samples(rows, slots, sample_fields):
         """Samples `slots` from the block's table rows `rows`."""
-        Z = z_tab[rows, 0]
+        Z = z_agents[rows, 0]
         cbar, ybar = cns.average_reference(*cns.split(P[rows, 0]))
         cons_err[slots], yhat_err[slots] = cns.consensus_error(Z, cbar, ybar)
         resid_norm[slots] = np.linalg.norm(cns.residual(Z, theta), axis=-1)
@@ -669,11 +753,12 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
                 rec[name] = np.empty((n_samples, *value.shape[1:]))
             rec[name][slots] = value
 
-    exact = cfg.epsilon == 0
+    eps_column = epsilons.reshape(E, 1, 1)  # each member's quantizer step
+    exact = not epsilons.any()
     C = M + 3 * N  # the columns of linear_rk4's maps
     lap = maps = None
     formed = -1  # the event whose maps are formed
-    max_conservation = max_asymmetry = 0.0
+    max_conservation, max_asymmetry = np.zeros(E), np.zeros(E)
 
     for step0 in range(0, n_steps + 1, block):
         K = min(block, n_steps + 1 - step0)
@@ -682,8 +767,8 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
             n_int, n_rows = mapped_pass(K)
         else:
             # Stepped lower pass (eps > 0, a quantized field): one RK4 step
-            # per step, up to its first divergence, which stops it before
-            # NaN reaches the upper pass.
+            # per step of every member at once, up to the first divergence
+            # in any member, which stops it before NaN reaches the upper pass.
             n_int = n_rows = 0  # the block's steps integrated, and table rows written
             for step in range(step0, step0 + K):
                 lap = laps[event_at[step]]
@@ -703,55 +788,71 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         rows = np.arange(-step0 % dec, n_rows, dec)
         sample_fields = upper_pass(n_int, n_rows)
 
-        # The block's checks, one rule each: every lower and guarded upper
-        # array after each step, the sums and the symmetry of X at the
-        # samples. The failure that comes first in time is raised.
+        # The block's checks, one rule each, over every member: every lower
+        # and guarded upper array after each step, the sums and the
+        # symmetry of X at the samples. The failure that comes first in
+        # time is raised.
         after = lower_tab[1:n_int + 1, 0]
-        views = (*cns.split(after[:, :, 0]), *cns.split(after[:, :, 1:]))
-        X, x = cns.split(lower_tab[rows, 0, :, 0])
+        views = (*cns.split(after[..., 0, :]), *cns.split(after[..., 1:, :]))
+        X, x = cns.split(lower_tab[rows, 0, ..., 0, :])
+        upper_after = []
+        for key, per_agent in guarded.items():
+            u = upper[key][1:n_int + 1]
+            if per_agent:
+                u = u.reshape(n_int, E, N, *u.shape[2:])
+            else:  # an agent-less kind's array is every member's
+                u = np.broadcast_to(u[:, None], (n_int, E, *u.shape[1:]))
+            upper_after.append((key, u, per_agent))
         checks = [
             ([(name, v, True) for name, v in zip(("X", "x", "drem.zC", "drem.zy"), views)]
-             + [(key, upper[key][1:n_int + 1], per_agent) for key, per_agent in guarded.items()],
-             DIVERGENCE_LIMIT, step0 + 1 + np.arange(n_int)),
-            ([("X", np.abs(X.sum(axis=1)), False), ("x", np.abs(x.sum(axis=1)), False)],
+             + upper_after, DIVERGENCE_LIMIT, step0 + 1 + np.arange(n_int)),
+            ([("X", np.abs(X.sum(axis=-3)), False), ("x", np.abs(x.sum(axis=-2)), False)],
              CONSERVATION_TOL, step0 + rows),
             ([("X", np.abs(X - X.swapaxes(-1, -2)), True)], SYMMETRY_TOL, step0 + rows),
         ]
         found = [_first_excess(*check, order) for order, check in enumerate(checks)]
-        max_conservation = max(max_conservation, found[1][1])
-        max_asymmetry = max(max_asymmetry, found[2][1])
+        np.maximum(max_conservation, found[1][1], out=max_conservation)
+        np.maximum(max_asymmetry, found[2][1], out=max_asymmetry)
         failures = [failure for failure, _ in found if failure]
         if failures:
-            (step, order), name, agent, entry, value = min(failures, key=lambda f: f[0])
+            (step, order), name, member, agent, entry, value = min(failures, key=lambda f: f[0])
             error, text = _FAILURES[order]
             where, t = _entry_name(name, agent, entry), step * h
-            raise error(text.format(where=where, t=t, value=value, agent=agent),
-                        name, agent, entry, t, value)
+            message = text.format(where=where, t=t, value=value, agent=agent)
+            if E > 1:
+                message += f" (member epsilon={epsilons[member]:g})"
+            raise error(message, name, agent, entry, t, value, member)
         if rows.size:
             write_samples(rows, (step0 + rows) // dec, sample_fields)
         for x in upper.values():
             x[0] = x[n_int]
 
-    est_traces = {
-        kind: EstimatorTrace(err_norm=np.linalg.norm(rec["theta_hat"] - theta, axis=-1), **rec)
-        for kind, rec in records.items()
-    }
+    def member_trace(e: int) -> TraceSet:
+        """Member e's trace: its agents' slice of every per-agent array."""
+        agents = slice(e * N, (e + 1) * N)
+        est_traces = {}
+        for kind, rec in records.items():
+            rec = {name: a[:, agents] if kinds[kind].per_agent else a for name, a in rec.items()}
+            est_traces[kind] = EstimatorTrace(
+                err_norm=np.linalg.norm(rec["theta_hat"] - theta, axis=-1), **rec
+            )
+        return TraceSet(
+            t=ts,
+            sigma=sigmas,
+            links=links,
+            cons_err=cons_err[:, agents],
+            yhat_err=yhat_err[:, agents],
+            resid_norm=resid_norm[:, agents],
+            estimators=est_traces,
+            theta=theta.copy(),
+            k=k,
+            t_end=cfg.t_end,
+            transient_fraction=cfg.transient_fraction,
+            max_conservation_err=float(max_conservation[e]),
+            max_asymmetry=float(max_asymmetry[e]),
+        )
 
-    return TraceSet(
-        t=ts,
-        sigma=sigmas,
-        links=links,
-        cons_err=cons_err,
-        yhat_err=yhat_err,
-        resid_norm=resid_norm,
-        estimators=est_traces,
-        theta=theta.copy(),
-        k=k,
-        t_end=cfg.t_end,
-        transient_fraction=cfg.transient_fraction,
-        max_conservation_err=max_conservation,
-        max_asymmetry=max_asymmetry,
-    )
+    return [member_trace(e) for e in range(E)]
 
 
 def fit_decay_rate(

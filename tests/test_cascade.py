@@ -24,6 +24,7 @@ from hiera_est import consensus as cns
 from hiera_est import estimators as est
 from hiera_est import sim
 from hiera_est.config import load_config
+from packing import pack
 from test_golden_scenarios import MIXED_DOC, SWITCHED_LOSSY_DOC
 
 
@@ -79,7 +80,7 @@ def test_cascade_matches_the_coupled_integration(monkeypatch, doc):
 
     def recorded_inputs(c, y, out=None):
         out = surrogate_all(c, y, out=out)
-        tables.append(cns.pack(*out))
+        tables.append(pack(*out))
         return out
 
     def recorded_laplacian(out, lap, k, eps=0.0):
@@ -114,7 +115,7 @@ def test_mapped_lower_pass_matches_the_coupled_integration(monkeypatch):
 
     def recorded_inputs(c, y, out=None):
         out = surrogate_all(c, y, out=out)
-        tables.append(cns.pack(*out))
+        tables.append(pack(*out))
         return out
 
     def counted(out, lap, k, eps=0.0):

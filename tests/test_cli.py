@@ -423,10 +423,12 @@ class TestSweep:
     def test_traced_sweep_workers_send_their_spans_back(self, tmp_path):
         # perfbench's cli_analyze_sweep workload, traced: analyze, then an
         # epsilon sweep on two workers. Each worker's spans come back to the
-        # parent: one analysis for analyze and one per member, one run per
-        # member, time waiting on the pool, and one rk4_step per step of
-        # each member at epsilon > 0 (at epsilon = 0 the lower layer is
-        # stepped by RK4's maps, without rk4_step).
+        # parent: one analysis for analyze and one for the whole sweep (in
+        # the parent), time waiting on the pool, and one rk4_step per step
+        # of the one batch at epsilon > 0, whose three members are stepped
+        # at once (at epsilon = 0 the lower layer is stepped by RK4's maps,
+        # without rk4_step). Each batch runs through sim.run_members, which
+        # the run_scenario hook does not see.
         wl = workloads.CliAnalyzeSweep(ROOT, scratch=tmp_path)
         tracer = tracing.Tracer()
         with tracing.instrument(tracer):
@@ -437,10 +439,11 @@ class TestSweep:
         stats = tracing.run_stats(tracer, "bench.iteration")[1]
         values = [float(v) for v in workloads.SWEEP_VALUES.split(",")]
         steps = int(round(workloads.SWEEP_T_END / 1e-3))
-        assert stats.calls["excitation.analyze"] == 1 + len(values)
-        assert stats.calls["sim.run"] == len(values)
+        assert stats.calls["excitation.analyze"] == 1 + 1
+        assert stats.calls["sim.run"] == 0
         assert stats.self_s["cli.pool_wait"] > 0
-        assert stats.calls["sim.rk4"] == steps * sum(v > 0 for v in values) == steps * 3
+        assert sum(v > 0 for v in values) == 3
+        assert stats.calls["sim.rk4"] == steps * 1
 
     def test_epsilon_axis(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -457,6 +460,29 @@ class TestSweep:
         assert len(csv_lines) == 3  # header + 2 runs
         assert (out / "epsilon=0" / "traces.csv").exists()
         assert (out / "epsilon=0.018" / "traces.csv").exists()
+
+    @pytest.mark.parametrize(
+        "axis, values, jobs",
+        [("epsilon", [0.0, 0.018, 0.036], "1"), ("epsilon", [0.0, 0.018, 0.036], "2"),
+         ("seed", [7.0, 8.0], "1")],
+    )
+    def test_members_are_their_solo_runs_byte_for_byte(
+        self, scenario_file, tmp_path, axis, values, jobs
+    ):
+        # The members at epsilon > 0 of an epsilon sweep run as one batch,
+        # after one analysis in this process; a seed sweep's members draw
+        # their own regressors, so each gets an analysis of its own. Every
+        # artifact is the one `run` writes for the member alone.
+        out = tmp_path / "sweep"
+        assert main(["sweep", "-c", str(scenario_file), "-o", str(out), "--axis", axis,
+                     "--values", ",".join(map(str, values)), "--jobs", jobs,
+                     "--set", "t_end=0.1"]) == EXIT_OK
+        for v in values:
+            solo = tmp_path / f"solo{v}"
+            assert main(["run", "-c", str(scenario_file), "-o", str(solo),
+                         "--set", f"{axis}={v!r}", "--set", "t_end=0.1"]) == EXIT_OK
+            for name in ("traces.csv", "metrics.json", "constants.json", "config-echo.json"):
+                assert (out / f"{axis}={v:g}" / name).read_bytes() == (solo / name).read_bytes()
 
     def test_output_path_with_a_comma(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "sw,eep"
@@ -496,7 +522,7 @@ class TestSweep:
         self, scenario_file, tmp_path, monkeypatch, capsys, values, clash
     ):
         ran = []
-        monkeypatch.setattr(cli, "_run_one", lambda doc, outdir: ran.append(outdir))
+        monkeypatch.setattr(cli, "_run_batch", lambda docs, outdirs, report: ran.append(outdirs))
         out = tmp_path / "s"
         code = main(
             ["sweep", "-c", str(scenario_file), "-o", str(out), "--axis", "epsilon",
@@ -518,11 +544,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
     @pytest.mark.parametrize(
-        "jobs, cpus, expected",
-        [("500", 8, 3), ("500", 2, 2), ("2", 8, 2), ("1", 8, None), ("4", 1, None)],
+        "axis, jobs, cpus, expected",
+        # noise_sd does not batch: three members, three batches. On the
+        # epsilon axis the members at 0.018 and 0.036 form one batch.
+        [("noise_sd", "500", 8, 3), ("noise_sd", "500", 2, 2), ("noise_sd", "2", 8, 2),
+         ("noise_sd", "1", 8, None), ("noise_sd", "4", 1, None),
+         ("epsilon", "500", 8, 2), ("epsilon", "2", 8, 2), ("epsilon", "1", 8, None)],
     )
     def test_workers_capped(
-        self, scenario_file, tmp_path, monkeypatch, jobs, cpus, expected, affinity
+        self, scenario_file, tmp_path, monkeypatch, axis, jobs, cpus, expected, affinity
     ):
         started = []
 
@@ -541,12 +571,13 @@ class TestSweep:
             def map(self, fn, *items):
                 return map(fn, *items)
 
-        def fake_run(doc, outdir):
+        def fake_batch(docs, outdirs, report):
             metrics = {"per_estimator": {}, "tail_sup_cons_err": 0.0, "tail_sup_resid": 0.0}
-            return {"outdir": outdir, "k": doc["k"], "metrics": metrics}
+            return [{"outdir": outdir, "k": doc["k"], "metrics": metrics}
+                    for doc, outdir in zip(docs, outdirs)]
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "_run_one", fake_run)
+        monkeypatch.setattr(cli, "_run_batch", fake_batch)
         if affinity:
             # The affinity mask, not the host's CPU count, bounds the pool.
             monkeypatch.setattr(
@@ -559,7 +590,7 @@ class TestSweep:
         code = main(
             [
                 "sweep", "-c", str(scenario_file), "-o", str(tmp_path / "s"),
-                "--axis", "epsilon", "--values", "0,0.018,0.036", "--jobs", jobs,
+                "--axis", axis, "--values", "0,0.018,0.036", "--jobs", jobs,
             ]
         )
         assert code == EXIT_OK

@@ -11,12 +11,12 @@ from hiera_est.consensus import (
     consensus_error,
     dac_derivative,
     effective_laplacian,
-    pack,
     residual,
     split,
 )
 from hiera_est.graph import laplacian, topology_from_edges
 from hiera_est.signals import quantize, sample_coefficients, surrogate_all
+from packing import pack
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 

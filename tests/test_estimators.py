@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiera_est.consensus import pack, split
+from hiera_est.consensus import split
 from hiera_est.estimators import (
     Buffers,
     DremFilterBank,
@@ -19,6 +19,7 @@ from hiera_est.estimators import (
     ge_flow,
 )
 from hiera_est.signals import sample_coefficients, surrogate_all
+from packing import pack
 
 
 # Entries of adj(G) are sums of (n-1)-fold products of entries of G and det(G)

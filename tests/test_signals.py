@@ -182,3 +182,23 @@ class TestQuantizer:
         m = m + m.T
         q = quantize(m, 0.036)
         np.testing.assert_array_equal(q, q.T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 1e-9, 0.012, 0.036, 0.5, 3.0]), min_size=1, max_size=4),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_step_column_quantizes_each_row_at_its_step(self, steps, seed):
+        # One (E, 1, 1) step column against (E, N, w) rows, as a batch of
+        # members quantizes them: each member's rows bit for bit as the
+        # scalar quantizer gives them, a row at step 0 unquantized.
+        rows = np.random.default_rng(seed).normal(scale=10.0, size=(len(steps), 4, 6))
+        q = quantize(rows, np.array(steps).reshape(-1, 1, 1))
+        assert q.shape == rows.shape
+        for e, eps in enumerate(steps):
+            np.testing.assert_array_equal(q[e], quantize(rows[e], eps))
+
+    @pytest.mark.parametrize("steps", [[0.1, -0.1], [-0.1, 0.1], [0.0, -1e-300], [-0.2, -0.1]])
+    def test_step_column_with_a_negative_step_rejected(self, steps):
+        with pytest.raises(ValueError, match="nonnegative"):
+            quantize(np.ones((len(steps), 2, 3)), np.array(steps).reshape(-1, 1, 1))

@@ -355,13 +355,15 @@ ENTRIES = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0, np.inf, -np.inf
 
 @st.composite
 def named_arrays(draw):
-    """1-4 named arrays over the same random steps, each with or without
-    an agent axis, of entries that repeat, tie and pass any limit."""
+    """1-4 named arrays over the same random steps and members, each with
+    or without an agent axis, of entries that repeat, tie and pass any
+    limit."""
     n_steps = draw(st.integers(0, 4))
     steps = draw(st.lists(st.integers(0, 50), min_size=n_steps, max_size=n_steps))
+    members = draw(st.integers(1, 3))
     arrays = []
     for i in range(draw(st.integers(1, 4))):
-        shape = (n_steps, *draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        shape = (n_steps, members, *draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
         flat = draw(st.lists(ENTRIES, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
         arrays.append((f"a{i}", np.array(flat, dtype=float).reshape(shape), draw(st.booleans())))
     return arrays, steps
@@ -369,13 +371,14 @@ def named_arrays(draw):
 
 def first_excess_by_loops(arrays, limit, steps, order):
     """_first_excess as plain loops: over steps, then arrays in order, then
-    flat indices, keeping the largest |entry| (NaN the largest, the first
-    of equals)."""
-    largest = 0.0
+    flat indices (member first), keeping the largest |entry| (NaN the
+    largest, the first of equals)."""
+    largest = np.zeros(arrays[0][1].shape[1])
     for _, x, _ in arrays:
-        for v in np.abs(x).flat:
-            if np.isnan(v) or v > largest:
-                largest = v
+        for member in range(len(largest)):
+            for v in np.abs(x[:, member]).flat:
+                if np.isnan(v) or v > largest[member]:
+                    largest[member] = v
     for j, step in enumerate(steps):
         best = None
         for name, x, per_agent in arrays:
@@ -383,11 +386,11 @@ def first_excess_by_loops(arrays, limit, steps, order):
                 if best is None or (np.isnan(abs(v)) and not np.isnan(best[0])) or abs(v) > best[0]:
                     best = (abs(v), name, per_agent, np.unravel_index(flat, x.shape[1:]), v)
         if best is not None and not best[0] <= limit:
-            _, name, per_agent, index, v = best
+            _, name, per_agent, (member, *index), v = best
             index = tuple(int(i) for i in index)
             agent, entry = (index[0], index[1:]) if per_agent else (None, index)
-            return ((int(step), order), name, agent, entry, float(v)), float(largest)
-    return None, float(largest)
+            return ((int(step), order), name, int(member), agent, entry, float(v)), largest
+    return None, largest
 
 
 class TestFirstExcess:
@@ -638,7 +641,7 @@ class TestRunScenario:
 
         def blown(out, lap, k, eps=0.0):
             d = dac(out, lap, k, eps)
-            d[1, column] += 1e18
+            d[..., 1, column] += 1e18
             return d
 
         monkeypatch.setattr(sim.cns, "dac_derivative", blown)
@@ -676,6 +679,9 @@ class TestRunScenario:
 
         e = pickle.loads(pickle.dumps(InvariantViolation("msg", "X", 2, (0, 1), 0.5, 3.0)))
         assert (str(e), e.block, e.agent, e.entry, e.t, e.value) == ("msg", "X", 2, (0, 1), 0.5, 3.0)
+        assert e.member == 0
+        e = pickle.loads(pickle.dumps(SimulationDiverged("msg", "X", 2, (0, 1), 0.5, 3.0, 4)))
+        assert (e.block, e.member) == ("X", 4)
 
     @pytest.mark.parametrize(
         "kind, flow, index",
@@ -786,7 +792,7 @@ class TestRunScenario:
             d = dac(out, lap, k, eps)
             calls[0] += 1
             if calls[0] > 4 * drift_from:
-                consensus.split(d)[1][:, 0] += 1.0
+                consensus.split(d)[1][..., 0] += 1.0
             return d
 
         monkeypatch.setattr(estimators, "ge_flow", blown)
@@ -821,7 +827,7 @@ class TestRunScenario:
 
         def blown(out, lap, k, eps=0.0):
             d = dac(out, lap, k, eps)
-            d[1, 0] += lower
+            d[..., 1, 0] += lower
             return d
 
         monkeypatch.setattr(sim.cns, "dac_derivative", blown)
@@ -869,7 +875,7 @@ class TestRunScenario:
 
         def blown(bank, z, out):
             d = drem_filter_derivative(bank, z, out)
-            d[2, filt, column] += 1e18
+            d[..., 2, filt, column] += 1e18
             return d
 
         monkeypatch.setattr(estimators, "drem_filter_derivative", blown)
@@ -947,13 +953,13 @@ class TestRunScenario:
 
     @staticmethod
     def drift_sum(dX):
-        dX[0] += 1.0  # X stays symmetric, its sum over agents drifts
+        dX[..., 0, :, :] += 1.0  # X stays symmetric, its sum over agents drifts
 
     @staticmethod
     def break_symmetry(dX):
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        dX[0] += skew  # the sum over agents is kept, X_0 and X_1 turn asymmetric
-        dX[1] -= skew
+        dX[..., 0, :, :] += skew  # the sum over agents is kept, X_0 and X_1 turn asymmetric
+        dX[..., 1, :, :] -= skew
 
     @FIRST_SAMPLE_CASES
     def test_invariant_violation_at_first_sample_after_perturbation(
@@ -1036,7 +1042,7 @@ class TestRunScenario:
 
         def leaky(out, lap, k, eps=0.0):
             d = dac(out, lap, k, eps)
-            consensus.split(d)[1][:, 0] += 1.0
+            consensus.split(d)[1][..., 0] += 1.0
             return d
 
         monkeypatch.setattr(sim.cns, "dac_derivative", leaky)
@@ -1102,7 +1108,8 @@ class TestRunScenario:
         dac = consensus.dac_derivative
 
         def evaluated(out, lap, k, eps=0.0):
-            outputs.append(out.copy())
+            # (member, agent) rows on one axis, as the flows read them
+            outputs.append(out.reshape(-1, out.shape[-1]).copy())
             return dac(out, lap, k, eps)
 
         monkeypatch.setattr(sim.cns, "dac_derivative", evaluated)
@@ -1208,6 +1215,119 @@ class TestInvariantsOverRandomNetworks:
             assert tr.resid_norm.max() < 1e-9 * max(1.0, np.abs(tr.theta).max())
 
 
+def assert_same_trace(got, want):
+    """Every field of two TraceSets, arrays compared bit for bit."""
+    for field in dataclasses.fields(sim.TraceSet):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name != "estimators":
+            assert np.array_equal(a, b), field.name
+            continue
+        assert a.keys() == b.keys()
+        for kind in a:
+            for name in vars(a[kind]):
+                x, y = getattr(a[kind], name), getattr(b[kind], name)
+                assert (x is None and y is None) or np.array_equal(x, y), (kind, name)
+
+
+class TestMembers:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_agents=st.integers(2, 12),
+        seed=st.integers(0, 2**31 - 1),
+        n_members=st.integers(2, 4),
+        p_loss=st.sampled_from([0.0, 0.3]),
+        noise_sd=st.sampled_from([0.0, 0.1]),
+    )
+    def test_each_member_is_its_solo_run(self, n_agents, seed, n_members, p_loss, noise_sd):
+        # The networks of TestInvariantsOverRandomNetworks, every kind, and
+        # 2 to 4 members at random epsilon > 0: each member of the batch
+        # is its run_scenario run, bit for bit, both maxima included.
+        rng = np.random.default_rng(seed)
+        doc = small_doc(
+            n=3, theta=rng.uniform(-2, 2, size=3).tolist(), n_agents=n_agents, seed=seed,
+            rows_per_agent=rng.integers(1, 4, size=n_agents).tolist(),
+            estimators=["ge", "drem", "drem_simple", "centralized"], gamma_ge=0.2,
+            gamma_drem=1e-12, gamma_centralized=1e-3, p_loss=p_loss, loss_resample_dt=0.02,
+            noise_sd=noise_sd, t_end=0.055, decimation=3,
+        )
+        del doc["topology"]
+        doc["schedule"] = {
+            "graphs": [{"edges": random_connected_edges(rng, n_agents)} for _ in range(2)],
+            "segments": [[0.0, 0], [0.03, 1]],
+            "dwell_min": 0.025,
+        }
+        cfgs = [load_config({**doc, "epsilon": float(eps)})
+                for eps in rng.uniform(1e-3, 0.05, size=n_members)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "INPUT_BLOCK", 7)
+            batch = sim.run_members(cfgs)
+            solo = [run_scenario(cfg) for cfg in cfgs]
+        assert len(batch) == n_members
+        for got, want in zip(batch, solo):
+            assert_same_trace(got, want)
+
+    def test_divergence_in_one_member_raised_first_in_time_by_its_member(self, monkeypatch):
+        # Through the field, by each member's quantizer step: member 1
+        # (eps = 2e-9) blows up in agent 2's X[0, 0] from step 5 on, member
+        # 0 (eps = 1e-9) in agent 0's x[1] from step 20 on. The batch raises
+        # member 1's, at t = 0.006, as its solo run does, naming the member
+        # by its epsilon. A tiny gamma_drem keeps theta from outgrowing the
+        # entry through the blown-up Gram.
+        dac = consensus.dac_derivative
+        calls = [0]
+
+        def blown(out, lap, k, eps=0.0):
+            d = dac(out, lap, k, eps)
+            calls[0] += 1
+            steps = np.ravel(eps)
+            if calls[0] > 4 * 5:
+                d[steps == 2e-9, 2, 0] += 1e18
+            if calls[0] > 4 * 20:
+                d[steps == 1e-9, 0, 5] += 1e18
+            return d
+
+        monkeypatch.setattr(sim.cns, "dac_derivative", blown)
+        cfgs = [load_config(small_doc(estimators=["drem"], gamma_drem=1e-300, t_end=0.05,
+                                      epsilon=eps))
+                for eps in (1e-9, 2e-9, 3e-9)]
+        with pytest.raises(SimulationDiverged) as batch:
+            sim.run_members(cfgs)
+        calls[0] = 0
+        with pytest.raises(SimulationDiverged) as solo:
+            run_scenario(cfgs[1])
+        e = batch.value
+        assert (e.member, e.block, e.agent, e.entry, e.t) == (1, "X", 2, (0, 0), 0.006)
+        assert re.fullmatch(r"state component 'X\[2, 0, 0\]' diverged at t=0\.006 "
+                            r"\(value .*\) \(member epsilon=2e-09\)", str(e))
+        assert solo.value.member == 0
+        assert str(e) == f"{solo.value} (member epsilon=2e-09)"
+        assert (e.block, e.agent, e.entry, e.t, e.value) == (
+            solo.value.block, solo.value.agent, solo.value.entry, solo.value.t, solo.value.value)
+
+    def test_refuses_members_that_do_not_batch(self):
+        base = small_doc(t_end=0.05)
+        cfg = lambda **over: load_config({**base, **over})  # noqa: E731
+        with pytest.raises(ValueError, match="needs at least one member"):
+            sim.run_members([])
+        for other in ({"noise_sd": 0.1}, {"k": 4.0}, {"seed": 8}, {"estimators": ["ge"]}):
+            with pytest.raises(ValueError, match="agree on every document key but epsilon"):
+                sim.run_members([cfg(epsilon=0.01), cfg(epsilon=0.02, **other)])
+        for epsilons in ((0.0, 0.01), (0.01, 0.0), (0.0, 0.0)):
+            with pytest.raises(ValueError, match="needs epsilon > 0 in each"):
+                sim.run_members([cfg(epsilon=eps) for eps in epsilons])
+        one = dataclasses.replace(cfg(epsilon=0.01), k=4.0)  # k set after loading
+        with pytest.raises(ValueError, match="agree on every document key but epsilon"):
+            sim.run_members([cfg(epsilon=0.02), one])
+
+    def test_batches_group_the_members_run_members_takes(self):
+        base = small_doc(t_end=0.05)
+        cfgs = [load_config({**base, **over}) for over in (
+            {"epsilon": 0.0}, {"epsilon": 0.01}, {"epsilon": 0.02, "noise_sd": 0.1},
+            {"epsilon": 0.03}, {"epsilon": 0.0}, {"epsilon": 0.04, "noise_sd": 0.1},
+        )]
+        assert sim.batches(cfgs) == [[0], [1, 3], [2, 5], [4]]
+
+
 class TestResolveGain:
     def test_explicit_gain(self):
         assert resolve_gain(load_config(small_doc(k=4.2))) == 4.2
@@ -1265,7 +1385,7 @@ class TestMetrics:
         # The stepped pass's lower state after each step, recorded through
         # rk4_step. The quantizer keeps X exactly symmetric, so the run's
         # max_asymmetry differs from its drift.
-        states = [np.zeros((3, 1, 6))]
+        states = [np.zeros((1, 3, 1, 6))]  # (member, agent, row, column)
         rk4_step = sim.rk4_step
 
         def recorded(field, state, t, h):
@@ -1274,7 +1394,7 @@ class TestMetrics:
 
         monkeypatch.setattr(sim, "rk4_step", recorded)
         tr = run_scenario(load_config(small_doc(estimators=["ge"], epsilon=0.01, t_end=0.5)))
-        X, x = consensus.split(np.array(states)[::10, :, 0])
+        X, x = consensus.split(np.array(states)[::10, 0, :, 0])
         drift = max(np.abs(X.sum(axis=1)).max(), np.abs(x.sum(axis=1)).max())
         assert tr.max_conservation_err == drift > 0
         assert tr.max_asymmetry != drift

@@ -255,7 +255,15 @@ def load_config(d: dict) -> ScenarioConfig:
     _require(abs(steps - round(steps)) <= 1e-9 * steps,
              f"t_end={t_end:g} is not a whole number of steps of h={h:g} (t_end/h = "
              f"{steps:.12g}); the run would end at t={round(steps) * h:g}")
-    from .sim import ESTIMATORS, in_tail  # the runner's kinds and tail window
+    # The runner's limits, kinds and tail window.
+    from .sim import DIVERGENCE_LIMIT, EPSILON_MIN, ESTIMATORS, in_tail
+
+    eps = s["epsilon"]
+    _require(eps == 0 or eps >= EPSILON_MIN,
+             f"epsilon={eps:g} is below {EPSILON_MIN:.3g} (the divergence limit "
+             f"{DIVERGENCE_LIMIT:g} over the largest float): at a smaller quantizer step, "
+             f"s/epsilon overflows for outputs |s| inside the limit; set epsilon = 0 for "
+             f"exact links")
 
     # The last sample is at the last step that decimation divides (see run_scenario).
     dec = s["decimation"]

@@ -41,7 +41,16 @@ def effective_laplacian(topo: Topology, loss_mask: np.ndarray | None = None) -> 
     return laplacian(a)
 
 
-def dac_derivative(Z: np.ndarray, lap: np.ndarray, k: float, eps=0.0) -> np.ndarray:
+def check_dac(lap: np.ndarray, k: float, n_agents: int):
+    """Refuses what dac_derivative cannot take: a gain k <= 0, or a Laplacian
+    lap that is not n_agents x n_agents."""
+    if k <= 0:
+        raise ValueError("consensus gain k must be positive")
+    if lap.shape != (n_agents,) * 2:
+        raise ValueError("output/Laplacian agent count mismatch")
+
+
+def dac_derivative(Z: np.ndarray, lap: np.ndarray, k: float, eps=0.0, out=None) -> np.ndarray:
     """Packed integrator-state derivative [vec(dX_i) | dx_i] of the consensus block.
 
     Each agent integrates k times the sum over its active neighbors of the
@@ -51,12 +60,17 @@ def dac_derivative(Z: np.ndarray, lap: np.ndarray, k: float, eps=0.0) -> np.ndar
     (E, 1, 1) step column for a member axis E leading Z). Both channels take
     one quantizer call and one Laplacian product, which broadcasts over the
     leading axes.
+
+    out, when given, is the pair (q, d) of arrays of Z's shape that Q(Z)
+    and the derivative are written into; d is returned. The buffered form
+    checks nothing: its caller checks lap and k once with check_dac and
+    eps with signals.quantizer_steps, as quantize's buffered form takes it.
     """
-    if k <= 0:
-        raise ValueError("consensus gain k must be positive")
-    if lap.shape != (Z.shape[-2],) * 2:
-        raise ValueError("output/Laplacian agent count mismatch")
-    d = lap @ quantize(Z, eps)
+    if out is None:
+        check_dac(lap, k, Z.shape[-2])
+        out = (None, None)
+    q, d = out
+    d = np.matmul(lap, quantize(Z, eps, out=q), out=d)
     d *= k
     return d
 

@@ -149,14 +149,19 @@ def default_filter_bank(n: int) -> DremFilterBank:
     return DremFilterBank(alphas=np.ones(r), betas=np.arange(1.0, r + 1.0))
 
 
-def drem_filter_derivative(bank: DremFilterBank, z: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def drem_filter_derivative(
+    bank: DremFilterBank, z: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """State derivative of the filter bank driven by the consensus outputs.
 
     z holds each agent's r filtered copies of its packed output row Z,
     shape (..., N, r, n^2 + n) for Z (..., N, n^2 + n): one filter equation
-    for both channels.
+    for both channels. out, when given, is the array of z's shape it is
+    written into and returned.
     """
-    return bank.alphas[:, None] * Z[..., None, :] - bank.betas[:, None] * z
+    out = np.multiply(bank.alphas[:, None], Z[..., None, :], out=out)
+    out -= bank.betas[:, None] * z
+    return out
 
 
 def drem_extend(Z: np.ndarray, z: np.ndarray, buffers: Buffers) -> np.ndarray:

@@ -187,26 +187,43 @@ def surrogate_all(
     return cp, yp
 
 
-def quantize(value, eps):
+def quantizer_steps(eps) -> np.ndarray:
+    """The quantizer steps eps as quantize's buffered form reads them: a
+    float array, 0-d for one step (numpy's loops take a 0-d operand
+    fastest). Refuses a negative step. A caller that quantizes many times
+    at the same steps checks them here once."""
+    steps = np.asarray(eps, dtype=float)
+    if not (steps >= 0).all():
+        raise ValueError("quantization step must be nonnegative")
+    return steps.reshape(()) if steps.size == 1 else steps
+
+
+def quantize(value, eps, out=None):
     """Floor quantizer Q(s) = eps*floor(s/eps), applied element-wise.
 
     eps is one step, or an array of steps that broadcasts into value's
     shape: a step column (E, 1, 1) quantizes each member's rows of an
     (E, N, w) value at its own step. A step of 0 means identity (exact
     communication). The error is one-sided: 0 <= s - Q(s) < eps.
+
+    out, when given, is the array of value's shape that Q(value) is
+    written into and returned, and eps must be quantizer_steps' array: the
+    buffered form checks neither, so a caller checks its steps once, not
+    at every call.
     """
-    steps = np.asarray(eps, dtype=float)
-    arr = np.asarray(value, dtype=float)
+    if out is None:
+        steps = quantizer_steps(eps)
+        value = np.asarray(value, dtype=float)
+        out = np.empty_like(value)
+    else:
+        steps = eps
     if not min(steps.flat) > 0:  # builtin min: cheaper than a reduction over a few steps
-        if not (steps >= 0).all():
-            raise ValueError("quantization step must be nonnegative")
         exact = steps == 0  # rows at step 0 pass unquantized
-        if exact.all():
-            return arr
-        return np.where(exact, arr, quantize(arr, np.where(exact, 1.0, steps)))
-    if steps.size == 1:  # one step: numpy's loops take a 0-d operand fastest
-        steps = steps.reshape(())
-    q = np.divide(arr, steps, out=np.empty_like(arr))
-    np.floor(q, out=q)
-    q *= steps
-    return q
+        if not exact.all():
+            quantize(value, np.where(exact, 1.0, steps), out=out)
+        np.copyto(out, value, where=exact)
+        return out
+    np.divide(value, steps, out=out)
+    np.floor(out, out=out)
+    out *= steps
+    return out

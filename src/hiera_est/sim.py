@@ -16,8 +16,12 @@ agent's consensus row [vec(X_i) | x_i], rows 1..r its DREM filter rows
 consensus.dac_derivative in row 0, quantized at each member's own step,
 and estimators.drem_filter_derivative in the filter rows; both read the
 agent axis from the end. At eps > 0 (a quantized field) the lower pass
-steps S with rk4_step, once per step for every member. At eps = 0 (one
-member) the field is linear, S' = A S + B P(t), with A and B fixed between
+steps S with rk4_step, once per step for every member; the field writes
+into per-run buffers, through the buffered forms (out=) of the two and
+of signals.quantize, whose inputs (the gain, the Laplacians' shape and
+the steps) are checked once per run, and the pass finds its first
+diverging step once per block. At eps = 0 (one member) the field is
+linear, S' = A S + B P(t), with A and B fixed between
 the run's network events (network_events: graph switches and loss
 redraws), so RK4's step and each of its stage states are fixed matrices
 applied to [S_j; P_j] (linear_rk4); the pass forms them once per event,
@@ -70,10 +74,14 @@ from . import estimators as est
 from . import excitation as exc
 from .config import AnalysisConfig, ConfigError, ScenarioConfig
 from .graph import active_topology
-from .signals import loss_stream, noise_stream, surrogate_all
+from .signals import loss_stream, noise_stream, quantizer_steps, surrogate_all
 from .signals import quantize  # noqa: F401  (perfbench patches sim.quantize)
 
 DIVERGENCE_LIMIT = 1e12
+# The smallest quantizer step eps > 0 a run takes (about 5.6e-297): at any
+# smaller step, s / eps overflows for some output |s| up to DIVERGENCE_LIMIT.
+# eps = 0 means exact links.
+EPSILON_MIN = DIVERGENCE_LIMIT / np.finfo(float).max
 CONSERVATION_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
 # RK4 is stable on the negative real axis for h*|lambda| up to this value.
@@ -143,7 +151,8 @@ def rk4_increment(field, state: np.ndarray, t: float, h: float, acc, stage) -> n
 
 def rk4_step(field, state: np.ndarray, t: float, h: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step of ds/dt = field(t, s):
-    state + rk4_increment, on fresh arrays."""
+    state + rk4_increment, on two arrays it allocates, the first of which
+    it returns."""
     if h <= 0:
         raise ValueError("step size must be positive")
     acc = rk4_increment(field, state, t, h, np.empty(state.shape), np.empty(state.shape))
@@ -237,6 +246,16 @@ def linear_rk4(derivative, N: int, rows: int, h: float, buffers: est.Buffers):
 
     rk4_increment(field, start, 0.0, h, acc, stage)
     return acc.reshape(M, C), stages.reshape(3 * M, C)
+
+
+def _first_diverging(states: np.ndarray) -> int | None:
+    """The index of the first state of a stack with an entry past
+    DIVERGENCE_LIMIT (NaN is past it), None if there is none: one max and
+    one min over the stack, and a search state by state only past it."""
+    limit = DIVERGENCE_LIMIT
+    if states.max(initial=0.0) <= limit and states.min(initial=0.0) >= -limit:
+        return None
+    return int(np.argmax(~(np.abs(states).reshape(len(states), -1).max(axis=1) <= limit)))
 
 
 def _affine_scan(x: np.ndarray, D: np.ndarray | None, rho: np.ndarray):
@@ -634,30 +653,59 @@ def run_members(cfgs: list[ScenarioConfig]) -> list[TraceSet]:
         surrogate_all(c, y, out=cns.split(P))
         return P
 
-    def derivative(S: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    def derivative(S: np.ndarray, Z: np.ndarray, dS: np.ndarray, q: np.ndarray) -> np.ndarray:
         """The lower layer's derivative at state S (..., N, 1 + r, w) and
-        outputs Z = P - S[..., 0, :]: dac_derivative in each agent's row 0,
-        quantized at each member's step, and drem_filter_derivative in its
-        filter rows, through the current Laplacian lap."""
-        dS = cns.dac_derivative(Z, lap, k, eps_column)[..., None, :]
+        outputs Z = P - S[..., 0, :], written into dS (S's shape), with the
+        quantized outputs in q (Z's shape): dac_derivative in each agent's
+        row 0, quantized at each member's step, and drem_filter_derivative
+        in its filter rows, through the current Laplacian lap. Its inputs
+        are checked once per run, below."""
+        cns.dac_derivative(Z, lap, k, steps, out=(q, dS[..., 0, :]))
         if r:
-            dS = np.concatenate(
-                [dS, est.drem_filter_derivative(cfg.drem_filters, S[..., 1:, :], Z)], axis=-2
-            )
+            est.drem_filter_derivative(cfg.drem_filters, S[..., 1:, :], Z, out=dS[..., 1:, :])
         return dS
 
     def field(t: float, S: np.ndarray) -> np.ndarray:
-        """The lower layer's field, for rk4_step. Evaluation ev of a step
-        writes its state and outputs to table row (step - step0, ev). ev,
-        step, step0 and P are the current evaluation's, step's and block's."""
+        """The lower layer's field, for rk4_step, into the per-run buffers
+        dS_field and q_field. Evaluation ev of a step writes its outputs to
+        table row (step - step0, ev), and its state too at ev = 0 and, when
+        the upper pass reads the filter rows (r > 0), at every ev. ev, step,
+        step0 and P are the current evaluation's, step's and block's."""
         nonlocal ev
         j, e = step - step0, ev
         ev += 1
-        lower_tab[j, e] = S
+        if r or not e:
+            lower_tab[j, e] = S
         # P's member axis of 1 broadcasts over E; at E = 1 a 2-D P would
         # cost numpy a slower loop than the same-rank operands.
-        return derivative(S, np.subtract(P[j, STAGE_INPUT[e], None], S[..., 0, :],
-                                         out=z_tab[j, e]))
+        Z = np.subtract(P[j, STAGE_INPUT[e], None], S[..., 0, :], out=z_tab[j, e])
+        return derivative(S, Z, dS_field, q_field)
+
+    def stepped_pass(K: int) -> tuple[int, int]:
+        """The lower pass at eps > 0, where the field is quantized: one
+        rk4_step of field per step, for every member at once. The block's
+        steps run under np.errstate, and the pass keeps the steps up to the
+        first that diverges in any member, found once per block as
+        mapped_pass finds it, so NaN never reaches the upper pass. Returns
+        the steps integrated and the table rows written."""
+        nonlocal state, step, ev, lap
+        n = min(K, n_steps - step0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(step0, step0 + n):
+                lap, ev = laps[event_at[step]], 0
+                state = rk4_step(field, state, step * h, h)
+        lower_tab[n, 0] = state
+        first = _first_diverging(lower_tab[1:n + 1, 0])
+        if first is not None:  # the block's checks raise at that step
+            return first + 1, first + 1
+        if n == K - 1 and n_steps % dec == 0:  # the last sample has no step after it
+            step, ev = n_steps, 0
+            lap = laps[event_at[step]]
+            field(step * h, state)
+            # Its other evaluations repeat the first.
+            lower_tab[n, 1:], z_tab[n, 1:] = lower_tab[n, 0], z_tab[n, 0]
+            return n, n + 1
+        return n, n
 
     def mapped_pass(K: int) -> tuple[int, int]:
         """The lower pass at eps = 0, where the field is linear: the block's
@@ -683,7 +731,10 @@ def run_members(cfgs: list[ScenarioConfig]) -> list[TraceSet]:
             a, b = a - step0, b - step0
             if formed != e:
                 lap, formed = laps[e], e
-                maps = linear_rk4(derivative, N, 1 + r, h, work["lower"])
+                maps = linear_rk4(
+                    lambda S, Z: derivative(S, Z, np.empty(S.shape), np.empty(Z.shape)),
+                    N, 1 + r, h, work["lower"],
+                )
             DE, T = maps
             # A state that diverges may overflow in the segment's later
             # steps; the pass keeps the steps up to its first.
@@ -693,18 +744,17 @@ def run_members(cfgs: list[ScenarioConfig]) -> list[TraceSet]:
                     np.matmul(DE[:, :M], S[j], out=dS)
                     dS += v[j]
                     np.add(S[j], dS, out=S[j + 1])
-            after = S[a + 1:b + 1]
-            diverged = not (after.max() <= DIVERGENCE_LIMIT and after.min() >= -DIVERGENCE_LIMIT)
-            if diverged:  # NaN is over
-                over = ~(np.abs(after).max(axis=(1, 2)) <= DIVERGENCE_LIMIT)
-                b = n = a + 1 + int(np.argmax(over))
+            first = _first_diverging(S[a + 1:b + 1])
+            diverged = first is not None
+            if diverged:
+                b = n = a + 1 + first
             np.matmul(T, U[a:b], out=lower_flat[a:b, M:])
             if diverged:
                 break
         state[...] = S[n].reshape(state.shape)
         # The last sample has no step after it.
         n_rows = n + (not diverged and n == K - 1 and n_steps % dec == 0)
-        lower_flat[:n_rows, :M] = S[:n_rows]
+        lower_flat[:n + 1, :M] = S[:n + 1]
         lower_tab[n:n_rows, 1:] = lower_tab[n:n_rows, :1]  # its evaluations repeat the first
         np.take(P[:n_rows], STAGE_INPUT, axis=1, out=z_tab[:n_rows, :, 0], mode="clip")
         z_tab[:n_rows] -= lower_tab[:n_rows, ..., 0, :]
@@ -753,38 +803,25 @@ def run_members(cfgs: list[ScenarioConfig]) -> list[TraceSet]:
                 rec[name] = np.empty((n_samples, *value.shape[1:]))
             rec[name][slots] = value
 
-    eps_column = epsilons.reshape(E, 1, 1)  # each member's quantizer step
+    # The field's inputs, checked once per run: each member's quantizer
+    # step, as an (E, 1, 1) column (0-d for one member), the gain and the
+    # Laplacians' shape. The stepped pass's field writes into dS_field and
+    # q_field.
+    steps = quantizer_steps(epsilons.reshape(E, 1, 1))
+    cns.check_dac(laps[0], k, N)
+    dS_field, q_field = np.empty(state.shape), np.empty((E, N, width))
     exact = not epsilons.any()
     C = M + 3 * N  # the columns of linear_rk4's maps
     lap = maps = None
+    step = ev = 0  # the step and evaluation the stepped pass's field is at
     formed = -1  # the event whose maps are formed
     max_conservation, max_asymmetry = np.zeros(E), np.zeros(E)
 
     for step0 in range(0, n_steps + 1, block):
         K = min(block, n_steps + 1 - step0)
         P = input_tables(step0, K)
-        if exact:
-            n_int, n_rows = mapped_pass(K)
-        else:
-            # Stepped lower pass (eps > 0, a quantized field): one RK4 step
-            # per step of every member at once, up to the first divergence
-            # in any member, which stops it before NaN reaches the upper pass.
-            n_int = n_rows = 0  # the block's steps integrated, and table rows written
-            for step in range(step0, step0 + K):
-                lap = laps[event_at[step]]
-                ev = 0
-                if step < n_steps:
-                    state = rk4_step(field, state, step * h, h)
-                    n_int = n_rows = n_int + 1
-                    if not np.abs(state).max() <= DIVERGENCE_LIMIT:  # NaN is over
-                        break
-                elif step % dec == 0:  # the last sample has no step after it
-                    field(step * h, state)
-                    j = step - step0  # its other evaluations repeat the first
-                    lower_tab[j, 1:], z_tab[j, 1:] = lower_tab[j, 0], z_tab[j, 0]
-                    n_rows += 1
-
-        lower_tab[n_int, 0] = state  # rows 1..n_int: the lower state after each step
+        # Rows 1..n_int of either pass: the lower state after each step.
+        n_int, n_rows = (mapped_pass if exact else stepped_pass)(K)
         rows = np.arange(-step0 % dec, n_rows, dec)
         sample_fields = upper_pass(n_int, n_rows)
 

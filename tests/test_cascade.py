@@ -83,9 +83,9 @@ def test_cascade_matches_the_coupled_integration(monkeypatch, doc):
         tables.append(pack(*out))
         return out
 
-    def recorded_laplacian(out, lap, k, eps=0.0):
+    def recorded_laplacian(Z, lap, k, eps=0.0, out=None):
         laps.append(lap)
-        return dac(out, lap, k, eps)
+        return dac(Z, lap, k, eps, out=out)
 
     monkeypatch.setattr(sim, "surrogate_all", recorded_inputs)
     monkeypatch.setattr(sim.cns, "dac_derivative", recorded_laplacian)
@@ -118,9 +118,9 @@ def test_mapped_lower_pass_matches_the_coupled_integration(monkeypatch):
         tables.append(pack(*out))
         return out
 
-    def counted(out, lap, k, eps=0.0):
+    def counted(Z, lap, k, eps=0.0, out=None):
         calls[0] += 1
-        return dac(out, lap, k, eps)
+        return dac(Z, lap, k, eps, out=out)
 
     monkeypatch.setattr(sim, "surrogate_all", recorded_inputs)
     monkeypatch.setattr(sim.cns, "dac_derivative", counted)

@@ -146,6 +146,24 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: decimation=1500 leaves no sample")
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", ["1e-305", "1e-306", "1e-308", "1e-320"])
+    def test_tiny_quantizer_step_refused_before_integrating(
+        self, tmp_path, monkeypatch, capsys, eps
+    ):
+        # s/epsilon would overflow for outputs inside the divergence limit,
+        # and the run would report the NaN as a divergence of the state.
+        monkeypatch.setattr(cli, "analysis_report", _never)
+        monkeypatch.setattr(cli, "run_scenario", _never)
+        out = tmp_path / "bad"
+        scenario = ROOT / "scenarios" / "nominal_switched.json"
+        code = main(["run", "-c", str(scenario), "-o", str(out),
+                     "--set", f"epsilon={eps}", "--set", "t_end=0.02"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: epsilon=")
+        assert "exact links" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_t_end_off_the_step_grid_refused_before_integrating(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -211,8 +229,8 @@ class TestRun:
         # A consensus field that does not conserve the state sums.
         dac = sim.cns.dac_derivative
 
-        def leaky(out, lap, k, eps=0.0):
-            d = dac(out, lap, k, eps)
+        def leaky(Z, lap, k, eps=0.0, out=None):
+            d = dac(Z, lap, k, eps, out=out)
             sim.cns.split(d)[1][:] += 1.0
             return d
 

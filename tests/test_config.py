@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hiera_est.config import SCALAR_FIELDS, ConfigError, apply_overrides, load_config
+from hiera_est.sim import DIVERGENCE_LIMIT, EPSILON_MIN
 
 
 def base_doc():
@@ -132,6 +133,18 @@ class TestLoadConfig:
         doc["p_loss"] = 1.0
         with pytest.raises(ConfigError):
             load_config(doc)
+
+    def test_quantizer_step_below_the_float_range_refused(self):
+        # EPSILON_MIN is the smallest step at which s/epsilon stays finite
+        # for every |s| up to the divergence limit; epsilon = 0 is exact links.
+        assert np.isfinite(np.float64(DIVERGENCE_LIMIT) / EPSILON_MIN)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.float64(DIVERGENCE_LIMIT) / (EPSILON_MIN / 2))
+        for eps in (0.0, EPSILON_MIN, 1e-296, 0.036):
+            assert load_config({**base_doc(), "epsilon": eps}).epsilon == eps
+        for eps in (EPSILON_MIN / 2, 1e-305, 5e-324):
+            with pytest.raises(ConfigError, match=r"^epsilon=.* is below 5\.56e-297 .*exact links"):
+                load_config({**base_doc(), "epsilon": eps})
 
     def test_coeff_tables_exclusive_with_ranges(self):
         doc = base_doc()

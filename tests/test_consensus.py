@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hiera_est.consensus import (
     average_reference,
+    check_dac,
     consensus_error,
     dac_derivative,
     effective_laplacian,
@@ -15,8 +16,9 @@ from hiera_est.consensus import (
     split,
 )
 from hiera_est.graph import laplacian, topology_from_edges
-from hiera_est.signals import quantize, sample_coefficients, surrogate_all
+from hiera_est.signals import quantize, quantizer_steps, sample_coefficients, surrogate_all
 from packing import pack
+from test_signals import BUFFERED_STEPS, step_arg
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
@@ -112,6 +114,39 @@ class TestDerivative:
         out = outputs(cp, yp, *zeros())
         with pytest.raises(ValueError):
             dac_derivative(out, np.zeros((5, 5)), 1.0)
+
+    @pytest.mark.parametrize(
+        "lap_size, k, eps",
+        [(4, 0.0, 0.0), (4, -1.0, 0.036), (4, 1.0, -0.1), (4, 1.0, np.array([[[0.1]], [[-0.1]]])),
+         (5, 1.0, 0.0)],
+        ids=["k-zero", "k-negative", "step-negative", "column-negative", "laplacian-mismatch"],
+    )
+    def test_allocating_form_refuses_bad_arguments(self, topo, lap_size, k, eps):
+        Z = np.ones((2, 4, 12))
+        with pytest.raises(ValueError, match="positive|mismatch|nonnegative"):
+            dac_derivative(Z, laplacian(np.ones((lap_size,) * 2) - np.eye(lap_size)), k, eps)
+
+    @pytest.mark.parametrize("lap_size, k", [(4, 0.0), (4, -1.0), (5, 1.0), (3, 1.0)])
+    def test_check_refuses_what_the_buffered_form_does_not(self, lap_size, k):
+        with pytest.raises(ValueError, match="positive|mismatch"):
+            check_dac(np.zeros((lap_size,) * 2), k, 4)
+        check_dac(np.zeros((4, 4)), 1.0, 4)
+
+    @BUFFERED_STEPS
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_buffered_form_is_the_allocating_form(self, topo, steps, column, strided):
+        # Into the pair (q, d), at quantizer_steps' steps: the allocating
+        # form's bits, Q(Z) in q and the derivative in d, which is returned.
+        # d may be a row of a larger array, as a runner's state-shaped buffer.
+        E = len(steps)
+        Z = np.random.default_rng(E).normal(scale=10.0, size=(E, 4, 12))
+        lap, eps = effective_laplacian(topo), step_arg(steps, column)
+        q = np.full(Z.shape, np.nan)
+        d = np.full((E, 4, 3, 12), np.nan)[..., 0, :] if strided else np.full(Z.shape, np.nan)
+        got = dac_derivative(Z, lap, 2.5, quantizer_steps(eps), out=(q, d))
+        assert got is d
+        np.testing.assert_array_equal(got, dac_derivative(Z, lap, 2.5, eps))
+        np.testing.assert_array_equal(q, quantize(Z, eps))
 
 
 class TestEffectiveLaplacian:

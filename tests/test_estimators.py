@@ -174,6 +174,21 @@ class TestFilterBank:
         )
         np.testing.assert_array_equal(dzy, -b[:, None] * zy + a[:, None] * yhat[:, None])
 
+    @pytest.mark.parametrize("E", [1, 3])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_buffered_filter_is_the_allocating_filter(self, E, strided):
+        # Into a buffer of z's shape: the allocating form's bits, written
+        # into the buffer, which is returned. The buffer may be the filter
+        # rows of a larger array, as a runner's state-shaped buffer.
+        rng = np.random.default_rng(E)
+        bank = DremFilterBank(alphas=np.array([1.0, 0.5]), betas=np.array([1.0, 3.0]))
+        Z = rng.normal(scale=10.0, size=(E, 4, 12))
+        z = rng.normal(scale=10.0, size=(E, 4, 2, 12))
+        out = np.full((E, 4, 3, 12), np.nan)[..., 1:, :] if strided else np.full(z.shape, np.nan)
+        got = drem_filter_derivative(bank, z, Z, out=out)
+        assert got is out
+        np.testing.assert_array_equal(got, drem_filter_derivative(bank, z, Z))
+
     def test_extend_shapes_and_content(self):
         rng = np.random.default_rng(3)
         out = make_output(rng, n_agents=2, n=3)

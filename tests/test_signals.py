@@ -7,9 +7,24 @@ from hiera_est.signals import (
     RegressorGenerator,
     noise_stream,
     quantize,
+    quantizer_steps,
     sample_coefficients,
     surrogate_all,
 )
+
+
+# The steps of the buffered forms' tests: one step, 0-d, or an (E, 1, 1)
+# step column, for E = 1 and 3, with and without a row at step 0.
+BUFFERED_STEPS = pytest.mark.parametrize(
+    "steps, column",
+    [([0.036], False), ([0.0], False), ([0.036], True), ([0.0], True),
+     ([0.036, 0.036, 0.036], False), ([0.012, 0.024, 0.036], True), ([0.012, 0.0, 0.036], True)],
+)
+
+
+def step_arg(steps, column):
+    """The eps argument of the buffered forms' tests: a step column, or the one step."""
+    return np.array(steps).reshape(-1, 1, 1) if column else steps[0]
 
 
 @pytest.fixture
@@ -202,3 +217,23 @@ class TestQuantizer:
     def test_step_column_with_a_negative_step_rejected(self, steps):
         with pytest.raises(ValueError, match="nonnegative"):
             quantize(np.ones((len(steps), 2, 3)), np.array(steps).reshape(-1, 1, 1))
+
+    @BUFFERED_STEPS
+    def test_buffered_form_is_the_allocating_form(self, steps, column):
+        # Into a buffer, at quantizer_steps' steps: the allocating form's
+        # bits, written into the buffer, which is returned.
+        rows = np.random.default_rng(len(steps)).normal(scale=10.0, size=(len(steps), 4, 6))
+        eps = step_arg(steps, column)
+        out = np.full(rows.shape, np.nan)
+        got = quantize(rows, quantizer_steps(eps), out=out)
+        assert got is out
+        np.testing.assert_array_equal(got, quantize(rows, eps))
+
+    def test_steps_read_once(self):
+        # One step as a 0-d array, a column as it is; a negative step refused.
+        assert quantizer_steps(0.036).shape == ()
+        assert quantizer_steps(np.full((1, 1, 1), 0.036)).shape == ()
+        assert quantizer_steps(np.array([0.1, 0.0]).reshape(-1, 1, 1)).shape == (2, 1, 1)
+        for eps in (-0.1, np.array([0.1, -1e-300]).reshape(-1, 1, 1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                quantizer_steps(eps)

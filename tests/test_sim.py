@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -639,8 +640,8 @@ class TestRunScenario:
         # keeps theta from outgrowing the entry through the blown-up Gram.
         dac = consensus.dac_derivative
 
-        def blown(out, lap, k, eps=0.0):
-            d = dac(out, lap, k, eps)
+        def blown(Z, lap, k, eps=0.0, out=None):
+            d = dac(Z, lap, k, eps, out=out)
             d[..., 1, column] += 1e18
             return d
 
@@ -673,6 +674,71 @@ class TestRunScenario:
             run_scenario(load_config(doc))
         e = err.value
         assert (e.block, e.agent, e.entry, e.t) == (block, 1, entry, 0.001)
+
+    @pytest.mark.parametrize(
+        "t_fail, value",
+        [(0.017, 995024906249999.0), (0.032, 995024906249998.2)],
+        ids=["inside-a-block", "at-a-block-end"],
+    )
+    def test_stepped_divergence_found_once_per_block(self, monkeypatch, t_fail, value):
+        # At epsilon > 0, agent 1's X[0, 0] blows up in the step to t_fail
+        # (the block's last step at 0.032), and every later evaluation of
+        # the field is inf, which the steps the block runs past it overflow
+        # to NaN. The pass keeps the steps up to the first that diverges: the
+        # error and its value are the ones a check after every step raises,
+        # no RuntimeWarning escapes, and the flows read no table row past
+        # the failing step. A tiny gamma_ge keeps theta from outgrowing X.
+        assert sim.INPUT_BLOCK == 32
+        fail = round(t_fail / 1e-3) - 1  # the step whose result diverges
+        dac, ge_flow = consensus.dac_derivative, estimators.ge_flow
+        calls, rows = [0], []
+
+        def blown(Z, lap, k, eps=0.0, out=None):
+            d = dac(Z, lap, k, eps, out=out)
+            step = calls[0] // 4
+            calls[0] += 1
+            if step == fail:
+                d[..., 1, 0] += 1e18
+            elif step > fail:
+                d[...] = np.inf
+            return d
+
+        def recorded(Z, gain, buffers):
+            rows.append(len(Z))
+            return ge_flow(Z, gain, buffers)
+
+        monkeypatch.setattr(sim.cns, "dac_derivative", blown)
+        monkeypatch.setattr(estimators, "ge_flow", recorded)
+        doc = small_doc(estimators=["ge"], gamma_ge=1e-300, t_end=0.1, epsilon=EPS_STEPPED)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SimulationDiverged, match=rf"'X\[1, 0, 0\]' diverged at t={t_fail} "
+                               r"\(value 9\.950e\+14\)") as err:
+                run_scenario(load_config(doc))
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        e = err.value
+        assert (e.block, e.agent, e.entry, e.t, e.member) == ("X", 1, (0, 0), t_fail, 0)
+        assert e.value == pytest.approx(value, rel=1e-12)
+        assert rows == [fail + 1]
+
+    def test_quantized_run_steps_one_rk4_step_of_four_evaluations(self, monkeypatch):
+        # At epsilon > 0 the lower layer takes one rk4_step per step, which
+        # evaluates the field four times; the last sample's one evaluation
+        # has no step after it and is not one of them.
+        rk4 = sim.rk4_step
+        counts = {"steps": 0, "evals": 0}
+
+        def counted(field, state, t, h):
+            def counted_field(t, S):
+                counts["evals"] += 1
+                return field(t, S)
+
+            counts["steps"] += 1
+            return rk4(counted_field, state, t, h)
+
+        monkeypatch.setattr(sim, "rk4_step", counted)
+        run_scenario(load_config(small_doc(t_end=0.1, epsilon=EPS_STEPPED)))
+        assert counts == {"steps": 100, "evals": 400}
 
     def test_located_errors_survive_pickling(self):
         import pickle
@@ -788,8 +854,8 @@ class TestRunScenario:
         calls = [0]
         dac = consensus.dac_derivative
 
-        def drifting(out, lap, k, eps=0.0):
-            d = dac(out, lap, k, eps)
+        def drifting(Z, lap, k, eps=0.0, out=None):
+            d = dac(Z, lap, k, eps, out=out)
             calls[0] += 1
             if calls[0] > 4 * drift_from:
                 consensus.split(d)[1][..., 0] += 1.0
@@ -825,8 +891,8 @@ class TestRunScenario:
         # layer holds it, the larger |value| is raised, NaN the largest.
         dac = consensus.dac_derivative
 
-        def blown(out, lap, k, eps=0.0):
-            d = dac(out, lap, k, eps)
+        def blown(Z, lap, k, eps=0.0, out=None):
+            d = dac(Z, lap, k, eps, out=out)
             d[..., 1, 0] += lower
             return d
 
@@ -873,8 +939,8 @@ class TestRunScenario:
         # keeps theta from outgrowing that entry through the blown-up Gram.
         drem_filter_derivative = estimators.drem_filter_derivative
 
-        def blown(bank, z, out):
-            d = drem_filter_derivative(bank, z, out)
+        def blown(bank, z, Z, out=None):
+            d = drem_filter_derivative(bank, z, Z, out=out)
             d[..., 2, filt, column] += 1e18
             return d
 
@@ -972,8 +1038,8 @@ class TestRunScenario:
         calls = [0]
         dac = consensus.dac_derivative
 
-        def perturbed(out, lap, k, eps=0.0):
-            d = dac(out, lap, k, eps)
+        def perturbed(Z, lap, k, eps=0.0, out=None):
+            d = dac(Z, lap, k, eps, out=out)
             calls[0] += 1
             if calls[0] > 4 * 50 + 1:
                 getattr(self, bump)(consensus.split(d)[0])
@@ -1006,8 +1072,8 @@ class TestRunScenario:
         dac = consensus.dac_derivative
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-        def perturbed(out, lap, k, eps=0.0):
-            d = dac(out, lap, k, eps)
+        def perturbed(Z, lap, k, eps=0.0, out=None):
+            d = dac(Z, lap, k, eps, out=out)
             consensus.split(d)[0][:] += np.array([1.0, 1.0, -2.0])[:, None, None] * skew
             return d
 
@@ -1040,8 +1106,8 @@ class TestRunScenario:
         # x_0 of every agent gains 1 per unit time: sum x drifts, X keeps.
         dac = consensus.dac_derivative
 
-        def leaky(out, lap, k, eps=0.0):
-            d = dac(out, lap, k, eps)
+        def leaky(Z, lap, k, eps=0.0, out=None):
+            d = dac(Z, lap, k, eps, out=out)
             consensus.split(d)[1][..., 0] += 1.0
             return d
 
@@ -1107,10 +1173,10 @@ class TestRunScenario:
         outputs = []
         dac = consensus.dac_derivative
 
-        def evaluated(out, lap, k, eps=0.0):
+        def evaluated(Z, lap, k, eps=0.0, out=None):
             # (member, agent) rows on one axis, as the flows read them
-            outputs.append(out.reshape(-1, out.shape[-1]).copy())
-            return dac(out, lap, k, eps)
+            outputs.append(Z.reshape(-1, Z.shape[-1]).copy())
+            return dac(Z, lap, k, eps, out=out)
 
         monkeypatch.setattr(sim.cns, "dac_derivative", evaluated)
         doc = small_doc(
@@ -1276,8 +1342,8 @@ class TestMembers:
         dac = consensus.dac_derivative
         calls = [0]
 
-        def blown(out, lap, k, eps=0.0):
-            d = dac(out, lap, k, eps)
+        def blown(Z, lap, k, eps=0.0, out=None):
+            d = dac(Z, lap, k, eps, out=out)
             calls[0] += 1
             steps = np.ravel(eps)
             if calls[0] > 4 * 5:
